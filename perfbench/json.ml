@@ -1,0 +1,174 @@
+(* The little JSON the benchmark writes and [compare] reads back. *)
+
+type t =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list
+
+let escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* Numbers keep every digit they were measured with; integral values
+   print without a fraction.  JSON has no NaN or infinity: they print
+   as null. *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_finite f then Printf.sprintf "%.17g" f
+  else "null"
+
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num f -> number f
+  | Str s -> "\"" ^ escape s ^ "\""
+  | Arr l -> "[" ^ String.concat ", " (List.map to_string l) ^ "]"
+  | Obj l ->
+      "{"
+      ^ String.concat ", " (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v) l)
+      ^ "}"
+
+exception Parse_error of string
+
+let of_string s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail what = raise (Parse_error (Printf.sprintf "%s at byte %d" what !pos)) in
+  let rec skip () =
+    if !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n' || s.[!pos] = '\t' || s.[!pos] = '\r')
+    then begin
+      incr pos;
+      skip ()
+    end
+  in
+  let expect c =
+    skip ();
+    if !pos < n && s.[!pos] = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
+  in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      v
+    end
+    else fail "bad literal"
+  in
+  let string_lit () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+          if !pos >= n then fail "unterminated escape";
+          let e = s.[!pos] in
+          incr pos;
+          (match e with
+          | 'n' -> Buffer.add_char b '\n'
+          | 't' -> Buffer.add_char b '\t'
+          | 'r' -> Buffer.add_char b '\r'
+          | 'u' ->
+              if !pos + 4 > n then fail "short \\u escape";
+              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              pos := !pos + 4;
+              if code < 0x80 then Buffer.add_char b (Char.chr code) else Buffer.add_char b '?'
+          | c -> Buffer.add_char b c);
+          go ()
+      | c ->
+          Buffer.add_char b c;
+          go ()
+    in
+    go ()
+  in
+  let rec value () =
+    skip ();
+    if !pos >= n then fail "unexpected end";
+    match s.[!pos] with
+    | '{' ->
+        incr pos;
+        skip ();
+        if !pos < n && s.[!pos] = '}' then begin
+          incr pos;
+          Obj []
+        end
+        else
+          let rec fields acc =
+            let k = string_lit () in
+            expect ':';
+            let v = value () in
+            skip ();
+            if !pos < n && s.[!pos] = ',' then begin
+              incr pos;
+              skip ();
+              fields ((k, v) :: acc)
+            end
+            else begin
+              expect '}';
+              Obj (List.rev ((k, v) :: acc))
+            end
+          in
+          fields []
+    | '[' ->
+        incr pos;
+        skip ();
+        if !pos < n && s.[!pos] = ']' then begin
+          incr pos;
+          Arr []
+        end
+        else
+          let rec items acc =
+            let v = value () in
+            skip ();
+            if !pos < n && s.[!pos] = ',' then begin
+              incr pos;
+              items (v :: acc)
+            end
+            else begin
+              expect ']';
+              Arr (List.rev (v :: acc))
+            end
+          in
+          items []
+    | '"' -> Str (string_lit ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ ->
+        let start = !pos in
+        while
+          !pos < n
+          && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+        do
+          incr pos
+        done;
+        if !pos = start then fail "unexpected character";
+        (match float_of_string_opt (String.sub s start (!pos - start)) with
+        | Some f -> Num f
+        | None -> fail "bad number")
+  in
+  let v = value () in
+  skip ();
+  if !pos <> n then fail "trailing bytes";
+  v
+
+let member k = function Obj l -> List.assoc_opt k l | _ -> None
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
