@@ -1121,15 +1121,14 @@ module Par = Eden_par
 
 let p1 () =
   section "P1  Parallel runtime: wide fan-in wall-clock scaling across domains";
-  let spec = Par.Fanin.default in
+  let spec = Par.Topo.default in
   Printf.printf
     "Fan-in of %d read-only branches (%d work filters each, %d items/branch,\n\
      %d LCG rounds per item per filter).  Producing stages shard over domains\n\
      1..n-1; every sink lives on domain 0 and pulls through a cross-domain\n\
      proxy.  The deterministic mode at the same shard count is the oracle:\n\
      the parallel run must reproduce its invocation counts exactly.\n\n"
-    spec.Par.Fanin.branches spec.Par.Fanin.filters spec.Par.Fanin.items
-    spec.Par.Fanin.work;
+    spec.Par.Topo.branches spec.Par.Topo.filters spec.Par.Topo.items spec.Par.Topo.work;
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host cores available: %d\n" cores;
   if cores < 4 then
@@ -1143,7 +1142,7 @@ let p1 () =
     let best = ref infinity and out = ref None in
     for _ = 1 to 3 do
       let t0 = Unix.gettimeofday () in
-      let o = Par.Fanin.run Parallel ~domains spec in
+      let o = Par.Topo.run Parallel ~domains (Par.Topo.fanin ~domains spec) in
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt;
       out := Some o
@@ -1169,14 +1168,13 @@ let p1 () =
   List.iter
     (fun domains ->
       let par, wall = timed_parallel domains in
-      let det = Par.Fanin.run Deterministic ~domains spec in
+      let det = Par.Topo.run Deterministic ~domains (Par.Topo.fanin ~domains spec) in
       if domains = 1 then base := wall;
       let ok =
-        par.Par.Fanin.meter.Kernel.Meter.invocations
-        = det.Par.Fanin.meter.Kernel.Meter.invocations
-        && par.Par.Fanin.op_counts = det.Par.Fanin.op_counts
-        && par.Par.Fanin.consumed = det.Par.Fanin.consumed
-        && par.Par.Fanin.eos_clean && det.Par.Fanin.eos_clean
+        par.meter.Kernel.Meter.invocations = det.meter.Kernel.Meter.invocations
+        && par.op_counts = det.op_counts
+        && Par.Topo.consumed par = Par.Topo.consumed det
+        && par.eos_clean && det.eos_clean
       in
       if not ok then all_match := false;
       if domains > 1 then last := Some par;
@@ -1185,10 +1183,10 @@ let p1 () =
           Table.cell_int domains;
           Printf.sprintf "%.3f" wall;
           Printf.sprintf "%.2fx" (!base /. wall);
-          Table.cell_int par.Par.Fanin.meter.Kernel.Meter.invocations;
-          Table.cell_int det.Par.Fanin.meter.Kernel.Meter.invocations;
+          Table.cell_int par.meter.Kernel.Meter.invocations;
+          Table.cell_int det.meter.Kernel.Meter.invocations;
           (if ok then "yes" else "NO");
-          Table.cell_int par.Par.Fanin.cross_messages;
+          Table.cell_int par.cross_messages;
         ])
     [ 1; 2; 4; 8 ];
   Table.print tbl;
@@ -1214,7 +1212,7 @@ let p1 () =
                 Table.cell_float (Obs.Histogram.mean h);
                 Table.cell_float (Obs.Histogram.percentile h 0.99);
               ])
-        o.Par.Fanin.histograms;
+        o.Par.Topo.histograms;
       Table.print mtbl
   | None -> ());
   if not !all_match then begin
@@ -1323,13 +1321,13 @@ let b1 ?(quick = false) () =
   | Some k ->
       histogram_table ~title:"Round-trip histograms, adaptive batch x unlimited credit" k
   | None -> ());
-  (* The Fanin workload under the same configurations.  Deterministic
+  (* The fan-in workload under the same configurations.  Deterministic
      mode: adaptive trajectories depend on scheduling, so the oracle
      mode is the one where they are reproducible. *)
   let fanin_spec fc =
     {
-      Par.Fanin.default with
-      Par.Fanin.items = (if quick then 8 else 64);
+      Par.Topo.default with
+      Par.Topo.items = (if quick then 8 else 64);
       work = (if quick then 200 else 20_000);
       flowctl = fc;
     }
@@ -1339,7 +1337,7 @@ let b1 ?(quick = false) () =
       ~title:
         (Printf.sprintf
            "Fanin workload, deterministic mode, 2 shards (%d branches x %d items)"
-           Par.Fanin.default.Par.Fanin.branches (fanin_spec None).Par.Fanin.items)
+           Par.Topo.default.Par.Topo.branches (fanin_spec None).Par.Topo.items)
       ~columns:
         [
           ("batch", Table.Right);
@@ -1355,18 +1353,18 @@ let b1 ?(quick = false) () =
     (fun (blabel, b) ->
       let credit = Fcredit.Window 16 in
       let spec = fanin_spec (Some (flowctl_of b credit)) in
-      let o = Par.Fanin.run Deterministic ~domains:2 spec in
-      let items = spec.Par.Fanin.branches * spec.Par.Fanin.items in
+      let o = Par.Topo.run Deterministic ~domains:2 (Par.Topo.fanin ~domains:2 spec) in
+      let items = spec.Par.Topo.branches * spec.Par.Topo.items in
       Table.add_row tbl2
         [
           blabel;
           "16";
-          Table.cell_int o.Par.Fanin.consumed;
-          Table.cell_int o.Par.Fanin.meter.Kernel.Meter.invocations;
+          Table.cell_int (Par.Topo.consumed o);
+          Table.cell_int o.meter.Kernel.Meter.invocations;
           Table.cell_float ~decimals:2
-            (float_of_int o.Par.Fanin.meter.Kernel.Meter.invocations /. float_of_int items);
-          Table.cell_int o.Par.Fanin.cross_messages;
-          (if o.Par.Fanin.eos_clean then "clean" else "BROKEN");
+            (float_of_int o.meter.Kernel.Meter.invocations /. float_of_int items);
+          Table.cell_int o.cross_messages;
+          (if o.eos_clean then "clean" else "BROKEN");
         ])
     batches;
   Table.print tbl2;
@@ -1636,14 +1634,14 @@ let w1 ?(quick = false) () =
     "Each row runs the same topology at %d shards; in-process is the\n\
      deterministic oracle, the socket rows fork one OS process per leaf\n\
      shard and move every cross-shard item through the Bin codec and\n\
-     the framed transport.  MB counts the Bin-encoded bytes of the\n\
-     items that reached the sinks; every row's stream must be\n\
-     byte-identical to the oracle's.\n\n"
+     the framed transport.  MB counts the bytes the sinks collected\n\
+     (Bin-encoded integers, newline-terminated lines); every row's\n\
+     streams must be byte-identical to the oracle's.\n\n"
     domains;
   let spec =
     if quick then
-      { Par.Fanin.default with branches = 4; filters = 1; items = 24; work = 200 }
-    else { Par.Fanin.default with branches = 8; filters = 2; items = 160; work = 2_000 }
+      { Par.Topo.default with branches = 4; filters = 1; items = 24; work = 200 }
+    else { Par.Topo.default with branches = 8; filters = 2; items = 160; work = 2_000 }
   in
   let f2_items = if quick then 48 else 400 in
   let f2_filters = 4 in
@@ -1685,46 +1683,29 @@ let w1 ?(quick = false) () =
     ]
   in
   let mismatch = ref false in
-  (* Fan-in: wide, many cross-shard edges. *)
-  let fanin_digest (o : Par.Fanin.outcome) =
-    Array.map
-      (fun vs -> String.concat "" (List.map Eden_wire.Bin.encode vs))
-      o.Par.Fanin.per_branch
+  let measure ~workload topo =
+    let oracle = ref None in
+    List.iter
+      (fun (name, mode) ->
+        let o, dt = best_of_3 (fun () -> Par.Topo.run mode ~domains topo) in
+        let ok =
+          match !oracle with
+          | None ->
+              oracle := Some o.Par.Topo.sinks;
+              true
+          | Some s -> s = o.Par.Topo.sinks
+        in
+        if not ok then mismatch := true;
+        let bytes = List.fold_left (fun a (_, s) -> a + String.length s) 0 o.Par.Topo.sinks in
+        Table.add_row tbl
+          (row ~workload ~transport:name ~items:(Par.Topo.consumed o) ~bytes ~dt ~ok))
+      modes
   in
-  let fanin_oracle = ref [||] in
-  List.iter
-    (fun (name, mode) ->
-      let o, dt = best_of_3 (fun () -> Par.Fanin.run mode ~domains spec) in
-      let digest = fanin_digest o in
-      if !fanin_oracle = [||] then fanin_oracle := digest;
-      let ok = digest = !fanin_oracle in
-      if not ok then mismatch := true;
-      let bytes = Array.fold_left (fun a s -> a + String.length s) 0 digest in
-      Table.add_row tbl
-        (row ~workload:"fan-in" ~transport:name ~items:o.Par.Fanin.consumed ~bytes ~dt
-           ~ok))
-    modes;
-  (* F2: one deep chain, every edge cross-shard. *)
-  let f2_oracle = ref None in
-  List.iter
-    (fun (name, mode) ->
-      let o, dt =
-        best_of_3 (fun () ->
-            Par.Distpipe.run_f2 mode ~domains ~filters:f2_filters ~items:f2_items ())
-      in
-      let ok =
-        match !f2_oracle with
-        | None ->
-            f2_oracle := Some o.Par.Distpipe.stream;
-            true
-        | Some s -> s = o.Par.Distpipe.stream
-      in
-      if not ok then mismatch := true;
-      Table.add_row tbl
-        (row ~workload:"F2 chain" ~transport:name ~items:o.Par.Distpipe.consumed
-           ~bytes:(String.length o.Par.Distpipe.stream)
-           ~dt ~ok))
-    modes;
+  (* Fan-in: wide, many cross-shard edges.  F2: one deep chain, every
+     edge cross-shard. *)
+  measure ~workload:"fan-in" (Par.Topo.fanin ~domains spec);
+  measure ~workload:"F2 chain"
+    (Par.Topo.f2 ~batch:2 ~domains ~filters:f2_filters ~items:f2_items ());
   Table.print tbl;
   if !mismatch then begin
     print_endline "w1: FAILED (a transport diverged from the oracle stream)";
@@ -1812,7 +1793,8 @@ let a1 ?(quick = false) () =
       best_interleaved
         (List.map
            (fun (_, auth) () ->
-             Par.Distpipe.run_f2 (mode auth) ~domains ~filters:f2_filters ~items ~batch ())
+             Par.Topo.run (mode auth) ~domains
+               (Par.Topo.f2 ~batch ~domains ~filters:f2_filters ~items ()))
            modes)
     in
     let oracle = ref None in
@@ -1821,9 +1803,9 @@ let a1 ?(quick = false) () =
         let ok =
           match !oracle with
           | None ->
-              oracle := Some o.Par.Distpipe.stream;
+              oracle := Some o.Par.Topo.sinks;
               true
-          | Some s -> s = o.Par.Distpipe.stream
+          | Some s -> s = o.Par.Topo.sinks
         in
         if not ok then mismatch := true;
         Table.add_row tbl
@@ -1831,9 +1813,9 @@ let a1 ?(quick = false) () =
             phase;
             name;
             Table.cell_int batch;
-            Table.cell_int o.Par.Distpipe.consumed;
+            Table.cell_int (Par.Topo.consumed o);
             Table.cell_float ~decimals:3 dt;
-            Table.cell_int (int_of_float (float_of_int o.Par.Distpipe.consumed /. dt));
+            Table.cell_int (int_of_float (float_of_int (Par.Topo.consumed o) /. dt));
             (if ok then "yes" else "NO");
           ];
         dt)
@@ -1891,9 +1873,9 @@ let b2 ?(quick = false) () =
   in
   let disciplines =
     [
-      ("item-at-a-time", Par.Distpipe.Boxed, 1);
-      ("batch-64", Par.Distpipe.Boxed, 64);
-      ("chunked", Par.Distpipe.chunked ~cut:65536 ~chunk_bytes:65536 (), 1);
+      ("item-at-a-time", Par.Topo.Boxed, 1);
+      ("batch-64", Par.Topo.Boxed, 64);
+      ("chunked", Par.Topo.chunked ~cut:65536 ~chunk_bytes:65536 (), 1);
     ]
   in
   let tbl =
@@ -1931,17 +1913,18 @@ let b2 ?(quick = false) () =
         (fun (tname, mode) ->
           let o, dt =
             best_of_3 (fun () ->
-                Par.Distpipe.run_f2p mode ~domains ~filters:3 ~items ~plane
-                  ~filter_of:(fun _ -> T.Transform.identity)
-                  ~batch ~capacity:16 ())
+                Par.Topo.run mode ~domains
+                  (Par.Topo.f2 ~plane ~filter:(fun _ -> Par.Topo.Identity) ~batch ~capacity:16
+                     ~domains ~filters:3 ~items ()))
           in
-          let bytes = String.length o.Par.Distpipe.bytes in
+          let stream = List.assoc "sink" o.Par.Topo.sinks in
+          let bytes = String.length stream in
           let ok =
             match !oracle with
             | None ->
-                oracle := Some o.Par.Distpipe.bytes;
+                oracle := Some stream;
                 true
-            | Some s -> s = o.Par.Distpipe.bytes
+            | Some s -> s = stream
           in
           if not ok then mismatch := true;
           let mb = float_of_int bytes /. 1e6 in
@@ -1952,10 +1935,9 @@ let b2 ?(quick = false) () =
               dname;
               tname;
               Table.cell_int bytes;
-              Table.cell_int o.Par.Distpipe.s_meter.Kernel.Meter.invocations;
+              Table.cell_int o.Par.Topo.meter.Kernel.Meter.invocations;
               Table.cell_int
-                (int_of_float
-                   (float_of_int o.Par.Distpipe.s_meter.Kernel.Meter.invocations /. mb));
+                (int_of_float (float_of_int o.Par.Topo.meter.Kernel.Meter.invocations /. mb));
               Table.cell_float ~decimals:3 dt;
               Table.cell_float ~decimals:2 rate;
               (if ok then "yes" else "NO");
@@ -2149,21 +2131,19 @@ let s1 ?(quick = false) () =
   let run_fan mode plane =
     let t0 = Unix.gettimeofday () in
     let o =
-      Par.Fanin.run_window mode ~seed:0x51FAL ~window:100 ~domains:3 ~producers:fan_p
-        ~items:5 ~style:`Ro ~plane ()
+      Par.Topo.run mode ~seed:0x51FAL ~domains:3
+        (Par.Topo.window ~window:100 ~style:`Ro ~plane ~domains:3 ~producers:fan_p ~items:5 ())
     in
     (o, Unix.gettimeofday () -. t0)
   in
-  let det_o, det_dt = run_fan Par.Cluster.Deterministic Par.Distpipe.Boxed in
-  let par_o, par_dt =
-    run_fan Par.Cluster.Parallel (Par.Distpipe.chunked ~cut:97 ())
-  in
-  if not det_o.Par.Fanin.w_eos_clean then fail "fan-in: deterministic EOS not clean";
-  if not par_o.Par.Fanin.w_eos_clean then fail "fan-in: parallel EOS not clean";
-  if par_o.Par.Fanin.w_chunk_items = 0 then fail "fan-in: chunked plane downgraded to boxed";
-  if det_o.Par.Fanin.w_bytes <> par_o.Par.Fanin.w_bytes then
+  let det_o, det_dt = run_fan Par.Cluster.Deterministic Par.Topo.Boxed in
+  let par_o, par_dt = run_fan Par.Cluster.Parallel (Par.Topo.chunked ~cut:97 ()) in
+  if not det_o.Par.Topo.eos_clean then fail "fan-in: deterministic EOS not clean";
+  if not par_o.Par.Topo.eos_clean then fail "fan-in: parallel EOS not clean";
+  if par_o.Par.Topo.chunk_items = 0 then fail "fan-in: chunked plane downgraded to boxed";
+  if det_o.Par.Topo.sinks <> par_o.Par.Topo.sinks then
     fail "fan-in: parallel chunked bytes diverged from deterministic boxed";
-  if det_o.Par.Fanin.w_reports <> par_o.Par.Fanin.w_reports then
+  if det_o.Par.Topo.reports <> par_o.Par.Topo.reports then
     fail "fan-in: report streams diverged across runtimes";
   row "fan-in window" "producers" (Table.cell_int fan_p);
   row "fan-in window" "det boxed wall s" (Table.cell_float ~decimals:2 det_dt);

@@ -53,11 +53,11 @@ let print_outcome ~show_meter o =
 module K = Eden_kernel.Kernel
 module Obs = Eden_obs.Obs
 
-(* `trace`: the kernel's bounded event ring for the last pipeline. *)
+(* `trace`: the last pipeline's invocation spans and lifecycle events. *)
 let print_trace kernel = List.iter print_endline (Shell.render_trace kernel)
 
-(* `stats`: cumulative meters, histograms, flow meters and span counts
-   for the whole session. *)
+(* `stats`: cumulative meters, histograms and flow meters for the whole
+   session, and the last pipeline's span counts. *)
 let print_stats kernel = List.iter print_endline (Shell.render_stats kernel)
 
 (* `tenants`: per-namespace violation counters and credit gauges. *)
@@ -77,7 +77,7 @@ let run_line env ~discipline ~show_meter line =
          sources:  lines w..., count n [prefix], file /path, date n, random n\n\
          sinks:    terminal [rate], null, out /path, printer [rate]\n\
          filters:  %s\n\
-         builtins: trace (last run's event ring), stats (session meters),\n\
+         builtins: trace (last run's spans), stats (session meters),\n\
          \          tenants (per-namespace violation meters)\n"
         (String.concat ", " Eden_filters.Catalog.names);
       true
@@ -91,7 +91,7 @@ let run_line env ~discipline ~show_meter line =
       print_tenants kernel;
       true
   | line ->
-      K.Trace.clear kernel;
+      Obs.clear_spans (K.obs kernel);
       (match Shell.run env ~discipline line with
       | Ok o -> print_outcome ~show_meter o
       | Error msg -> Printf.printf "error: %s\n" msg);
@@ -124,15 +124,14 @@ let meter_arg =
   Arg.(value & flag & info [ "m"; "meter" ] ~doc:"Print invocation and Eject counts after each run.")
 
 let trace_arg =
-  Arg.(value & flag & info [ "t"; "trace" ] ~doc:"Print the kernel's event trace after each run.")
+  Arg.(value & flag & info [ "t"; "trace" ] ~doc:"Print the last run's spans after each run.")
 
 let main discipline command script show_meter show_trace =
   let env = make_env () in
   let kernel = env.Shell.kernel in
-  (* Tracing and spans are on by default: both live in bounded rings, so
-     an interactive session can always ask `trace`/`stats` after the
-     fact without having opted in up front. *)
-  K.Trace.enable kernel;
+  (* Spans are on by default: they live in a bounded ring, so an
+     interactive session can always ask `trace`/`stats` after the fact
+     without having opted in up front. *)
   Obs.enable_spans (K.obs kernel);
   let run_and_trace line =
     let keep_going = run_line env ~discipline ~show_meter line in

@@ -11,9 +11,7 @@
      edenwire f4 --transport inproc *)
 
 module Cluster = Eden_par.Cluster
-module Fanin = Eden_par.Fanin
-module Distpipe = Eden_par.Distpipe
-module Bin = Eden_wire.Bin
+module Topo = Eden_par.Topo
 
 let usage () =
   prerr_endline
@@ -61,52 +59,28 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   if !workload = "" then usage ();
   let mode = mode_of_string !transport in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  let topo =
+    let domains = !shards in
+    match !workload with
+    | "fanin" -> Topo.fanin ~domains { Topo.default with branches = 4; items = !items }
+    | "f2" -> Topo.f2 ~batch:2 ~domains ~filters:3 ~items:!items ()
+    | "f4" -> Topo.f4_terminal ~domains ~items:!items ()
+    | _ -> usage ()
   in
-  let report ~consumed ~bytes ~dt ~matches =
-    Printf.printf "%s over %s, %d shards: %d items, %d wire bytes, %.3fs (%d items/s)\n"
-      !workload !transport !shards consumed bytes dt
-      (int_of_float (float_of_int consumed /. dt));
-    if matches then print_endline "stream matches the in-process oracle"
-    else begin
-      print_endline "STREAM DIVERGED from the in-process oracle";
-      exit 1
-    end
-  in
-  match !workload with
-  | "fanin" ->
-      let spec = { Fanin.default with branches = 4; items = !items } in
-      let digest (o : Fanin.outcome) =
-        Array.map (fun vs -> String.concat "" (List.map Bin.encode vs)) o.Fanin.per_branch
-      in
-      let o, dt = timed (fun () -> Fanin.run mode ~domains:!shards spec) in
-      let oracle = Fanin.run Cluster.Deterministic ~domains:!shards spec in
-      report ~consumed:o.Fanin.consumed
-        ~bytes:(Array.fold_left (fun a s -> a + String.length s) 0 (digest o))
-        ~dt
-        ~matches:(digest o = digest oracle)
-  | "f2" ->
-      let run m = Distpipe.run_f2 m ~domains:!shards ~filters:3 ~items:!items () in
-      let o, dt = timed (fun () -> run mode) in
-      let oracle = run Cluster.Deterministic in
-      report ~consumed:o.Distpipe.consumed
-        ~bytes:(String.length o.Distpipe.stream)
-        ~dt
-        ~matches:(o.Distpipe.stream = oracle.Distpipe.stream)
-  | "f4" ->
-      let run m = Distpipe.run_f4 m ~domains:!shards ~items:!items () in
-      let o, dt = timed (fun () -> run mode) in
-      let oracle = run Cluster.Deterministic in
-      List.iter print_endline o.Distpipe.terminal;
-      report
-        ~consumed:(List.length o.Distpipe.terminal)
-        ~bytes:
-          (List.fold_left (fun a l -> a + String.length l) 0 o.Distpipe.terminal)
-        ~dt
-        ~matches:
-          (o.Distpipe.terminal = oracle.Distpipe.terminal
-          && o.Distpipe.reports = oracle.Distpipe.reports)
-  | _ -> usage ()
+  let t0 = Unix.gettimeofday () in
+  let o = Topo.run mode ~domains:!shards topo in
+  let dt = Unix.gettimeofday () -. t0 in
+  let oracle = Topo.run Cluster.Deterministic ~domains:!shards topo in
+  if !workload = "f4" then print_string (List.assoc "terminal" o.sinks);
+  let consumed = Topo.consumed o in
+  Printf.printf "%s over %s, %d shards: %d items, %d sink bytes, %.3fs (%d items/s)\n" !workload
+    !transport !shards consumed
+    (List.fold_left (fun a (_, s) -> a + String.length s) 0 o.sinks)
+    dt
+    (int_of_float (float_of_int consumed /. dt));
+  if o.sinks = oracle.sinks && o.reports = oracle.reports then
+    print_endline "stream matches the in-process oracle"
+  else begin
+    print_endline "STREAM DIVERGED from the in-process oracle";
+    exit 1
+  end

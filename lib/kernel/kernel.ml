@@ -3,7 +3,6 @@ module Ivar = Eden_sched.Ivar
 module Mailbox = Eden_sched.Mailbox
 module Net = Eden_net.Net
 module Obs = Eden_obs.Obs
-module Ring = Eden_util.Ring
 
 exception Eden_error of string
 
@@ -73,9 +72,6 @@ and t = {
   mutable ejects_destroyed : int;
   mutable crashes : int;
   mutable timeouts : int;
-  mutable tracing : bool;
-  mutable trace_log : trace_event Ring.t;
-  mutable trace_dropped : int;
   obs : Obs.t;
   (* Which Eject a fiber belongs to (coordinator and workers), and the
      span currently bound to a fiber (for span parentage).  Entries are
@@ -96,14 +92,6 @@ and t = {
 
 and guard =
   dst:Uid.t -> op:string -> Value.t -> (Value.t * ((Value.t, string) result -> unit) option, string) result
-
-and trace_event =
-  | Invoked of { op : string; dst : Uid.t; at : float }
-  | Replied of { op : string; dst : Uid.t; ok : bool; at : float }
-  | Activated of { uid : Uid.t; etype : string; at : float }
-  | Checkpointed of { uid : Uid.t; at : float }
-  | Crashed of { uid : Uid.t; at : float }
-  | Destroyed of { uid : Uid.t; at : float }
 
 and ctx = { k : t; self_uid : Uid.t option; src_node : Net.node_id }
 
@@ -150,7 +138,7 @@ let on_fiber_finish t fid =
       | Some _ | None -> ())
 
 let create ?(seed = 0xEDE0L) ?(latency = Net.Fixed 1.0) ?(nodes = [ "node-0" ])
-    ?(trace_capacity = 4096) ?span_capacity () =
+    ?span_capacity () =
   let sched = Sched.create () in
   let prng = Eden_util.Prng.create seed in
   let net = Net.create ~seed:(Eden_util.Prng.next_int64 prng) ~sched ~latency () in
@@ -185,9 +173,6 @@ let create ?(seed = 0xEDE0L) ?(latency = Net.Fixed 1.0) ?(nodes = [ "node-0" ])
       ejects_destroyed = 0;
       crashes = 0;
       timeouts = 0;
-      tracing = false;
-      trace_log = Ring.create ~capacity:trace_capacity;
-      trace_dropped = 0;
       obs;
       fiber_owner = Hashtbl.create 64;
       fiber_spans = Hashtbl.create 64;
@@ -197,11 +182,6 @@ let create ?(seed = 0xEDE0L) ?(latency = Net.Fixed 1.0) ?(nodes = [ "node-0" ])
   in
   Sched.set_finish_hook sched (on_fiber_finish t);
   t
-
-let trace t ev =
-  if t.tracing then
-    if Option.is_some (Ring.push_force t.trace_log ev) then
-      t.trace_dropped <- t.trace_dropped + 1
 
 let sched t = t.sched
 let net t = t.net
@@ -381,7 +361,6 @@ and activate ?span t e =
       in
       e.state <- Active rt;
       t.activations <- t.activations + 1;
-      trace t (Activated { uid = e.uid; etype = e.etype; at = Sched.now t.sched });
       lifecycle t "activate" e.uid;
       let ctx = { k = t; self_uid = Some e.uid; src_node = e.node } in
       let passive = match e.versions with (_, data) :: _ -> Some data | [] -> None in
@@ -422,7 +401,6 @@ let invoke_from t ~src_node dst ~op arg =
   t.invocations <- t.invocations + 1;
   bump_op t op;
   let t0 = Sched.now t.sched in
-  trace t (Invoked { op; dst; at = t0 });
   let span =
     if Obs.spans_enabled t.obs then
       let parent =
@@ -466,9 +444,6 @@ let invoke_from t ~src_node dst ~op arg =
           | Passive | Active _ -> (
               let reply_to r =
                 t.replies <- t.replies + 1;
-                trace t
-                  (Replied
-                     { op; dst; ok = Result.is_ok r; at = Sched.now t.sched });
                 let rsize =
                   match r with Ok v -> Value.size v + 16 | Error m -> String.length m + 16
                 in
@@ -585,7 +560,6 @@ let spawn_worker ctx ?name body =
 let checkpoint ctx data =
   let e = my_eject ctx in
   e.versions <- (Sched.now ctx.k.sched, data) :: e.versions;
-  trace ctx.k (Checkpointed { uid = e.uid; at = Sched.now ctx.k.sched });
   lifecycle ctx.k "checkpoint" e.uid
 
 let mint ctx = Uid.fresh ctx.k.uid_gen
@@ -645,7 +619,6 @@ let destroy ctx =
        the store rather than finding a ghost record. *)
     ignore (Estore.remove ctx.k.ejects e.uid);
     ctx.k.ejects_destroyed <- ctx.k.ejects_destroyed + 1;
-    trace ctx.k (Destroyed { uid = e.uid; at = Sched.now ctx.k.sched });
     lifecycle ctx.k "destroy" e.uid
   end
 
@@ -661,7 +634,6 @@ let crash t uid =
       t.crashes <- t.crashes + 1;
       e_crash_reset e;
       Sched.note t.sched ~kind:"kernel.crash" ~arg:(Uid.hash e.uid);
-      trace t (Crashed { uid = e.uid; at = Sched.now t.sched });
       lifecycle t "crash" e.uid;
       stop_runtime t e ~drop_mailbox:true
 
@@ -750,47 +722,3 @@ end
 let op_counts t =
   Hashtbl.fold (fun op n acc -> (op, n) :: acc) t.per_op []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-module Trace = struct
-  type event = trace_event =
-    | Invoked of { op : string; dst : Uid.t; at : float }
-    | Replied of { op : string; dst : Uid.t; ok : bool; at : float }
-    | Activated of { uid : Uid.t; etype : string; at : float }
-    | Checkpointed of { uid : Uid.t; at : float }
-    | Crashed of { uid : Uid.t; at : float }
-    | Destroyed of { uid : Uid.t; at : float }
-
-  let enable t = t.tracing <- true
-  let disable t = t.tracing <- false
-
-  let clear t =
-    Ring.clear t.trace_log;
-    t.trace_dropped <- 0
-
-  let events t = Ring.to_list t.trace_log
-  let dropped t = t.trace_dropped
-  let capacity t = Ring.capacity t.trace_log
-
-  let set_capacity t n =
-    let old = Ring.to_list t.trace_log in
-    let r = Ring.create ~capacity:n in
-    List.iter
-      (fun ev ->
-        if Option.is_some (Ring.push_force r ev) then t.trace_dropped <- t.trace_dropped + 1)
-      old;
-    t.trace_log <- r
-
-  let pp_event ppf = function
-    | Invoked { op; dst; at } -> Format.fprintf ppf "%8.3f invoke %s -> %a" at op Uid.pp dst
-    | Replied { op; dst; ok; at } ->
-        Format.fprintf ppf "%8.3f reply  %s <- %a (%s)" at op Uid.pp dst
-          (if ok then "ok" else "error")
-    | Activated { uid; etype; at } ->
-        Format.fprintf ppf "%8.3f activate %a (%s)" at Uid.pp uid etype
-    | Checkpointed { uid; at } -> Format.fprintf ppf "%8.3f checkpoint %a" at Uid.pp uid
-    | Crashed { uid; at } -> Format.fprintf ppf "%8.3f crash %a" at Uid.pp uid
-    | Destroyed { uid; at } -> Format.fprintf ppf "%8.3f destroy %a" at Uid.pp uid
-
-  let ops t =
-    List.filter_map (function Invoked { op; _ } -> Some op | _ -> None) (events t)
-end

@@ -53,14 +53,12 @@ val create :
   ?seed:int64 ->
   ?latency:Eden_net.Net.latency ->
   ?nodes:string list ->
-  ?trace_capacity:int ->
   ?span_capacity:int ->
   unit ->
   t
 (** A kernel with its own scheduler, network and observability
     collector.  [nodes] (default one node ["node-0"]) are created in
-    order; node 0 also hosts external drivers.  [trace_capacity]
-    (default 4096) bounds the {!Trace} ring buffer; [span_capacity]
+    order; node 0 also hosts external drivers.  [span_capacity]
     bounds completed-span storage (see {!Eden_obs.Obs.create}). *)
 
 val sched : t -> Eden_sched.Sched.t
@@ -283,45 +281,3 @@ end
 
 val op_counts : t -> (string * int) list
 (** Invocations issued per operation name, sorted by name. *)
-
-(** {1 Tracing}
-
-    An optional in-kernel event log for debugging and for tests that
-    assert interaction sequences.  Disabled (and free) by default.
-    Storage is a bounded ring: once full, the oldest events are
-    evicted and counted in [dropped]. *)
-
-module Trace : sig
-  type event =
-    | Invoked of { op : string; dst : Uid.t; at : float }
-    | Replied of { op : string; dst : Uid.t; ok : bool; at : float }
-    | Activated of { uid : Uid.t; etype : string; at : float }
-    | Checkpointed of { uid : Uid.t; at : float }
-    | Crashed of { uid : Uid.t; at : float }
-    | Destroyed of { uid : Uid.t; at : float }
-
-  val enable : t -> unit
-  val disable : t -> unit
-
-  val clear : t -> unit
-  (** Empties the ring and resets [dropped]. *)
-
-  val events : t -> event list
-  (** Oldest retained first. *)
-
-  val dropped : t -> int
-  (** Events evicted from the ring since creation / last [clear]. *)
-
-  val capacity : t -> int
-
-  val set_capacity : t -> int -> unit
-  (** Re-sizes the ring, keeping the newest events that fit (evictions
-      count into [dropped]).  @raise Invalid_argument on non-positive
-      capacity. *)
-
-  val pp_event : Format.formatter -> event -> unit
-
-  val ops : t -> string list
-  (** Just the operation names of [Invoked] events, oldest first — the
-      common shape for sequence assertions. *)
-end

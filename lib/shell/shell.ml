@@ -364,11 +364,28 @@ let run_conventional env _ctx (source, middle, sink) =
 module Obs = Eden_obs.Obs
 
 let render_trace kernel =
-  let evs = Kernel.Trace.events kernel in
-  List.map (fun ev -> Format.asprintf "  %a" Kernel.Trace.pp_event ev) evs
+  let obs = Kernel.obs kernel in
+  let attr (s : Obs.Span.t) k = Option.value ~default:"?" (List.assoc_opt k s.attrs) in
+  let events =
+    List.filter_map
+      (fun (s : Obs.Span.t) ->
+        match s.cat with
+        | "invoke" ->
+            Some
+              (Printf.sprintf "  %8.3f invoke %s -> %s (%.3f, %s)" s.start s.name (attr s "dst")
+                 (Obs.Span.duration s)
+                 (if s.ok then "ok" else "error"))
+        | "lifecycle" -> Some (Printf.sprintf "  %8.3f %s %s" s.start s.name (attr s "uid"))
+        | _ -> None)
+      (List.stable_sort
+         (fun (a : Obs.Span.t) (b : Obs.Span.t) -> Float.compare a.start b.start)
+         (Obs.spans obs))
+  in
+  events
   @ [
-      Printf.sprintf "[%d event(s) retained, %d dropped, ring capacity %d]" (List.length evs)
-        (Kernel.Trace.dropped kernel) (Kernel.Trace.capacity kernel);
+      Printf.sprintf "[%d event(s) retained, %d dropped, %d invocation(s) open]"
+        (List.length events) (Obs.dropped_spans obs)
+        (List.length (Obs.open_spans obs));
     ]
 
 let render_stats kernel =

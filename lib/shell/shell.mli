@@ -70,9 +70,11 @@ val run :
     binary. *)
 
 val render_trace : Kernel.t -> string list
-(** The kernel's bounded event ring for the last pipeline: one indented
-    line per retained event, then a
-    ["[N event(s) retained, D dropped, ring capacity C]"] footer. *)
+(** The kernel's {!Eden_obs.Obs} span log (empty unless spans are
+    enabled): one indented line per closed invocation span (start, op,
+    destination, round trip, outcome) and per lifecycle instant
+    (activate, checkpoint, crash, destroy), in virtual-time order, then
+    a ["[N event(s) retained, D dropped, O invocation(s) open]"] footer. *)
 
 val render_stats : Kernel.t -> string list
 (** Cumulative session counters: the kernel meter snapshot, then — when

@@ -32,6 +32,7 @@ let () =
       ("determinism", Test_determinism.suite);
       ("chunk", Test_chunk.suite);
       ("tenant", Test_tenant.suite);
+      ("topo", Test_topo.suite);
       (* wire before par: the wire cluster forks leaf processes, and the
          OCaml 5 runtime forbids Unix.fork once any domain has ever been
          spawned — par's Domain.spawn must come after every fork.  The

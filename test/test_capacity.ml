@@ -11,8 +11,7 @@
    comparison.  No wire cases here, so this suite can run after par's
    domain spawns (see main.ml). *)
 
-module Distpipe = Eden_par.Distpipe
-module Fanin = Eden_par.Fanin
+module Topo = Eden_par.Topo
 module Cluster = Eden_par.Cluster
 module T = Eden_transput
 open Eden_kernel
@@ -71,41 +70,39 @@ let par = Cluster.Parallel
 let seeds = List.init 5 (fun i -> Int64.add Seed.base (Int64.of_int (i * 7919)))
 
 let plane_of i =
-  Distpipe.chunked
+  Topo.chunked
     ~cut:(19 + ((Int64.to_int (List.nth seeds i) land 0xFFFF) + (i * 53)) mod 223)
     ()
 
 let style_name = function `Ro -> "f4-ro" | `Wo -> "f3-wo"
 
 let run mode ~seed ~plane ~style =
-  Fanin.run_window mode ~seed ~window ~domains ~producers ~items ~style ~plane ()
+  Topo.run mode ~seed ~domains (Topo.window ~window ~style ~plane ~domains ~producers ~items ())
 
-let check_window name (oracle : Fanin.window_outcome) (out : Fanin.window_outcome) =
-  check Alcotest.int (name ^ ": producer count") (Array.length oracle.Fanin.w_bytes)
-    (Array.length out.Fanin.w_bytes);
-  Array.iteri
-    (fun p b ->
-      if b <> out.Fanin.w_bytes.(p) then
-        check Alcotest.string (Printf.sprintf "%s: producer %d bytes" name p) b
-          out.Fanin.w_bytes.(p))
-    oracle.Fanin.w_bytes;
+let check_window name (oracle : Topo.outcome) (out : Topo.outcome) =
+  check Alcotest.int (name ^ ": producer count") (List.length oracle.sinks)
+    (List.length out.sinks);
+  List.iter2
+    (fun (p, b) (_, b') ->
+      if b <> b' then check Alcotest.string (Printf.sprintf "%s: %s bytes" name p) b b')
+    oracle.sinks out.sinks;
   check
     (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.list Alcotest.string)))
-    (name ^ ": per-label report streams") oracle.Fanin.w_reports out.Fanin.w_reports;
-  check Alcotest.bool (name ^ ": clean EOS everywhere") true out.Fanin.w_eos_clean
+    (name ^ ": per-label report streams") oracle.reports out.reports;
+  check Alcotest.bool (name ^ ": clean EOS everywhere") true out.eos_clean
 
-let assert_chunked name (out : Fanin.window_outcome) =
+let assert_chunked name (out : Topo.outcome) =
   (* The downgrade guard: a chunked config that moved no chunks fails
      loudly rather than passing a boxed-vs-boxed comparison. *)
-  check Alcotest.bool (name ^ ": chunk plane intact") true (out.Fanin.w_chunk_items > 0);
-  check Alcotest.int (name ^ ": no boxed leakage") 0 out.Fanin.w_boxed_items
+  check Alcotest.bool (name ^ ": chunk plane intact") true (out.chunk_items > 0);
+  check Alcotest.int (name ^ ": no boxed leakage") 0 out.boxed_items
 
 let test_seed_matrix style i () =
   let seed = List.nth seeds i in
   let name = Printf.sprintf "%s seed[%d]" (style_name style) i in
-  let oracle = run det ~seed ~plane:Distpipe.Boxed ~style in
-  check Alcotest.bool (name ^ ": oracle clean EOS") true oracle.Fanin.w_eos_clean;
-  check Alcotest.int (name ^ ": oracle is boxed") 0 oracle.Fanin.w_chunk_items;
+  let oracle = run det ~seed ~plane:Topo.Boxed ~style in
+  check Alcotest.bool (name ^ ": oracle clean EOS") true oracle.eos_clean;
+  check Alcotest.int (name ^ ": oracle is boxed") 0 oracle.chunk_items;
   let pc = run par ~seed ~plane:(plane_of i) ~style in
   check_window (name ^ " par/chunked") oracle pc;
   assert_chunked (name ^ " par/chunked") pc
@@ -113,7 +110,7 @@ let test_seed_matrix style i () =
 let test_det_chunked style () =
   let seed = List.nth seeds 0 in
   let name = style_name style ^ " det/chunked" in
-  let oracle = run det ~seed ~plane:Distpipe.Boxed ~style in
+  let oracle = run det ~seed ~plane:Topo.Boxed ~style in
   let dc = run det ~seed ~plane:(plane_of 0) ~style in
   check_window name oracle dc;
   assert_chunked name dc

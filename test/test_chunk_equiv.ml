@@ -15,8 +15,7 @@
    listed before parallel cases (which spawn domains) because OCaml 5
    forbids fork once any domain has ever been spawned.  See main.ml. *)
 
-module Distpipe = Eden_par.Distpipe
-module Fanin = Eden_par.Fanin
+module Topo = Eden_par.Topo
 module Cluster = Eden_par.Cluster
 module Transport = Eden_wire.Transport
 
@@ -32,7 +31,7 @@ let branches = 4
 let seed_int = Int64.to_int Seed.base land 0xFFFF
 
 let plane i =
-  Distpipe.chunked
+  Topo.chunked
     ~cut:(17 + ((seed_int + (i * 37)) mod 241))
     ~chunk_bytes:(192 + (64 * ((seed_int + i) mod 7)))
     ()
@@ -41,90 +40,73 @@ let det = Cluster.Deterministic
 let par = Cluster.Parallel
 let wire tr = Cluster.Wire { Cluster.wire_transport = tr; wire_faults = None; wire_auth = None }
 
+let figure plane = function
+  | `F1 -> Topo.f1 ~plane ~domains ~filters ~items ()
+  | `F2 -> Topo.f2 ~plane ~domains ~filters ~items ()
+  | `F3 -> Topo.f3 ~plane ~domains ~items ()
+  | `F4 -> Topo.f4 ~plane ~domains ~items ()
+  | `Fanin -> Topo.fanin_bytes ~plane ~domains ~branches ~items ()
+
+let name_of = function
+  | `F1 -> "f1"
+  | `F2 -> "f2"
+  | `F3 -> "f3"
+  | `F4 -> "f4"
+  | `Fanin -> "fanin"
+
 (* The oracles: boxed, batch 1, deterministic.  Computed once. *)
-let oracle_f1 =
-  lazy (Distpipe.run_f1p det ~domains ~filters ~items ~plane:Distpipe.Boxed ())
+let oracles =
+  List.map
+    (fun fig -> (fig, lazy (Topo.run det ~domains (figure Topo.Boxed fig))))
+    [ `F1; `F2; `F3; `F4; `Fanin ]
 
-let oracle_f2 =
-  lazy (Distpipe.run_f2p det ~domains ~filters ~items ~plane:Distpipe.Boxed ())
+let oracle_of fig = Lazy.force (List.assoc fig oracles)
 
-let oracle_f3 = lazy (Distpipe.run_f3p det ~domains ~items ~plane:Distpipe.Boxed ())
-let oracle_f4 = lazy (Distpipe.run_f4p det ~domains ~items ~plane:Distpipe.Boxed ())
+(* F3's reports deposit into their own sink as boxed text on either
+   plane; every other boxed item on a chunked run is a straggler. *)
+let report_sink_lines (o : Topo.outcome) =
+  match List.assoc_opt "repsink" o.sinks with
+  | Some b -> List.length (String.split_on_char '\n' b) - 1
+  | None -> 0
 
-let oracle_fanin =
-  lazy (Fanin.run_bytes det ~domains ~branches ~items ~plane:Distpipe.Boxed ())
-
-let check_outcome name (oracle : Distpipe.stream_outcome)
-    (out : Distpipe.stream_outcome) =
-  check Alcotest.string (name ^ ": byte-identical stream") oracle.Distpipe.bytes
-    out.Distpipe.bytes;
+let check_outcome name (oracle : Topo.outcome) (out : Topo.outcome) =
+  List.iter2
+    (fun (sink, want) (_, got) ->
+      check Alcotest.string (Printf.sprintf "%s: %s byte-identical" name sink) want got)
+    oracle.sinks out.sinks;
   check
     Alcotest.(list (pair string (list string)))
-    (name ^ ": byte-identical reports") oracle.Distpipe.reports out.Distpipe.reports;
-  check Alcotest.bool (name ^ ": EOS exactly once, last") true out.Distpipe.eos_clean;
+    (name ^ ": byte-identical reports") oracle.reports out.reports;
+  check Alcotest.bool (name ^ ": EOS exactly once, last") true out.eos_clean;
   (* Fails, never skips: the chunked plane must have carried chunks. *)
   check Alcotest.bool (name ^ ": chunked plane intact (no silent downgrade)") true
-    (out.Distpipe.chunk_items > 0);
-  check Alcotest.int (name ^ ": no boxed stragglers") 0 out.Distpipe.boxed_items
-
-let sanity_oracle name (oracle : Distpipe.stream_outcome) =
-  check Alcotest.bool (name ^ ": oracle is boxed") true
-    (oracle.Distpipe.chunk_items = 0 && oracle.Distpipe.boxed_items > 0);
-  check Alcotest.bool (name ^ ": oracle EOS clean") true oracle.Distpipe.eos_clean;
-  check Alcotest.bool (name ^ ": oracle stream non-empty") true
-    (String.length oracle.Distpipe.bytes > 0)
+    (out.chunk_items > 0);
+  check Alcotest.int (name ^ ": no boxed stragglers") (report_sink_lines out) out.boxed_items
 
 let test_oracles () =
-  sanity_oracle "f1" (Lazy.force oracle_f1);
-  sanity_oracle "f2" (Lazy.force oracle_f2);
-  sanity_oracle "f3" (Lazy.force oracle_f3);
-  sanity_oracle "f4" (Lazy.force oracle_f4);
-  (* The boxed F2 oracle agrees with the legacy figure-2 runner: the
-     byte surface is exactly its line stream, newline-terminated. *)
-  let legacy = Distpipe.run_f2 det ~domains ~filters ~items ~batch:1 () in
-  check Alcotest.string "f2 oracle matches legacy runner"
-    (String.concat "" (List.map (fun l -> l ^ "\n") legacy.Distpipe.lines))
-    (Lazy.force oracle_f2).Distpipe.bytes;
+  List.iter
+    (fun (fig, o) ->
+      let (o : Topo.outcome) = Lazy.force o and name = name_of fig in
+      check Alcotest.bool (name ^ ": oracle is boxed") true
+        (o.chunk_items = 0 && o.boxed_items > 0);
+      check Alcotest.bool (name ^ ": oracle EOS clean") true o.eos_clean;
+      check Alcotest.bool (name ^ ": oracle stream non-empty") true
+        (List.for_all (fun (_, b) -> String.length b > 0) o.sinks))
+    oracles;
   (* Boxed and chunked planes really are different planes. *)
   check Alcotest.bool "planes distinguishable" true
-    ((Distpipe.run_f2p det ~domains ~filters ~items ~plane:(plane 0) ()).Distpipe.chunk_items
-    > 0)
-
-let run_fig mode i = function
-  | `F1 -> Distpipe.run_f1p mode ~domains ~filters ~items ~plane:(plane i) ()
-  | `F2 -> Distpipe.run_f2p mode ~domains ~filters ~items ~plane:(plane i) ()
-  | `F3 -> Distpipe.run_f3p mode ~domains ~items ~plane:(plane i) ()
-  | `F4 -> Distpipe.run_f4p mode ~domains ~items ~plane:(plane i) ()
-
-let oracle_of = function
-  | `F1 -> Lazy.force oracle_f1
-  | `F2 -> Lazy.force oracle_f2
-  | `F3 -> Lazy.force oracle_f3
-  | `F4 -> Lazy.force oracle_f4
-
-let fig_name = function `F1 -> "f1" | `F2 -> "f2" | `F3 -> "f3" | `F4 -> "f4"
+    ((Topo.run det ~domains (figure (plane 0) `F2)).chunk_items > 0)
 
 let test_figs mode mode_name offset () =
   List.iteri
     (fun i fig ->
-      let name = Printf.sprintf "%s/%s" (fig_name fig) mode_name in
-      check_outcome name (oracle_of fig) (run_fig mode (offset + i) fig))
+      let name = Printf.sprintf "%s/%s" (name_of fig) mode_name in
+      check_outcome name (oracle_of fig) (Topo.run mode ~domains (figure (plane (offset + i)) fig)))
     [ `F1; `F2; `F3; `F4 ]
 
 let test_fanin mode mode_name i () =
-  let oracle = Lazy.force oracle_fanin in
-  let out = Fanin.run_bytes mode ~domains ~branches ~items ~plane:(plane i) () in
-  Array.iteri
-    (fun b bytes ->
-      check Alcotest.string
-        (Printf.sprintf "fanin/%s branch %d byte-identical" mode_name b)
-        bytes out.Fanin.b_per_branch.(b))
-    oracle.Fanin.b_per_branch;
-  check Alcotest.bool ("fanin/" ^ mode_name ^ ": EOS clean") true out.Fanin.b_eos_clean;
-  check Alcotest.bool ("fanin/" ^ mode_name ^ ": chunked plane intact") true
-    (out.Fanin.b_chunk_items > 0);
-  check Alcotest.int ("fanin/" ^ mode_name ^ ": no boxed stragglers") 0
-    out.Fanin.b_boxed_items
+  check_outcome ("fanin/" ^ mode_name) (oracle_of `Fanin)
+    (Topo.run mode ~domains (figure (plane i) `Fanin))
 
 (* Wire cases precede parallel cases: forks before any domain spawn. *)
 let suite =

@@ -2,9 +2,9 @@
    deterministic.  Each figure topology (F1 conventional, F2 read-only,
    F3 write-only + reports, F4 read-only + report channels) is run
    twice under each of 10 seeds with randomised (Exponential) link
-   latency, spans and tracing on; the two runs must produce
-   bit-identical fingerprints — meters, per-op counts, the full
-   invocation trace and the exported span log. *)
+   latency and spans on; the two runs must produce bit-identical
+   fingerprints — meters, per-op counts, the invocation sequence and
+   the exported span log. *)
 
 open Eden_kernel
 module T = Eden_transput
@@ -30,7 +30,6 @@ let mk_kernel seed =
   let k =
     Kernel.create ~seed ~latency:(Eden_net.Net.Exponential { mean = 1.0 }) ()
   in
-  Kernel.Trace.enable k;
   Obs.enable_spans (Kernel.obs k);
   k
 
@@ -38,7 +37,10 @@ let fingerprint k =
   Format.asprintf "%a\n%s\n%s\n%s" Kernel.Meter.pp (Kernel.Meter.snapshot k)
     (String.concat ";"
        (List.map (fun (op, n) -> Printf.sprintf "%s=%d" op n) (Kernel.op_counts k)))
-    (String.concat "," (Kernel.Trace.ops k))
+    (String.concat ","
+       (List.filter_map
+          (fun (s : Obs.Span.t) -> if s.cat = "invoke" then Some s.name else None)
+          (Obs.spans (Kernel.obs k))))
     (Obs.Export.spans_jsonl (Kernel.obs k))
 
 let pipeline_fingerprint discipline seed =

@@ -288,105 +288,88 @@ let test_cluster_run_once () =
 
 (* --- Fan-in workload: smoke + equivalence ---------------------------- *)
 
-let small_spec = { Fanin.default with branches = 4; items = 30; batch = 3; work = 50 }
+let small_spec = { Topo.default with branches = 4; items = 30; batch = 3; work = 50 }
+let fanin mode ?(domains = 3) spec = Topo.run mode ~domains (Topo.fanin ~domains spec)
 
 let test_parallel_smoke () =
-  let o = Fanin.run Parallel ~domains:3 small_spec in
-  Alcotest.(check int) "all items consumed" (4 * 30) o.Fanin.consumed;
-  Alcotest.(check bool) "EOS last on every channel" true o.Fanin.eos_clean;
-  Alcotest.(check bool) "traffic crossed domains" true (o.Fanin.cross_messages > 0)
+  let o = fanin Parallel small_spec in
+  Alcotest.(check int) "all items consumed" (4 * 30) (Topo.consumed o);
+  Alcotest.(check bool) "EOS last on every channel" true o.eos_clean;
+  Alcotest.(check bool) "traffic crossed domains" true (o.cross_messages > 0)
 
 let test_parallel_single_domain () =
-  let o = Fanin.run Parallel ~domains:1 small_spec in
-  Alcotest.(check int) "all items consumed" (4 * 30) o.Fanin.consumed;
-  Alcotest.(check int) "no cross-domain traffic" 0 o.Fanin.cross_messages
+  let o = fanin Parallel ~domains:1 small_spec in
+  Alcotest.(check int) "all items consumed" (4 * 30) (Topo.consumed o);
+  Alcotest.(check int) "no cross-domain traffic" 0 o.cross_messages
+
+(* Per-branch item sequences: each sink's Bin-encoded byte stream. *)
+let check_branches (det : Topo.outcome) (par : Topo.outcome) =
+  List.iter2
+    (fun (b, d) (_, p) -> Alcotest.(check string) (b ^ " item sequence") d p)
+    det.sinks par.sinks
 
 (* Satellite 2: a parallel run must agree with the deterministic oracle
    on everything schedule-independent — items in/out per stage, item
    order per branch, EOS placement, operation and invocation totals.
    Timing artifacts (occupancy, stalls, makespans) are exempt. *)
 let test_equivalence () =
-  let det = Fanin.run Deterministic ~domains:3 small_spec in
-  let par = Fanin.run Parallel ~domains:3 small_spec in
-  Alcotest.(check int) "consumed" det.Fanin.consumed par.Fanin.consumed;
-  Alcotest.(check bool) "det EOS clean" true det.Fanin.eos_clean;
-  Alcotest.(check bool) "par EOS clean" true par.Fanin.eos_clean;
-  Array.iteri
-    (fun b det_items ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "branch %d item sequence" b)
-        (List.map (Format.asprintf "%a" Value.pp) det_items)
-        (List.map (Format.asprintf "%a" Value.pp) par.Fanin.per_branch.(b)))
-    det.Fanin.per_branch;
+  let det = fanin Deterministic small_spec in
+  let par = fanin Parallel small_spec in
+  Alcotest.(check int) "consumed" (Topo.consumed det) (Topo.consumed par);
+  Alcotest.(check bool) "det EOS clean" true det.eos_clean;
+  Alcotest.(check bool) "par EOS clean" true par.eos_clean;
+  check_branches det par;
   Alcotest.(check (list (pair string int)))
-    "op counts (Transfer/Deposit)" det.Fanin.op_counts par.Fanin.op_counts;
+    "op counts (Transfer/Deposit)" det.op_counts par.op_counts;
   Alcotest.(check int) "total invocations"
-    det.Fanin.meter.Kernel.Meter.invocations
-    par.Fanin.meter.Kernel.Meter.invocations;
+    det.meter.Kernel.Meter.invocations
+    par.meter.Kernel.Meter.invocations;
   Alcotest.(check int) "total replies"
-    det.Fanin.meter.Kernel.Meter.replies par.Fanin.meter.Kernel.Meter.replies;
-  Alcotest.(check int) "cross-domain messages"
-    det.Fanin.cross_messages par.Fanin.cross_messages;
+    det.meter.Kernel.Meter.replies par.meter.Kernel.Meter.replies;
+  Alcotest.(check int) "cross-domain messages" det.cross_messages par.cross_messages;
   let show_flows = List.map (fun (l, i, o) -> Printf.sprintf "%s:%d:%d" l i o) in
   Alcotest.(check (list string))
     "per-stage items in/out"
-    (show_flows det.Fanin.flows)
-    (show_flows par.Fanin.flows)
+    (show_flows det.flows)
+    (show_flows par.flows)
 
 (* A fixed windowed configuration keeps the full parallel-vs-
    deterministic contract: credits are just pipelined exchanges, and a
    fixed batch makes their count schedule-independent. *)
 let test_equivalence_windowed () =
-  let spec =
-    { small_spec with Fanin.flowctl = Some (Flowctl.fixed ~credit:(Credit.Window 4) 3) }
-  in
-  let det = Fanin.run Deterministic ~domains:3 spec in
-  let par = Fanin.run Parallel ~domains:3 spec in
-  Alcotest.(check int) "consumed" det.Fanin.consumed par.Fanin.consumed;
-  Alcotest.(check int) "everything arrived" (4 * 30) par.Fanin.consumed;
-  Alcotest.(check bool) "det EOS clean" true det.Fanin.eos_clean;
-  Alcotest.(check bool) "par EOS clean" true par.Fanin.eos_clean;
-  Array.iteri
-    (fun b det_items ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "branch %d item sequence" b)
-        (List.map (Format.asprintf "%a" Value.pp) det_items)
-        (List.map (Format.asprintf "%a" Value.pp) par.Fanin.per_branch.(b)))
-    det.Fanin.per_branch;
-  Alcotest.(check (list (pair string int)))
-    "op counts" det.Fanin.op_counts par.Fanin.op_counts;
+  let spec = { small_spec with flowctl = Some (Flowctl.fixed ~credit:(Credit.Window 4) 3) } in
+  let det = fanin Deterministic spec in
+  let par = fanin Parallel spec in
+  Alcotest.(check int) "consumed" (Topo.consumed det) (Topo.consumed par);
+  Alcotest.(check int) "everything arrived" (4 * 30) (Topo.consumed par);
+  Alcotest.(check bool) "det EOS clean" true det.eos_clean;
+  Alcotest.(check bool) "par EOS clean" true par.eos_clean;
+  check_branches det par;
+  Alcotest.(check (list (pair string int))) "op counts" det.op_counts par.op_counts;
   Alcotest.(check int) "total invocations"
-    det.Fanin.meter.Kernel.Meter.invocations par.Fanin.meter.Kernel.Meter.invocations
+    det.meter.Kernel.Meter.invocations par.meter.Kernel.Meter.invocations
+
+let same (a : Topo.outcome) (b : Topo.outcome) =
+  a.sinks = b.sinks
+  && a.op_counts = b.op_counts
+  && a.cross_messages = b.cross_messages
+  && a.makespans = b.makespans
 
 (* Adaptive trajectories react to occupancy and are therefore
    scheduling-dependent; the contract they keep is within the
    deterministic mode, where the whole run is a pure function of the
    spec. *)
 let test_adaptive_det_repeatable () =
-  let spec =
-    {
-      small_spec with
-      Fanin.flowctl = Some (Flowctl.adaptive ~credit:(Credit.Window 4) ());
-    }
-  in
-  let a = Fanin.run Deterministic ~domains:3 spec in
-  let b = Fanin.run Deterministic ~domains:3 spec in
-  Alcotest.(check int) "everything arrived" (4 * 30) a.Fanin.consumed;
-  Alcotest.(check bool) "EOS clean" true a.Fanin.eos_clean;
-  Alcotest.(check bool) "identical outcomes" true
-    (a.Fanin.per_branch = b.Fanin.per_branch
-    && a.Fanin.op_counts = b.Fanin.op_counts
-    && a.Fanin.cross_messages = b.Fanin.cross_messages
-    && a.Fanin.makespans = b.Fanin.makespans)
+  let spec = { small_spec with flowctl = Some (Flowctl.adaptive ~credit:(Credit.Window 4) ()) } in
+  let a = fanin Deterministic spec in
+  let b = fanin Deterministic spec in
+  Alcotest.(check int) "everything arrived" (4 * 30) (Topo.consumed a);
+  Alcotest.(check bool) "EOS clean" true a.eos_clean;
+  Alcotest.(check bool) "identical outcomes" true (same a b)
 
 let test_det_repeatable () =
-  let a = Fanin.run Deterministic ~domains:3 small_spec in
-  let b = Fanin.run Deterministic ~domains:3 small_spec in
   Alcotest.(check bool) "identical outcomes" true
-    (a.Fanin.per_branch = b.Fanin.per_branch
-    && a.Fanin.op_counts = b.Fanin.op_counts
-    && a.Fanin.cross_messages = b.Fanin.cross_messages
-    && a.Fanin.makespans = b.Fanin.makespans)
+    (same (fanin Deterministic small_spec) (fanin Deterministic small_spec))
 
 let suite =
   [

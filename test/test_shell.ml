@@ -193,7 +193,7 @@ module Obs = Eden_obs.Obs
 
 let test_trace_builtin_renders_ring () =
   let env = Shell.make_env () in
-  Kernel.Trace.enable env.Shell.kernel;
+  Obs.enable_spans (Kernel.obs env.Shell.kernel);
   ignore (ok (Shell.run env "count 3 | upcase | terminal"));
   let lines = Shell.render_trace env.Shell.kernel in
   let n = List.length lines in
@@ -206,14 +206,14 @@ let test_trace_builtin_renders_ring () =
   let footer = List.nth lines (n - 1) in
   Alcotest.(check bool) "footer counts retained events" true
     (Eden_util.Text.is_prefix ~prefix:(Printf.sprintf "[%d event(s) retained" (n - 1)) footer);
-  Alcotest.(check bool) "footer names ring capacity" true
-    (Eden_util.Text.contains_sub ~sub:"ring capacity" footer)
+  Alcotest.(check bool) "footer counts ring evictions" true
+    (Eden_util.Text.contains_sub ~sub:"0 dropped" footer)
 
 let test_trace_builtin_after_clear () =
   let env = Shell.make_env () in
-  Kernel.Trace.enable env.Shell.kernel;
+  Obs.enable_spans (Kernel.obs env.Shell.kernel);
   ignore (ok (Shell.run env "count 2 | null"));
-  Kernel.Trace.clear env.Shell.kernel;
+  Obs.clear_spans (Kernel.obs env.Shell.kernel);
   match Shell.render_trace env.Shell.kernel with
   | [ footer ] ->
       Alcotest.(check bool) "empty ring footer" true

@@ -1,69 +1,68 @@
-(* The kernel event trace. *)
+(* The kernel's trace, read from its Obs span log: one span per
+   invocation, one instant per lifecycle event. *)
 
 open Eden_kernel
+module Obs = Eden_obs.Obs
 
 let check = Alcotest.check
 
 let echo_behaviour _ctx ~passive:_ = [ ("Echo", Fun.id) ]
 
+let traced () =
+  let k = Kernel.create () in
+  Obs.enable_spans (Kernel.obs k);
+  k
+
+let spans k = Obs.spans (Kernel.obs k)
+
+(* Events in virtual-time order: invocations at their start, instants
+   where they happened. *)
+let events k =
+  List.stable_sort
+    (fun (a : Obs.Span.t) (b : Obs.Span.t) -> Float.compare a.start b.start)
+    (spans k)
+
+let ops k =
+  List.filter_map
+    (fun (s : Obs.Span.t) -> if s.cat = "invoke" then Some s.name else None)
+    (events k)
+
 let test_disabled_by_default () =
   let k = Kernel.create () in
   let uid = Kernel.create_eject k ~type_name:"echo" echo_behaviour in
   Kernel.run_driver k (fun ctx -> ignore (Kernel.invoke ctx uid ~op:"Echo" Value.Unit));
-  check Alcotest.int "no events" 0 (List.length (Kernel.Trace.events k))
+  check Alcotest.int "no events" 0 (List.length (spans k))
 
 let test_invocation_sequence () =
-  let k = Kernel.create () in
-  Kernel.Trace.enable k;
+  let k = traced () in
   let uid = Kernel.create_eject k ~type_name:"echo" echo_behaviour in
   Kernel.run_driver k (fun ctx ->
       ignore (Kernel.invoke ctx uid ~op:"Echo" (Value.Int 1));
       ignore (Kernel.invoke ctx uid ~op:"Echo" (Value.Int 2)));
-  check Alcotest.(list string) "ops in order" [ "Echo"; "Echo" ] (Kernel.Trace.ops k);
-  (* Shape: Invoked, Activated (on first), Replied, Invoked, Replied. *)
-  let shapes =
-    List.map
-      (function
-        | Kernel.Trace.Invoked _ -> "invoke"
-        | Replied _ -> "reply"
-        | Activated _ -> "activate"
-        | Checkpointed _ -> "checkpoint"
-        | Crashed _ -> "crash"
-        | Destroyed _ -> "destroy")
-      (Kernel.Trace.events k)
-  in
+  check Alcotest.(list string) "ops in order" [ "Echo"; "Echo" ] (ops k);
+  (* Shape: Invoke, Activate (on first delivery), Invoke; both closed ok. *)
   check Alcotest.(list string) "event shapes"
-    [ "invoke"; "activate"; "reply"; "invoke"; "reply" ]
-    shapes
+    [ "invoke"; "activate"; "invoke" ]
+    (List.map (fun (s : Obs.Span.t) -> if s.cat = "invoke" then "invoke" else s.name) (events k));
+  Alcotest.(check bool) "every invocation replied ok" true
+    (List.for_all (fun (s : Obs.Span.t) -> s.ok && not (Obs.Span.is_open s)) (spans k))
 
 let test_timestamps_monotone () =
-  let k = Kernel.create () in
-  Kernel.Trace.enable k;
+  let k = traced () in
   let uid = Kernel.create_eject k ~type_name:"echo" echo_behaviour in
   Kernel.run_driver k (fun ctx ->
       for _ = 1 to 3 do
         ignore (Kernel.invoke ctx uid ~op:"Echo" Value.Unit)
       done);
-  let times =
-    List.map
-      (function
-        | Kernel.Trace.Invoked { at; _ }
-        | Replied { at; _ }
-        | Activated { at; _ }
-        | Checkpointed { at; _ }
-        | Crashed { at; _ }
-        | Destroyed { at; _ } -> at)
-      (Kernel.Trace.events k)
-  in
+  (* The log is kept in completion order. *)
   let rec monotone = function
-    | a :: (b :: _ as rest) -> a <= b && monotone rest
+    | (a : Obs.Span.t) :: (b :: _ as rest) -> a.stop <= b.stop && monotone rest
     | _ -> true
   in
-  Alcotest.(check bool) "non-decreasing" true (monotone times)
+  Alcotest.(check bool) "non-decreasing" true (monotone (spans k))
 
 let test_lifecycle_events () =
-  let k = Kernel.create () in
-  Kernel.Trace.enable k;
+  let k = traced () in
   let uid =
     Kernel.create_eject k ~type_name:"life" (fun ctx ~passive:_ ->
         [
@@ -81,37 +80,36 @@ let test_lifecycle_events () =
       ignore (Kernel.call ctx uid ~op:"Save" Value.Unit);
       Kernel.crash k uid;
       ignore (Kernel.call ctx uid ~op:"Die" Value.Unit));
-  let count pred = List.length (List.filter pred (Kernel.Trace.events k)) in
-  check Alcotest.int "one checkpoint" 1
-    (count (function Kernel.Trace.Checkpointed _ -> true | _ -> false));
-  check Alcotest.int "one crash" 1 (count (function Kernel.Trace.Crashed _ -> true | _ -> false));
-  check Alcotest.int "one destroy" 1
-    (count (function Kernel.Trace.Destroyed _ -> true | _ -> false));
-  check Alcotest.int "two activations" 2
-    (count (function Kernel.Trace.Activated _ -> true | _ -> false))
+  let count name =
+    List.length
+      (List.filter (fun (s : Obs.Span.t) -> s.cat = "lifecycle" && s.name = name) (spans k))
+  in
+  check Alcotest.int "one checkpoint" 1 (count "checkpoint");
+  check Alcotest.int "one crash" 1 (count "crash");
+  check Alcotest.int "one destroy" 1 (count "destroy");
+  check Alcotest.int "two activations" 2 (count "activate")
 
 let test_clear_and_disable () =
-  let k = Kernel.create () in
-  Kernel.Trace.enable k;
+  let k = traced () in
   let uid = Kernel.create_eject k ~type_name:"echo" echo_behaviour in
   Kernel.run_driver k (fun ctx -> ignore (Kernel.invoke ctx uid ~op:"Echo" Value.Unit));
-  Alcotest.(check bool) "has events" true (Kernel.Trace.events k <> []);
-  Kernel.Trace.clear k;
-  check Alcotest.int "cleared" 0 (List.length (Kernel.Trace.events k));
-  Kernel.Trace.disable k;
+  Alcotest.(check bool) "has events" true (spans k <> []);
+  Obs.clear_spans (Kernel.obs k);
+  check Alcotest.int "cleared" 0 (List.length (spans k));
+  Obs.disable_spans (Kernel.obs k);
   Kernel.run_driver k (fun ctx -> ignore (Kernel.invoke ctx uid ~op:"Echo" Value.Unit));
-  check Alcotest.int "disabled" 0 (List.length (Kernel.Trace.events k))
+  check Alcotest.int "disabled" 0 (List.length (spans k))
 
 let test_pp_event_renders () =
-  let k = Kernel.create () in
-  Kernel.Trace.enable k;
+  let k = traced () in
   let uid = Kernel.create_eject k ~type_name:"echo" echo_behaviour in
   Kernel.run_driver k (fun ctx -> ignore (Kernel.invoke ctx uid ~op:"Echo" Value.Unit));
+  let lines = Eden_shell.Shell.render_trace k in
+  check Alcotest.int "one line per event, plus the footer" (List.length (spans k) + 1)
+    (List.length lines);
   List.iter
-    (fun ev ->
-      let s = Format.asprintf "%a" Kernel.Trace.pp_event ev in
-      Alcotest.(check bool) "non-empty rendering" true (String.length s > 0))
-    (Kernel.Trace.events k)
+    (fun l -> Alcotest.(check bool) "non-empty rendering" true (String.length l > 2))
+    lines
 
 (* The trace lets tests assert the paper's interaction patterns
    directly: a read-only pipeline is all Transfer, a write-only one all
@@ -119,8 +117,7 @@ let test_pp_event_renders () =
 let test_pipeline_op_mix () =
   let open Eden_transput in
   let run discipline =
-    let k = Kernel.create () in
-    Kernel.Trace.enable k;
+    let k = traced () in
     let rest = ref (List.init 4 (fun i -> Value.Int i)) in
     let gen () =
       match !rest with
@@ -131,7 +128,7 @@ let test_pipeline_op_mix () =
     in
     let p = Pipeline.build k discipline ~gen ~filters:[ Transform.identity ] ~consume:ignore in
     Kernel.run_driver k (fun _ -> Pipeline.run p);
-    List.sort_uniq String.compare (Kernel.Trace.ops k)
+    List.sort_uniq String.compare (ops k)
   in
   check Alcotest.(list string) "read-only is pure Transfer" [ "Transfer" ]
     (run Pipeline.Read_only);
@@ -140,34 +137,9 @@ let test_pipeline_op_mix () =
   check Alcotest.(list string) "conventional uses both" [ "Deposit"; "Transfer" ]
     (run Pipeline.Conventional)
 
-let test_ring_overflow_and_resize () =
-  (* The trace log is a bounded ring: overflow evicts the oldest events
-     and counts them, rather than growing without limit. *)
-  let k = Kernel.create ~trace_capacity:4 () in
-  Kernel.Trace.enable k;
-  let uid = Kernel.create_eject k ~type_name:"echo" echo_behaviour in
-  Kernel.run_driver k (fun ctx ->
-      for _ = 1 to 4 do
-        ignore (Kernel.invoke ctx uid ~op:"Echo" Value.Unit)
-      done);
-  (* 4 invocations log 9 events (invoke+reply each, one activation);
-     only the newest 4 fit. *)
-  check Alcotest.int "capacity" 4 (Kernel.Trace.capacity k);
-  check Alcotest.int "ring holds capacity" 4 (List.length (Kernel.Trace.events k));
-  check Alcotest.int "evictions counted" 5 (Kernel.Trace.dropped k);
-  let before = Kernel.Trace.events k in
-  Kernel.Trace.set_capacity k 2;
-  check Alcotest.int "resized" 2 (Kernel.Trace.capacity k);
-  Alcotest.(check bool) "newest survive the resize" true
-    (Kernel.Trace.events k = [ List.nth before 2; List.nth before 3 ]);
-  check Alcotest.int "resize evictions counted" 7 (Kernel.Trace.dropped k);
-  Kernel.Trace.clear k;
-  check Alcotest.int "clear resets drop count" 0 (Kernel.Trace.dropped k)
-
 let suite =
   [
     ("disabled by default", `Quick, test_disabled_by_default);
-    ("ring overflow and resize", `Quick, test_ring_overflow_and_resize);
     ("invocation sequence", `Quick, test_invocation_sequence);
     ("timestamps monotone", `Quick, test_timestamps_monotone);
     ("lifecycle events", `Quick, test_lifecycle_events);

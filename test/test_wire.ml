@@ -19,8 +19,7 @@ module Net = Eden_net.Net
 module Codec = Eden_transput.Codec
 module Pipeline = Eden_transput.Pipeline
 module Cluster = Eden_par.Cluster
-module Fanin = Eden_par.Fanin
-module Distpipe = Eden_par.Distpipe
+module Topo = Eden_par.Topo
 module Check = Eden_check.Check
 module Trace = Eden_check.Trace
 module Workloads = Eden_check.Workloads
@@ -564,68 +563,63 @@ let transports =
   [ ("unix", wire Transport.Unix_socket); ("tcp", wire Transport.Tcp) ]
 
 let test_equivalence_fanin () =
-  let spec = { Fanin.default with branches = 4; filters = 1; items = 12; work = 50 } in
-  let digest (o : Fanin.outcome) =
-    Array.map (fun vs -> String.concat "" (List.map Bin.encode vs)) o.Fanin.per_branch
-  in
-  let oracle = Fanin.run Cluster.Deterministic ~domains:3 spec in
-  check Alcotest.int "oracle consumed all" (4 * 12) oracle.Fanin.consumed;
+  let topo = Topo.fanin ~domains:3 { Topo.default with branches = 4; filters = 1; items = 12; work = 50 } in
+  let oracle = Topo.run Cluster.Deterministic ~domains:3 topo in
+  check Alcotest.int "oracle consumed all" (4 * 12) (Topo.consumed oracle);
   List.iter
     (fun (name, mode) ->
-      let o = Fanin.run mode ~domains:3 spec in
-      check Alcotest.bool (name ^ ": eos clean") true o.Fanin.eos_clean;
+      let o = Topo.run mode ~domains:3 topo in
+      check Alcotest.bool (name ^ ": eos clean") true o.eos_clean;
       check
-        Alcotest.(array string)
+        Alcotest.(list (pair string string))
         (name ^ ": byte-identical per-branch streams")
-        (digest oracle) (digest o);
+        oracle.sinks o.sinks;
       check
         Alcotest.(list (pair string int))
-        (name ^ ": op counts") oracle.Fanin.op_counts o.Fanin.op_counts;
+        (name ^ ": op counts") oracle.op_counts o.op_counts;
       check Alcotest.int (name ^ ": invocations")
-        oracle.Fanin.meter.Kernel.Meter.invocations o.Fanin.meter.Kernel.Meter.invocations;
-      check Alcotest.int (name ^ ": cross messages")
-        oracle.Fanin.cross_messages o.Fanin.cross_messages)
+        oracle.meter.Kernel.Meter.invocations o.meter.Kernel.Meter.invocations;
+      check Alcotest.int (name ^ ": cross messages") oracle.cross_messages o.cross_messages)
     transports
 
 let test_equivalence_f2 () =
   List.iter
     (fun domains ->
-      let run mode = Distpipe.run_f2 mode ~domains ~filters:3 ~items:16 () in
+      let run mode = Topo.run mode ~domains (Topo.f2 ~batch:2 ~domains ~filters:3 ~items:16 ()) in
       let oracle = run Cluster.Deterministic in
-      check Alcotest.int "oracle consumed all" 16 oracle.Distpipe.consumed;
+      check Alcotest.int "oracle consumed all" 16 (Topo.consumed oracle);
       List.iter
         (fun (name, mode) ->
           let o = run mode in
           let tag = Printf.sprintf "%s/%d shards" name domains in
-          check Alcotest.string (tag ^ ": byte-identical item stream")
-            oracle.Distpipe.stream o.Distpipe.stream;
-          check Alcotest.int (tag ^ ": consumed") oracle.Distpipe.consumed
-            o.Distpipe.consumed;
+          check
+            Alcotest.(list (pair string string))
+            (tag ^ ": byte-identical item stream") oracle.sinks o.sinks;
+          check Alcotest.int (tag ^ ": consumed") (Topo.consumed oracle) (Topo.consumed o);
           check
             Alcotest.(list (pair string int))
-            (tag ^ ": op counts") oracle.Distpipe.op_counts o.Distpipe.op_counts)
+            (tag ^ ": op counts") oracle.op_counts o.op_counts)
         transports)
     [ 2; 3 ]
 
 let test_equivalence_f4 () =
-  let run mode = Distpipe.run_f4 mode ~domains:3 ~items:16 () in
+  let run mode = Topo.run mode ~domains:3 (Topo.f4_terminal ~domains:3 ~items:16 ()) in
   let oracle = run Cluster.Deterministic in
-  check Alcotest.int "oracle terminal lines" 16 (List.length oracle.Distpipe.terminal);
+  check Alcotest.int "oracle terminal lines" 16 (Topo.consumed oracle);
   List.iter
     (fun (name, mode) ->
       let o = run mode in
       check
-        Alcotest.(list string)
-        (name ^ ": terminal stream byte-identical")
-        oracle.Distpipe.terminal o.Distpipe.terminal;
+        Alcotest.(list (pair string string))
+        (name ^ ": terminal stream byte-identical") oracle.sinks o.sinks;
       (* The window interleaves its watched streams nondeterministically
          (one worker per stream); the per-label subsequences are the
          deterministic surface. *)
       check
         Alcotest.(list (pair string (list string)))
-        (name ^ ": per-label report streams") oracle.Distpipe.reports o.Distpipe.reports;
-      check Alcotest.int (name ^ ": invocations") oracle.Distpipe.invocations
-        o.Distpipe.invocations)
+        (name ^ ": per-label report streams") oracle.reports o.reports;
+      check Alcotest.int (name ^ ": invocations") oracle.meter.Kernel.Meter.invocations
+        o.meter.Kernel.Meter.invocations)
     transports
 
 (* --- Replay: a simulated fault schedule reproduces on real sockets ----- *)
@@ -718,22 +712,19 @@ let test_replay_reproduces_on_wire () =
 
 let test_wire_cluster_with_faults () =
   (* A Slow event must only delay, never change the byte stream. *)
-  let spec = { Fanin.default with branches = 2; filters = 1; items = 6; work = 10 } in
-  let digest (o : Fanin.outcome) =
-    Array.map (fun vs -> String.concat "" (List.map Bin.encode vs)) o.Fanin.per_branch
-  in
-  let oracle = Fanin.run Cluster.Deterministic ~domains:2 spec in
+  let topo = Topo.fanin ~domains:2 { Topo.default with branches = 2; filters = 1; items = 6; work = 10 } in
+  let oracle = Topo.run Cluster.Deterministic ~domains:2 topo in
   let faults = Faults.of_script [ Faults.Slow 0.02; Faults.Slow 0.01 ] in
   let o =
-    Fanin.run
+    Topo.run
       (Cluster.Wire
          { Cluster.wire_transport = Transport.Unix_socket;
            wire_faults = Some faults;
            wire_auth = None })
-      ~domains:2 spec
+      ~domains:2 topo
   in
-  check Alcotest.(array string) "delays do not corrupt the stream" (digest oracle)
-    (digest o);
+  check Alcotest.(list (pair string string)) "delays do not corrupt the stream" oracle.sinks
+    o.sinks;
   check Alcotest.int "both delays were exercised" 0 (Faults.remaining faults);
   let m = Faults.meter faults in
   check Alcotest.int "nothing dropped" 0 m.Net.dropped;
