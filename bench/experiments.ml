@@ -851,8 +851,7 @@ let ablation () =
 
 module Net = Eden_net.Net
 module Sched = Eden_sched.Sched
-module Rs = Eden_resil.Rstage
-module Rp = Eden_resil.Rpipeline
+module Rs = T.Resumable
 module Retry = Eden_resil.Retry
 module Backoff = Eden_resil.Backoff
 module Supervisor = Eden_resil.Supervisor
@@ -860,7 +859,7 @@ module Supervisor = Eden_resil.Supervisor
 let r1 () =
   section "R1  Resilience: supervised resumable pipelines under loss and crashes";
   print_endline
-    "A read-only 3-filter pipeline built from lib/resil: seq-stamped\n\
+    "A read-only 3-filter pipeline built from resumable stages: seq-stamped\n\
      Transfers, per-stage checkpoints, retried invocations, and a\n\
      supervisor reactivating crashed stages.  Each cell runs several\n\
      seeds; 'completed' counts runs that finished before the deadline\n\
@@ -896,23 +895,23 @@ let r1 () =
         ()
     in
     let p =
-      Rp.build k ~nodes:(Kernel.nodes k) ~batch ~policy ~seed:(Int64.add seed 7L)
+      T.Pipeline.resumable k ~nodes:(Kernel.nodes k) ~batch ~policy ~seed:(Int64.add seed 7L)
         T.Pipeline.Read_only ~gen ~filters
     in
     let sup = Supervisor.create k ~policy:(Supervisor.policy ~interval:5.0 ()) () in
-    Rp.supervise p sup;
+    T.Pipeline.supervise p sup;
     Supervisor.start sup;
-    List.iter (fun (u, at) -> Rp.crash_at p u at) (crashes p);
+    List.iter (fun (u, at) -> T.Pipeline.crash_at p u at) (crashes p);
     let makespan = ref Float.infinity and completed = ref false in
     Kernel.run_driver k (fun _ctx ->
-        Rp.start p;
-        completed := Rp.await_timeout p ~deadline;
+        T.Pipeline.start p;
+        completed := T.Pipeline.await_timeout p ~deadline;
         makespan := Sched.now (Kernel.sched k);
         Supervisor.stop sup);
-    let ok = !completed && Rp.output p = Some expected in
+    let ok = !completed && T.Pipeline.output p = Some expected in
     ( ok,
       !makespan,
-      p.Rp.meter,
+      p.T.Pipeline.meter,
       (Kernel.Meter.snapshot k).Kernel.Meter.invocations,
       Supervisor.restarts sup )
   in
@@ -921,14 +920,14 @@ let r1 () =
     [
       ("none", fun _ -> []);
       ( "filter-2 mid-stream",
-        fun p -> [ (List.assoc "filter-2" p.Rp.stages, frac 0.4) ] );
-      ("sink pump", fun p -> [ (List.assoc "sink" p.Rp.stages, frac 0.4) ]);
+        fun p -> [ (List.assoc "filter-2" p.T.Pipeline.stages, frac 0.4) ] );
+      ("sink pump", fun p -> [ (List.assoc "sink" p.T.Pipeline.stages, frac 0.4) ]);
       ( "storm (3 stages)",
         fun p ->
           [
-            (List.assoc "filter-1" p.Rp.stages, frac 0.25);
-            (List.assoc "sink" p.Rp.stages, frac 0.45);
-            (List.assoc "filter-3" p.Rp.stages, frac 0.65);
+            (List.assoc "filter-1" p.T.Pipeline.stages, frac 0.25);
+            (List.assoc "sink" p.T.Pipeline.stages, frac 0.45);
+            (List.assoc "filter-3" p.T.Pipeline.stages, frac 0.65);
           ] );
     ]
   in
@@ -1455,7 +1454,6 @@ let c1 ?(budget = 100) () =
 (* ------------------------------------------------------------------ *)
 
 module Elastic = Eden_elastic.Elastic
-module Rpush = Eden_resil.Rpush
 module Prng = Eden_util.Prng
 module Aimd = Eden_flowctl.Aimd
 
@@ -1505,11 +1503,13 @@ let e1 ?(quick = false) () =
     Elastic.start e;
     let total = ref 0 in
     Kernel.run_driver k (fun ctx ->
-        let push = Rpush.connect ctx ~batch:8 ~prng:(Prng.create 99L) (Elastic.router e) in
+        let push =
+          T.Push.connect ctx ~batch:8 ~retry:(Retry.client 99L) (Elastic.router e)
+        in
         let i = ref 0 in
         let send () =
           Queue.push (Sched.now sched) sendq.(!i mod nchan);
-          Rpush.write push (Value.Int !i);
+          T.Push.write push (Value.Int !i);
           incr i
         in
         for _ = 1 to bursts do
@@ -1517,14 +1517,14 @@ let e1 ?(quick = false) () =
             send ();
             Sched.sleep spacing
           done;
-          Rpush.flush push;
+          T.Push.flush push;
           Sched.sleep (gap /. 2.0);
           send ();
-          Rpush.flush push;
+          T.Push.flush push;
           Sched.sleep (gap /. 2.0)
         done;
         total := !i;
-        Rpush.close push;
+        T.Push.close push;
         Elastic.await e);
     let makespan = Sched.now sched in
     if List.length (Elastic.outputs e |> List.concat_map snd) <> !total then begin

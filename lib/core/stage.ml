@@ -213,9 +213,6 @@ let pipe k ?node ?(name = "pipe") ?(capacity = 4) ?flow () =
           go ());
       Intake.handlers intake @ Port.handlers port)
 
-let source_active k ?node ?(name = "source") ?batch ?flowctl ?flow ~downstream gen =
-  source_wo k ?node ~name ?batch ?flowctl ?flow ~downstream gen
-
 let filter_active k ?node ?(name = "filter") ?(batch = 1) ?flowctl ?flow ~upstream ~downstream
     transform =
   custom k ?node ~name (fun ctx ~passive:_ ->
@@ -239,6 +236,3 @@ let filter_active k ?node ?(name = "filter") ?(batch = 1) ?flowctl ?flow ~upstre
           transform next emit;
           Push.close push);
       [])
-
-let sink_active k ?node ?name ?batch ?flowctl ?flow ~upstream ?on_done consume =
-  sink_ro k ?node ?name ?batch ?flowctl ?flow ~upstream ?on_done consume

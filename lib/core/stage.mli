@@ -7,9 +7,10 @@
       (Figure 2 of the paper);
     - {b write-only} stages ([source_wo], [filter_wo], [sink_wo]): the
       exact dual; the source pumps (§5);
-    - {b conventional} stages ([source_active], [filter_active],
-      [sink_active]) connected by [pipe] passive-buffer Ejects
-      (Figure 1).
+    - {b conventional} stages connected by [pipe] passive-buffer
+      Ejects (Figure 1): a [source_wo] actively writing into the first
+      pipe, [filter_active]s, and a [sink_ro] actively reading the
+      last.
 
     Stages with a pumping worker and no servable operations (read-only
     sinks, write-only sources, every conventional stage) are started
@@ -145,19 +146,6 @@ val pipe :
 (** A passive buffer (Unix pipe): accepts [Deposit] and serves
     [Transfer] on {!Channel.output}.  [capacity] defaults to 4. *)
 
-val source_active :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?batch:int ->
-  ?flowctl:Eden_flowctl.Flowctl.t ->
-  ?flow:Eden_obs.Obs.Flow.stage ->
-  downstream:Uid.t ->
-  gen ->
-  Uid.t
-(** Same machinery as [source_wo]: a conventional data source actively
-    writes into the first pipe. *)
-
 val filter_active :
   Kernel.t ->
   ?node:Eden_net.Net.node_id ->
@@ -171,20 +159,6 @@ val filter_active :
   Uid.t
 (** Active input {e and} active output — the Unix filter that both
     transforms and pumps (§3).  Start it with {!Kernel.poke}. *)
-
-val sink_active :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?batch:int ->
-  ?flowctl:Eden_flowctl.Flowctl.t ->
-  ?flow:Eden_obs.Obs.Flow.stage ->
-  upstream:Uid.t ->
-  ?on_done:(unit -> unit) ->
-  consume ->
-  Uid.t
-(** Identical to [sink_ro]: a conventional sink performs active
-    input. *)
 
 (** {1 Custom stages} *)
 

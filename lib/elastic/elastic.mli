@@ -15,9 +15,11 @@
     - The router→replica link acknowledges only {e durable} (replica
       checkpointed) positions, so the router's in-flight window
       [\[base, next)] is exactly what a crash or handoff can lose — and
-      the router retains it for replay.  Unlike {!Eden_resil.Rpush},
-      short acknowledgements here are the steady state (checkpoints are
-      K-amortized), not a replay signal.
+      the router retains it for replay, in the same
+      {!Eden_transput.Window} a resumable [Push] keeps.  Unlike a
+      resumable [Push], the link treats short acknowledgements as the
+      steady state (checkpoints are K-amortized), not a replay
+      signal.
     - Drain is a fenced barrier: under the router lock the victim's
       channels stop routing, a [Sync] forces flush + checkpoint, and
       ownership is handed to survivors from the durable state plus the
@@ -100,8 +102,9 @@ val start : t -> unit
     Call before [Kernel.run] / [Sched.run]. *)
 
 val router : t -> Uid.t
-(** Deposit endpoint for upstream producers ({!Eden_resil.Rpush}
-    compatible; seq-stamped, deduplicating, [eos] honoured). *)
+(** Deposit endpoint for upstream producers (a resumable
+    {!Eden_transput.Push} connects to it; seq-stamped, deduplicating by
+    {!Eden_transput.Intake.admit}, [eos] honoured). *)
 
 val supervisor : t -> Supervisor.t option
 

@@ -22,6 +22,10 @@ type meter = {
 
 let create_meter () = { attempts = 0; retries = 0; timeouts = 0; exhausted = 0 }
 
+type client = { policy : policy; meter : meter option; seed : int64 }
+
+let client ?(policy = default_policy) ?meter seed = { policy; meter; seed }
+
 exception Exhausted of string
 
 let invoke ?(policy = default_policy) ?meter ~prng ctx dst ~op arg =

@@ -12,7 +12,8 @@
     checkpoint, a retry is also the recovery path: the first retry to
     reach a crashed peer restarts it.  Idempotence is the caller's
     business — the resumable stream protocol gets it from sequence
-    numbers (see {!Rport}, {!Rpush}). *)
+    numbers (a retaining [Port] channel, and a [Pull] or [Push]
+    connected with a {!client}). *)
 
 module Kernel = Eden_kernel.Kernel
 module Value = Eden_kernel.Value
@@ -37,6 +38,15 @@ type meter = {
 }
 
 val create_meter : unit -> meter
+
+(** What a retried stream connection carries: its policy, the meter
+    it reports to, and the seed of its jitter.  A connection seeds a
+    fresh PRNG from [seed] when it is made, so a stage that reconnects
+    after a restart replays the same retry schedule. *)
+type client = { policy : policy; meter : meter option; seed : int64 }
+
+val client : ?policy:policy -> ?meter:meter -> int64 -> client
+(** [policy] defaults to {!default_policy}. *)
 
 exception Exhausted of string
 (** Raised by [call] when the attempt budget runs out. *)

@@ -51,6 +51,10 @@ let iter f t =
     match t.data.((t.head + i) mod cap) with Some x -> f x | None -> assert false
   done
 
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Cqueue.get: out of range";
+  match t.data.((t.head + i) mod Array.length t.data) with Some x -> x | None -> assert false
+
 (* Shift the elements in front of [i] back by one cell, so the hole
    left by the taken element closes toward the head and everything
    keeps its relative order. *)

@@ -20,6 +20,10 @@ val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front-to-back over current contents. *)
 
+val get : 'a t -> int -> 'a
+(** [get t i] is the [i]-th element from the front (0 = front), in
+    O(1).  @raise Invalid_argument when out of range. *)
+
 val take_nth : 'a t -> int -> 'a
 (** [take_nth t i] removes and returns the [i]-th element from the
     front (0 = front), preserving the relative order of the others.

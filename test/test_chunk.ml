@@ -13,8 +13,7 @@ module Flowctl = Eden_flowctl.Flowctl
 module Stage = Eden_transput.Stage
 module Retry = Eden_resil.Retry
 module Backoff = Eden_resil.Backoff
-module Rstage = Eden_resil.Rstage
-module Rpipeline = Eden_resil.Rpipeline
+module Resumable = Eden_transput.Resumable
 module Supervisor = Eden_resil.Supervisor
 module Pipeline = Eden_transput.Pipeline
 
@@ -375,20 +374,20 @@ let test_resil_replay_balance () =
     Retry.policy ~timeout:50.0 ~max_attempts:10 ~backoff:(Backoff.make ~base:1.0 ~cap:10.0 ()) ()
   in
   let p =
-    Rpipeline.build k ~nodes:(Kernel.nodes k) ~batch:2 ~policy ~seed:99L Pipeline.Read_only
-      ~gen ~filters:[ Rstage.pure_map upchunk ]
+    Pipeline.resumable k ~nodes:(Kernel.nodes k) ~batch:2 ~policy ~seed:99L Pipeline.Read_only
+      ~gen ~filters:[ Resumable.pure_map upchunk ]
   in
   let sup = Supervisor.create k ~policy:(Supervisor.policy ~interval:4.0 ()) () in
-  Rpipeline.supervise p sup;
+  Pipeline.supervise p sup;
   Supervisor.start sup;
-  Rpipeline.crash_at p p.Rpipeline.sink 6.0;
+  Pipeline.crash_at p p.Pipeline.sink 6.0;
   let completed = ref false in
   Kernel.run_driver k (fun _ctx ->
-      Rpipeline.start p;
-      completed := Rpipeline.await_timeout p ~deadline:5000.0;
+      Pipeline.start p;
+      completed := Pipeline.await_timeout p ~deadline:5000.0;
       Supervisor.stop sup);
   check Alcotest.bool "completes through the crash" true !completed;
-  (match Rpipeline.output p with
+  (match Pipeline.output p with
   | None -> Alcotest.fail "no output"
   | Some vs ->
       let texts =

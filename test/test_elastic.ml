@@ -12,7 +12,8 @@ module Value = Eden_kernel.Value
 module Prng = Eden_util.Prng
 module Pipeline = Eden_transput.Pipeline
 module Aimd = Eden_flowctl.Aimd
-module Rpush = Eden_resil.Rpush
+module Push = Eden_transput.Push
+module Retry = Eden_resil.Retry
 module Supervisor = Eden_resil.Supervisor
 module Elastic = Eden_elastic.Elastic
 
@@ -57,19 +58,19 @@ let elastic_ctrl ?(lo = 0) ?(hi = 6) () =
   Aimd.params ~min_batch:lo ~max_batch:hi ~increase:1 ~decrease:0.5 ~low_watermark:0.2
     ~high_watermark:0.6 ()
 
-(* One producer link per run: EOS (carried by [Rpush.close]) finalizes
+(* One producer link per run: EOS (carried by [Push.close]) finalizes
    the stage, so multi-phase tests must keep a single push open across
    every phase and close it exactly once. *)
-let connect ctx e = Rpush.connect ctx ~batch:1 ~prng:(Prng.create 77L) (Elastic.router e)
+let connect ctx e = Push.connect ctx ~batch:1 ~retry:(Retry.client 77L) (Elastic.router e)
 
 let send push i =
-  Rpush.write push (Value.Int i);
-  Rpush.flush push
+  Push.write push (Value.Int i);
+  Push.flush push
 
 let feed ctx e items =
   let push = connect ctx e in
-  List.iter (fun v -> Rpush.write push v; Rpush.flush push) items;
-  Rpush.close push
+  List.iter (fun v -> Push.write push v; Push.flush push) items;
+  Push.close push
 
 let check_exact ?(n = 12) e =
   check
@@ -141,18 +142,18 @@ let test_burst_scales_up_idle_scales_to_zero () =
       (* Open-loop burst: buffered writes land as a few large deposits,
          far faster than one 1.0-cost replica can absorb them. *)
       let push =
-        Rpush.connect ctx ~batch:10 ~prng:(Prng.create 77L) (Elastic.router e)
+        Push.connect ctx ~batch:10 ~retry:(Retry.client 77L) (Elastic.router e)
       in
       for i = 0 to n - 1 do
-        Rpush.write push (Value.Int i)
+        Push.write push (Value.Int i)
       done;
-      Rpush.flush push;
+      Push.flush push;
       (* A long idle tail after the burst, with the stream still open:
          occupancy sits at 0, so the halving side must walk the fleet
          back to the floor before EOS arrives. *)
       Sched.sleep 200.0;
       live_after_idle := Elastic.live_replicas e;
-      Rpush.close push;
+      Push.close push;
       Elastic.await e);
   Alcotest.(check bool)
     (Printf.sprintf "burst widened the fleet (max_live %d)" (Elastic.max_live e))
@@ -181,7 +182,7 @@ let test_scale_down_drains_exactly_once () =
       for i = 9 to 17 do
         send push i
       done;
-      Rpush.close push;
+      Push.close push;
       Elastic.await e);
   check_exact ~n e
 
@@ -206,7 +207,7 @@ let test_replica_crash_replays_exactly_once () =
       for i = 10 to 17 do
         send push i
       done;
-      Rpush.close push;
+      Push.close push;
       Elastic.await e);
   check_exact ~n e
 
@@ -230,7 +231,7 @@ let test_replay_storm_is_deduplicated () =
         send push i
       done;
       Elastic.replay_all ctx e;
-      Rpush.close push;
+      Push.close push;
       Elastic.await e);
   check_exact ~n e
 
@@ -263,7 +264,7 @@ let test_supervised_crash_loop_becomes_adoption () =
       for i = 9 to 17 do
         send push i
       done;
-      Rpush.close push;
+      Push.close push;
       Elastic.await e);
   let sup = Option.get (Elastic.supervisor e) in
   Alcotest.(check bool) "supervisor gave up on the victim" true
@@ -328,7 +329,7 @@ let elastic_prop ?defect ?(n = 12) ctl =
   let completed = ref false in
   Kernel.run_driver k (fun ctx ->
       let push =
-        Rpush.connect ctx ~batch:1 ~prng:(Prng.create 77L) (Elastic.router e)
+        Push.connect ctx ~batch:1 ~retry:(Retry.client 77L) (Elastic.router e)
       in
       List.iteri
         (fun i v ->
@@ -340,10 +341,10 @@ let elastic_prop ?defect ?(n = 12) ctl =
           end;
           if i + 1 = drain_at then ignore (Elastic.drain_one ctx e);
           if i + 1 = replay_at then Elastic.replay_all ctx e;
-          Rpush.write push v;
-          Rpush.flush push)
+          Push.write push v;
+          Push.flush push)
         (List.init n (fun i -> Value.Int i));
-      Rpush.close push;
+      Push.close push;
       completed := Elastic.await_timeout e ~timeout:3000.0;
       Elastic.stop e);
   Sched.check_failures (Kernel.sched k);
@@ -421,19 +422,19 @@ let prop_fleet_within_clamps =
          let ok = ref true in
          Kernel.run_driver k (fun ctx ->
              let push =
-               Rpush.connect ctx ~batch:1 ~prng:(Prng.create 5L) (Elastic.router e)
+               Push.connect ctx ~batch:1 ~retry:(Retry.client 5L) (Elastic.router e)
              in
              List.iter
                (fun (burst, idle) ->
                  for _ = 1 to burst do
-                   Rpush.write push (Value.Int !total);
+                   Push.write push (Value.Int !total);
                    incr total
                  done;
-                 Rpush.flush push;
+                 Push.flush push;
                  if Elastic.live_replicas e > hi then ok := false;
                  Sched.sleep (float_of_int idle *. 3.0))
                bursts;
-             Rpush.close push;
+             Push.close push;
              ignore (Elastic.await_timeout e ~timeout:3000.0);
              Elastic.stop e);
          !ok && Elastic.max_live e <= hi

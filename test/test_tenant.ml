@@ -33,7 +33,8 @@ module Transport = Eden_wire.Transport
 module Bin = Eden_wire.Bin
 module Cluster = Eden_par.Cluster
 module Elastic = Eden_elastic.Elastic
-module Rpush = Eden_resil.Rpush
+module Push = Eden_transput.Push
+module Retry = Eden_resil.Retry
 module Obs = Eden_obs.Obs
 
 let check = Alcotest.check
@@ -461,7 +462,7 @@ let tenant_prop ?defect ctl =
   let pull_err = ref None in
   let window = ref None in
   Kernel.run_driver k (fun ctx ->
-      let push = Rpush.connect ctx ~batch:1 ~prng:(Prng.create 77L) (Elastic.router e) in
+      let push = Push.connect ctx ~batch:1 ~retry:(Retry.client 77L) (Elastic.router e) in
       let pull = Tenant.pull ctx ~flowctl:(Flowctl.fixed ~credit:(Credit.Window 2) 2) cap in
       window := Pull.credit pull;
       let pull_done = ref false in
@@ -483,14 +484,14 @@ let tenant_prop ?defect ctl =
         end;
         if i + 1 = drain_at then ignore (Elastic.drain_one ctx e);
         if i + 1 = revoke_at then Tenant.revoke reg cap;
-        Rpush.write push (Value.Int i);
-        Rpush.flush push;
+        Push.write push (Value.Int i);
+        Push.flush push;
         read_one ()
       done;
       while not !pull_done do
         read_one ()
       done;
-      Rpush.close push;
+      Push.close push;
       completed := Elastic.await_timeout e ~timeout:3000.0;
       Elastic.stop e);
   Sched.check_failures (Kernel.sched k);
