@@ -263,6 +263,42 @@ let test_stale_transfer_seq_errors () =
   Alcotest.(check bool) "stale seq refused" true !stale;
   check Alcotest.int "stream continues at cursor" 2 (List.length !after)
 
+(* A refused stale Transfer must not leave its credit behind as demand,
+   whether it is refused on arrival or after parking behind a request
+   for the same position: a lazy source would compute items nobody
+   asked for. *)
+let test_stale_transfer_leaks_no_demand () =
+  let produced = ref 0 in
+  let gen () =
+    incr produced;
+    Some (Value.Int !produced)
+  in
+  let k = Kernel.create () in
+  let src = Stage.source_ro k ~capacity:0 gen in
+  let served = ref 0 and refused = ref 0 in
+  Kernel.run_driver k (fun ctx ->
+      let ask seq credit =
+        Kernel.invoke_async ctx src ~op:Proto.transfer_op
+          (Proto.transfer_request ~seq Channel.output ~credit)
+      in
+      let await iv =
+        match Eden_sched.Ivar.read iv with
+        | Ok v -> served := !served + List.length (Proto.parse_transfer_reply v).Proto.items
+        | Error _ -> incr refused
+      in
+      await (ask 0 2);
+      await (ask 0 2);
+      let a = ask 2 2 in
+      let b = ask 2 2 in
+      await a;
+      await b;
+      await (ask 4 2);
+      (* Let the producer run out whatever demand is left. *)
+      Eden_sched.Sched.sleep 10.0);
+  check Alcotest.int "two stale requests refused" 2 !refused;
+  check Alcotest.int "served" 6 !served;
+  check Alcotest.int "produced exactly what was served" !served !produced
+
 let test_stale_deposit_seq_errors () =
   let k = Kernel.create () in
   let consume, got = collector () in
@@ -526,6 +562,7 @@ let suite =
     Alcotest.test_case "windowed push survives reordering" `Quick
       test_windowed_push_reordering_network;
     Alcotest.test_case "stale transfer seq errors" `Quick test_stale_transfer_seq_errors;
+    Alcotest.test_case "stale transfer leaks no demand" `Quick test_stale_transfer_leaks_no_demand;
     Alcotest.test_case "stale deposit seq errors" `Quick test_stale_deposit_seq_errors;
     Alcotest.test_case "adaptive pull widens, saves invokes" `Quick
       test_adaptive_pull_widens_and_saves_invokes;
