@@ -9,13 +9,6 @@ let transfer_request ?seq chan ~credit =
   | None -> Value.List base
   | Some s -> Value.List (base @ [ Value.Int s ])
 
-let parse_transfer_request v =
-  match v with
-  | Value.List (chan :: Value.Int credit :: ([] | [ Value.Int _ ])) ->
-      if credit <= 0 then raise (Value.Protocol_error "Transfer: credit must be positive");
-      (Channel.of_value chan, credit)
-  | v -> raise (Value.Protocol_error ("malformed Transfer request: " ^ Value.to_string v))
-
 let parse_transfer_request_seq v =
   match v with
   | Value.List [ chan; Value.Int credit ] ->
@@ -27,6 +20,10 @@ let parse_transfer_request_seq v =
       (Channel.of_value chan, credit, Some seq)
   | v -> raise (Value.Protocol_error ("malformed Transfer request: " ^ Value.to_string v))
 
+let parse_transfer_request v =
+  let chan, credit, _ = parse_transfer_request_seq v in
+  (chan, credit)
+
 type transfer_reply = { eos : bool; items : Value.t list }
 
 let transfer_reply ?base { eos; items } =
@@ -35,11 +32,6 @@ let transfer_reply ?base { eos; items } =
   | None -> Value.List fields
   | Some b -> Value.List (fields @ [ Value.Int b ])
 
-let parse_transfer_reply v =
-  match v with
-  | Value.List (Value.Bool eos :: Value.List items :: ([] | [ Value.Int _ ])) -> { eos; items }
-  | v -> raise (Value.Protocol_error ("malformed Transfer reply: " ^ Value.to_string v))
-
 let parse_transfer_reply_base v =
   match v with
   | Value.List [ Value.Bool eos; Value.List items ] -> ({ eos; items }, None)
@@ -47,17 +39,13 @@ let parse_transfer_reply_base v =
       ({ eos; items }, Some base)
   | v -> raise (Value.Protocol_error ("malformed Transfer reply: " ^ Value.to_string v))
 
+let parse_transfer_reply v = fst (parse_transfer_reply_base v)
+
 let deposit_request ?seq chan ~eos items =
   let base = [ Channel.to_value chan; Value.Bool eos; Value.List items ] in
   match seq with
   | None -> Value.List base
   | Some s -> Value.List (base @ [ Value.Int s ])
-
-let parse_deposit_request v =
-  match v with
-  | Value.List (chan :: Value.Bool eos :: Value.List items :: ([] | [ Value.Int _ ])) ->
-      (Channel.of_value chan, eos, items)
-  | v -> raise (Value.Protocol_error ("malformed Deposit request: " ^ Value.to_string v))
 
 let parse_deposit_request_seq v =
   match v with
@@ -67,6 +55,10 @@ let parse_deposit_request_seq v =
       if seq < 0 then raise (Value.Protocol_error "Deposit: seq must be non-negative");
       (Channel.of_value chan, eos, items, Some seq)
   | v -> raise (Value.Protocol_error ("malformed Deposit request: " ^ Value.to_string v))
+
+let parse_deposit_request v =
+  let chan, eos, items, _ = parse_deposit_request_seq v in
+  (chan, eos, items)
 
 let deposit_ack ~next_seq = Value.Int next_seq
 

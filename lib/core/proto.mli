@@ -37,9 +37,9 @@ val deposit_op : string
 val transfer_request : ?seq:int -> Channel.t -> credit:int -> Value.t
 
 val parse_transfer_request : Value.t -> Channel.t * int
-(** Accepts both plain and seq-stamped requests, ignoring the seq.
+(** Accepts both plain and seq-stamped requests, dropping the seq.
     @raise Value.Protocol_error on malformed requests, including
-    non-positive credit. *)
+    non-positive credit and a negative seq. *)
 
 val parse_transfer_request_seq : Value.t -> Channel.t * int * int option
 (** Like {!parse_transfer_request} but also reports the resume position,
@@ -59,7 +59,7 @@ val parse_transfer_reply_base : Value.t -> transfer_reply * int option
 
 val deposit_request : ?seq:int -> Channel.t -> eos:bool -> Value.t list -> Value.t
 val parse_deposit_request : Value.t -> Channel.t * bool * Value.t list
-(** Accepts both plain and seq-stamped requests, ignoring the seq. *)
+(** Accepts both plain and seq-stamped requests, dropping the seq. *)
 
 val parse_deposit_request_seq : Value.t -> Channel.t * bool * Value.t list * int option
 
