@@ -178,6 +178,80 @@ let test_port_two_channels_independent_eos () =
          Alcotest.(check bool) "a closed" true ra.Proto.eos;
          Alcotest.(check bool) "b still open" false rb.Proto.eos))
 
+(* A retaining channel serves a stamped request from its position
+   without discarding, so a retried request gets the same items; a
+   request at a later position acknowledges everything below it. *)
+let test_retaining_channel_reserves_until_acked () =
+  let stamped handlers ~seq credit =
+    let h = List.assoc Proto.transfer_op handlers in
+    Proto.parse_transfer_reply_base (h (Proto.transfer_request ~seq Channel.output ~credit))
+  in
+  ignore
+    (in_fiber (fun () ->
+         let port = Port.create () in
+         let w = Port.add_channel port ~capacity:8 ~retain:true Channel.output in
+         List.iter (fun i -> Port.write w (Value.Int i)) [ 1; 2; 3 ];
+         let h = Port.handlers port in
+         let first = stamped h ~seq:0 2 in
+         let again = stamped h ~seq:0 2 in
+         Alcotest.(check bool) "retried request re-served" true (first = again);
+         check Alcotest.int "nothing discarded yet" 3 (Port.buffered w);
+         let r, base = stamped h ~seq:2 2 in
+         check Alcotest.(option int) "reply based at its seq" (Some 2) base;
+         Alcotest.(check bool) "the rest" true (r.Proto.items = [ Value.Int 3 ]);
+         check Alcotest.int "acknowledged prefix trimmed" 1 (Port.buffered w);
+         check Alcotest.int "cursor at the acknowledgement" 2 (Port.cursor w);
+         (match stamped h ~seq:0 1 with
+         | _ -> Alcotest.fail "a request below the acknowledgement must be refused"
+         | exception Kernel.Eden_error _ -> ());
+         let copy = Port.add_channel (Port.create ()) ~retain:true Channel.output in
+         Port.load copy (Port.encode w);
+         check Alcotest.int "restored cursor" 2 (Port.cursor copy);
+         check Alcotest.int "restored window" 1 (Port.buffered copy)))
+
+let test_intake_admit_rule () =
+  let items = List.init 4 (fun i -> Value.Int i) in
+  let admit seq = Intake.admit ~expected:5 ~seq items in
+  Alcotest.(check bool) "replayed prefix dropped" true (admit 3 = Some [ Value.Int 2; Value.Int 3 ]);
+  Alcotest.(check bool) "in step: all fresh" true (admit 5 = Some items);
+  Alcotest.(check bool) "wholly replayed: nothing fresh" true (admit 0 = Some []);
+  Alcotest.(check bool) "gap rejected" true (admit 6 = None)
+
+(* Window against a list model: any sequence of appends, trims and
+   takes keeps [base, next) and the held items in step. *)
+let prop_window_model =
+  Seed.to_alcotest
+    (QCheck2.Test.make ~name:"window agrees with a list model" ~count:200
+       QCheck2.Gen.(list (pair (int_range 0 2) (int_range 0 6)))
+       (fun ops ->
+         let w = Window.create ~base:3 () in
+         let base = ref 3 and held = ref [] and pushed = ref 0 in
+         let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r in
+         List.for_all
+           (fun (op, k) ->
+             (match op with
+             | 0 ->
+                 Window.push w !pushed;
+                 held := !held @ [ !pushed ];
+                 incr pushed
+             | 1 ->
+                 let a = !base + k - 2 in
+                 Window.trim w a;
+                 let n = max 0 (min (a - !base) (List.length !held)) in
+                 held := drop n !held;
+                 base := !base + n
+             | _ ->
+                 let got = Window.take w k in
+                 let n = min k (List.length !held) in
+                 if got <> List.filteri (fun i _ -> i < n) !held then failwith "take";
+                 held := drop n !held;
+                 base := !base + n);
+             Window.base w = !base
+             && Window.next w = !base + List.length !held
+             && Window.to_list w = !held
+             && Window.sub w (!base + 1) 2 = List.filteri (fun i _ -> i >= 1 && i < 3) !held)
+           ops))
+
 let suite =
   [
     ("transfer served from buffer", `Quick, test_transfer_served_from_buffer);
@@ -193,4 +267,7 @@ let suite =
     ("intake capacity bounds", `Quick, test_intake_capacity_bounds);
     ("intake read blocks until deposit", `Quick, test_intake_read_blocks_until_deposit);
     ("two channels independent eos", `Quick, test_port_two_channels_independent_eos);
+    ("retaining channel re-serves until acked", `Quick, test_retaining_channel_reserves_until_acked);
+    ("intake admit: drop replayed prefix, reject gap", `Quick, test_intake_admit_rule);
+    prop_window_model;
   ]
