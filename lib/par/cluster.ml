@@ -50,42 +50,54 @@ type shard = {
 
 (* Stats a leaf process reports back over its socket at shutdown —
    everything the in-process accessors would have read from the shard's
-   kernel directly.  Histograms are deliberately absent: wall-clock
-   timing makes them transport-dependent, so wire-mode histograms cover
-   the hub shard only. *)
+   kernel directly, plus the data frames it sent its leaf-to-leaf links
+   (the hub never sees them) and its first fiber failure.  Histograms
+   are deliberately absent: wall-clock timing makes them
+   transport-dependent, so wire-mode histograms cover the hub shard
+   only. *)
 type remote_stats = {
   r_meter : Kernel.Meter.snapshot;
   r_ops : (string * int) list;
   r_flows : (string * int * int) list;
   r_makespan : float;
+  r_link_frames : int;
+  r_failure : string option;
 }
 
-(* Hub (shard 0, the parent process) of the star topology: leaves
-   connect only to the hub, which routes leaf-to-leaf frames by [dst].
-   [sent_to] counts data frames actually written to each leaf (a frame
-   eaten by fault injection is not in flight); [idle_at] is the
-   processed-frame count from the leaf's latest IDLE.  Socket FIFO
-   ordering makes "idle_at = sent_to for every leaf" a sound
-   termination condition: a leaf writes everything it emitted before
-   the IDLE that acknowledges our last frame, so once the hub has read
-   that IDLE there is nothing left in flight from that leaf. *)
-type hub = {
-  conns : Conn.t array; (* index 0 unused *)
-  pids : int array;
-  sent_to : int array;
-  idle_at : int array;
-  hfaults : Faults.t option;
-  remote : remote_stats option array;
-  (* Per-connection MAC sessions under [wire_auth]; all [None] on the
-     plain path. *)
-  hsessions : Auth.session option array;
-}
-
-type leaf = {
+(* This process's end of one socket in wire mode: the hub's to a leaf, a
+   leaf's to the hub, or one end of a leaf-to-leaf link.  [sent] counts
+   the data frames (Requests and Replies) queued to the shard at the
+   other end — a frame eaten by fault injection was never queued —
+   and [taken] those handled from it. *)
+type peer = {
+  shard : int;
   conn : Conn.t;
   session : Auth.session option;
-  mutable processed : int; (* data frames consumed off the socket *)
-  mutable last_idle_sent : int;
+  mutable sent : int;
+  mutable taken : int;
+}
+
+(* Hub (shard 0, the parent process): one socket to every leaf, and the
+   counts each leaf gave in its latest Idle — [told_sent.(i).(j)] and
+   [told_taken.(i).(j)] are what leaf [i] had sent to and taken from
+   shard [j].  The termination rule reads them with the hub's own
+   counters (see [balanced]). *)
+type hub = {
+  hpeers : peer array; (* leaves 1 .. n-1, in order *)
+  hfaults : Faults.t option;
+  told : bool array;
+  told_sent : int array array;
+  told_taken : int array array;
+  remote : remote_stats option array;
+  mutable stopping : bool; (* Shutdown sent *)
+}
+
+(* Leaf: its socket to the hub at [lpeers.(0)], and one per link at the
+   other leaf's index. *)
+type leaf = {
+  lpeers : peer option array;
+  mutable last_idle : string; (* payload of the latest Idle sent *)
+  mutable shutdown : bool;
 }
 
 let mac_overhead sess = match sess with None -> 0 | Some _ -> 8
@@ -102,6 +114,9 @@ type t = {
   (* Deterministic-mode shard-order policy; [None] is the fixed
      round-robin baseline. *)
   mutable det_pick : (n:int -> int) option;
+  (* Pairs of leaf shards some proxy connects, [(lo, hi)]: in wire mode
+     each gets its own socket. *)
+  mutable links : (int * int) list;
   (* How [forward] reaches other shards: in-process inboxes, or — in
      wire mode, after the fork — this process's end of the sockets. *)
   mutable fabric : fabric;
@@ -111,7 +126,6 @@ let mode t = t.cluster_mode
 let set_det_pick t p = t.det_pick <- p
 let shard_count t = Array.length t.shards
 let kernel t i = t.shards.(i).kernel
-let cross_messages t = Atomic.get t.carried
 
 let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
   if n <= 0 then invalid_arg "Cluster.create: shards must be positive";
@@ -143,6 +157,7 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
       carried = Atomic.make 0;
       ran = false;
       det_pick = None;
+      links = [];
       fabric = Inproc;
     }
   in
@@ -234,7 +249,7 @@ let meter_of_value v : Kernel.Meter.snapshot =
       }
   | v -> perr "malformed meter %s" (Value.preview v)
 
-let stats_payload sh =
+let stats_payload sh ~link_frames ~failure =
   let m = Kernel.Meter.snapshot sh.kernel in
   let ops =
     Value.List
@@ -254,11 +269,14 @@ let stats_payload sh =
        [
          meter_to_value m; ops; flows;
          Value.Float (Sched.now (Kernel.sched sh.kernel));
+         Value.Int link_frames;
+         Value.List (Option.to_list (Option.map (fun m -> Value.Str m) failure));
        ])
 
 let parse_stats payload =
   match Bin.decode payload with
-  | Value.List [ meter; Value.List ops; Value.List flows; Value.Float mk ] ->
+  | Value.List
+      [ meter; Value.List ops; Value.List flows; Value.Float mk; Value.Int links; failure ] ->
       {
         r_meter = meter_of_value meter;
         r_ops =
@@ -274,6 +292,12 @@ let parse_stats payload =
               | v -> perr "malformed flow %s" (Value.preview v))
             flows;
         r_makespan = mk;
+        r_link_frames = links;
+        r_failure =
+          (match failure with
+          | Value.List [] -> None
+          | Value.List [ Value.Str m ] -> Some m
+          | v -> perr "malformed failure %s" (Value.preview v));
       }
   | v -> perr "malformed stats %s" (Value.preview v)
 
@@ -284,44 +308,38 @@ let parse_stats payload =
 let release_payloads ps =
   List.iter (function Bin.Payload c -> Chunk.release c | Bin.Flat _ -> ()) ps
 
-(* Queue a data frame for a leaf, through fault injection.  Only hub
-   egress is faultable: that one chokepoint sees every cross-process
-   frame exactly once, which is what lets a replay's per-frame loss
-   script line up with the wire.  [size] is the unsealed frame's wire
-   size; [send] queues it. *)
-let hub_egress h ~dst ~size send =
-  let session = h.hsessions.(dst) in
-  let action =
-    match h.hfaults with
-    | None -> Faults.Pass
-    | Some fl -> Faults.apply fl ~established:true ~size:(size + mac_overhead session)
-  in
-  (* Sealing happens only when the frame is actually queued: a
-     fault-dropped frame must not advance the MAC send counter the
-     receiver never sees. *)
-  let deliver () =
-    send session h.conns.(dst);
-    h.sent_to.(dst) <- h.sent_to.(dst) + 1
-  in
-  match action with
-  | Faults.Drop -> ()
-  | Faults.Delay d ->
-      Unix.sleepf d;
-      deliver ()
-  | Faults.Pass -> deliver ()
+let queue_data p ~kind ~src ~seq ps =
+  Conn.send_parts ?session:p.session p.conn ~kind ~src ~dst:p.shard ~seq ps;
+  p.sent <- p.sent + 1
 
-(* A Request or Reply the hub originates. *)
-let hub_send t h ~kind ~dst ~seq v =
-  Atomic.incr t.carried;
+(* Queue a Request or Reply for shard [dst] on this process's own socket
+   to it.  Frames the hub sends pass fault injection first: that is the
+   only faultable egress, so a replay's per-frame loss script lines up
+   with the frames the hub sends.  Sealing happens only when the frame
+   is actually queued — a fault-dropped frame must not advance the MAC
+   send counter the receiver never sees. *)
+let send t sh ~kind ~dst ~seq v =
   let ps = Bin.parts v in
-  hub_egress h ~dst ~size:(4 + Frame.header_bytes + Bin.parts_length ps) (fun session c ->
-      Conn.send_parts ?session c ~kind ~src:0 ~dst ~seq ps);
-  release_payloads ps
-
-(* Leaf egress is never faulted (only the hub chokepoint is). *)
-let leaf_send l ~kind ~src ~dst ~seq v =
-  let ps = Bin.parts v in
-  Conn.send_parts ?session:l.session l.conn ~kind ~src ~dst ~seq ps;
+  (match t.fabric with
+  | Inproc -> assert false
+  | Hub h -> (
+      Atomic.incr t.carried;
+      let p = h.hpeers.(dst - 1) in
+      let deliver () = queue_data p ~kind ~src:0 ~seq ps in
+      match h.hfaults with
+      | None -> deliver ()
+      | Some fl -> (
+          let size = 4 + Frame.header_bytes + Bin.parts_length ps + mac_overhead p.session in
+          match Faults.apply fl ~established:true ~size with
+          | Faults.Drop -> ()
+          | Faults.Delay d ->
+              Unix.sleepf d;
+              deliver ()
+          | Faults.Pass -> deliver ()))
+  | Leaf l -> (
+      match l.lpeers.(dst) with
+      | Some p -> queue_data p ~kind ~src:sh.index ~seq ps
+      | None -> perr "leaf %d: no link to shard %d (make its proxies before run)" sh.index dst));
   release_payloads ps
 
 let forward t sh ~target:(tshard, tuid) ~op arg =
@@ -333,13 +351,8 @@ let forward t sh ~target:(tshard, tuid) ~op arg =
   | Inproc ->
       post t ~dst:tshard
         (Request { req_id; from_shard = sh.index; target = tuid; op; arg })
-  | Hub h ->
-      hub_send t h ~kind:Frame.Request ~dst:tshard ~seq:req_id
-        (request_body ~target:tuid ~op arg)
-  | Leaf l ->
-      Atomic.incr t.carried;
-      leaf_send l ~kind:Frame.Request ~src:sh.index ~dst:tshard ~seq:req_id
-        (request_body ~target:tuid ~op arg));
+  | Hub _ | Leaf _ ->
+      send t sh ~kind:Frame.Request ~dst:tshard ~seq:req_id (request_body ~target:tuid ~op arg));
   match Ivar.read slot with
   | Ok v -> v
   | Error m -> raise (Kernel.Eden_error m)
@@ -347,7 +360,9 @@ let forward t sh ~target:(tshard, tuid) ~op arg =
 let proxy t ~shard ~ops ~target:(tshard, tuid) =
   let sh = t.shards.(shard) in
   if tshard = shard then tuid
-  else
+  else begin
+    let link = (min shard tshard, max shard tshard) in
+    if fst link > 0 && not (List.mem link t.links) then t.links <- link :: t.links;
     Kernel.create_eject sh.kernel ~dispatch:Kernel.Serial
       ~type_name:"par-proxy" (fun ctx ~passive:_ ->
         List.map
@@ -360,6 +375,7 @@ let proxy t ~shard ~ops ~target:(tshard, tuid) =
                 Kernel.with_transport_wait ctx (fun () ->
                     forward t sh ~target:(tshard, tuid) ~op arg) ))
           ops)
+  end
 
 let inject t sh = function
   | Request { req_id; from_shard; target; op; arg } ->
@@ -462,184 +478,235 @@ let det_loop t =
 (* --- Wire loops ------------------------------------------------------ *)
 
 (* Every frame goes through a buffered [Conn], and a process flushes
-   when it is about to block: a leaf before it reads, the hub before
-   [select] and right after it relays a batch.  [pump] adds the one
-   other flush: it runs the scheduler to quiescence a slice at a time,
-   and a slice that leaves output queued while other fibers can still
-   run sends it at once — the rest of the turn may be long (a filter
-   working through a 64 KiB chunk), and a Deposit reply should not wait
-   for it.  What the last slice queues waits for the caller's flush, so
-   a turn's Request shares one write with the Idle that follows it. *)
+   when it is about to block, in [serve].  [pump] adds the one other
+   flush: it runs the scheduler to quiescence a slice at a time, and a
+   slice that leaves output queued while other fibers can still run
+   sends it at once — the rest of the turn may be long (a filter working
+   through a 64 KiB chunk), and a Deposit reply should not wait for it.
+   What the last slice queues waits for [serve]'s flush, so a turn's
+   Request to the hub shares one write with the Idle that follows it. *)
 let pump sched ~flush =
   while Sched.step sched do
     if Sched.runnable sched > 0 then flush ()
   done
 
-(* Leaf process: pump the local scheduler, report idleness, block on the
-   socket.  A Shutdown frame answers with a Stats frame and returns. *)
-let leaf_loop t sh l =
-  let c = l.conn and session = l.session in
-  let spawn_request f =
-    let target, op, arg = parse_request f.Frame.payload in
-    let ctx = match sh.ctx with Some c -> c | None -> assert false in
-    let req_id = f.Frame.hdr.seq and from = f.Frame.hdr.src in
-    ignore
-      (Sched.spawn (Kernel.sched sh.kernel) ~name:"wire-inject" (fun () ->
-           let reply = Kernel.invoke ctx target ~op arg in
-           Atomic.incr t.carried;
-           leaf_send l ~kind:Frame.Reply ~src:sh.index ~dst:from ~seq:req_id
-             (reply_body reply)))
-  in
-  let flush () = if Conn.pending c > 0 then Conn.flush c in
-  let rec loop () =
-    pump (Kernel.sched sh.kernel) ~flush;
-    let f =
-      match Conn.take ?session c with
-      | Some f -> f
-      | None ->
-          if l.processed <> l.last_idle_sent then begin
-            Conn.send ?session c
-              (Frame.make ~kind:Frame.Idle ~src:sh.index ~dst:0 ~seq:l.processed "");
-            l.last_idle_sent <- l.processed
-          end;
-          flush ();
-          Conn.recv ?session c
-    in
-    match f.Frame.hdr.kind with
-    | Frame.Shutdown ->
-        Conn.send ?session c
-          (Frame.make ~kind:Frame.Stats ~src:sh.index ~dst:0 (stats_payload sh));
-        Conn.flush c
-    | Frame.Request ->
-        l.processed <- l.processed + 1;
-        spawn_request f;
-        loop ()
-    | Frame.Reply ->
-        l.processed <- l.processed + 1;
-        (match Hashtbl.find_opt sh.pending f.Frame.hdr.seq with
-        | Some slot ->
-            Hashtbl.remove sh.pending f.Frame.hdr.seq;
-            Ivar.fill slot (parse_reply f.Frame.payload)
-        | None -> perr "leaf %d: reply for unknown request %d" sh.index f.Frame.hdr.seq);
-        loop ()
-    | k -> perr "leaf %d: unexpected %s frame" sh.index (Frame.kind_name k)
-  in
-  loop ()
+(* A data frame from [p]: a Request becomes a fiber that invokes its
+   target and sends the Reply back to [p]'s shard; a Reply fills its
+   slot.  Each socket joins exactly two shards and no process forwards
+   frames, so a frame that names any other pair is a protocol error. *)
+let take_data t sh p f =
+  let hdr = f.Frame.hdr in
+  if hdr.dst <> sh.index || hdr.src <> p.shard then
+    perr "shard %d: %s frame from shard %d to shard %d on its socket to shard %d" sh.index
+      (Frame.kind_name hdr.kind) hdr.src hdr.dst p.shard;
+  p.taken <- p.taken + 1;
+  if sh.index = 0 then Atomic.incr t.carried;
+  match hdr.kind with
+  | Frame.Request ->
+      let target, op, arg = parse_request f.Frame.payload in
+      let ctx = match sh.ctx with Some c -> c | None -> assert false in
+      ignore
+        (Sched.spawn (Kernel.sched sh.kernel) ~name:"wire-inject" (fun () ->
+             let reply = Kernel.invoke ctx target ~op arg in
+             send t sh ~kind:Frame.Reply ~dst:p.shard ~seq:hdr.seq (reply_body reply)))
+  | _ -> (
+      match Hashtbl.find_opt sh.pending hdr.seq with
+      | Some slot ->
+          Hashtbl.remove sh.pending hdr.seq;
+          Ivar.fill slot (parse_reply f.Frame.payload)
+      | None -> perr "shard %d: reply for unknown request %d" sh.index hdr.seq)
 
-(* Hub loop: run shard 0 to quiescence, then wait for leaf traffic until
-   every leaf has acknowledged everything we sent it. *)
-let hub_loop t h =
-  let n = Array.length t.shards in
-  let sh0 = t.shards.(0) in
-  let handle src f =
-    match f.Frame.hdr.kind with
-    | Frame.Idle -> h.idle_at.(src) <- f.Frame.hdr.seq
-    | Frame.Request | Frame.Reply ->
-        Atomic.incr t.carried;
-        if f.Frame.hdr.dst = 0 then begin
-          match f.Frame.hdr.kind with
-          | Frame.Request ->
-              let target, op, arg = parse_request f.Frame.payload in
-              let ctx = match sh0.ctx with Some c -> c | None -> assert false in
-              let req_id = f.Frame.hdr.seq in
-              ignore
-                (Sched.spawn (Kernel.sched sh0.kernel) ~name:"wire-inject"
-                   (fun () ->
-                     let reply = Kernel.invoke ctx target ~op arg in
-                     hub_send t h ~kind:Frame.Reply ~dst:src ~seq:req_id (reply_body reply)))
-          | _ -> (
-              match Hashtbl.find_opt sh0.pending f.Frame.hdr.seq with
-              | Some slot ->
-                  Hashtbl.remove sh0.pending f.Frame.hdr.seq;
-                  Ivar.fill slot (parse_reply f.Frame.payload)
-              | None -> perr "hub: reply for unknown request %d" f.Frame.hdr.seq)
-        end
-        else
-          (* Leaf-to-leaf: already counted once on receipt, so routing
-             is not a second cross-shard message. *)
-          hub_egress h ~dst:f.Frame.hdr.dst ~size:(Frame.size f) (fun session c ->
-              Conn.send ?session c f)
-    | k -> perr "hub: unexpected %s frame from shard %d" (Frame.kind_name k) src
-  in
-  let finished () =
-    let ok = ref true in
-    for i = 1 to n - 1 do
-      if h.idle_at.(i) <> h.sent_to.(i) then ok := false
-    done;
-    !ok
-  in
+(* The one wait loop of a wire process, hub or leaf.  Run the scheduler
+   to quiescence, give [before_block] its turn, flush every socket and,
+   unless [stop ()], wait in [select]: for reading on every open socket,
+   and for writing on each one that still has output queued — a flush
+   never blocks, so two processes that both have more to send each
+   other than a socket holds keep draining each other.  Every whole
+   frame a wake-up brings in goes to [handle] before the scheduler runs
+   again.  A peer that closes at a frame boundary goes to [closed] and
+   leaves the wait set; a close inside a frame is a [Protocol_error]
+   ([Conn.fill]). *)
+let serve sh peers ~timeout ~stop ~before_block ~handle ~closed =
+  let sched = Kernel.sched sh.kernel in
+  let by_fd = Hashtbl.create 8 in
+  List.iter (fun p -> Hashtbl.replace by_fd (Conn.fd p.conn) p) peers;
+  let reading = ref (List.map (fun p -> Conn.fd p.conn) peers) in
   let flush_all () =
-    for i = 1 to n - 1 do
-      if Conn.pending h.conns.(i) > 0 then Conn.flush h.conns.(i)
-    done
+    List.iter (fun p -> if Conn.pending p.conn > 0 then Conn.flush p.conn) peers
   in
-  let fd_shard = Hashtbl.create 8 in
-  for i = 1 to n - 1 do
-    Hashtbl.replace fd_shard (Conn.fd h.conns.(i)) i
-  done;
-  let fds = List.init (n - 1) (fun i -> Conn.fd h.conns.(i + 1)) in
-  (* Handle every whole frame a wake-up brought in.  A frame whose
-     length word has arrived is already on its way, so the rest of it is
-     read with blocking reads rather than by another trip through
-     [select]. *)
-  let rec drain src =
-    let c = h.conns.(src) in
-    match Conn.take ?session:h.hsessions.(src) c with
+  let rec drain p =
+    match Conn.take ?session:p.session p.conn with
     | Some f ->
-        handle src f;
-        drain src
-    | None ->
-        if Conn.partial c then begin
-          Conn.fill c;
-          drain src
-        end
+        handle p f;
+        drain p
+    | None -> ()
   in
   let rec loop () =
-    pump (Kernel.sched sh0.kernel) ~flush:flush_all;
-    if not (finished ()) then begin
-      flush_all ();
-      (match Unix.select fds [] [] 30.0 with
-      | [], _, _ ->
-          failwith "Cluster: wire hub saw no traffic for 30s — leaf stalled?"
-      | ready, _, _ ->
+    pump sched ~flush:flush_all;
+    before_block ();
+    flush_all ();
+    if not (stop ()) then begin
+      let writing =
+        List.filter_map
+          (fun p -> if Conn.pending p.conn > 0 then Some (Conn.fd p.conn) else None)
+          peers
+      in
+      (match Unix.select !reading writing [] timeout with
+      | [], [], _ ->
+          failwith
+            (Printf.sprintf "Cluster: wire shard %d saw no traffic for %.0fs — leaf stalled?"
+               sh.index timeout)
+      | ready, writable, _ ->
+          List.iter (fun fd -> Conn.flush (Hashtbl.find by_fd fd).conn) writable;
           List.iter
             (fun fd ->
-              let src = Hashtbl.find fd_shard fd in
-              Conn.fill h.conns.(src);
-              drain src;
-              flush_all ())
+              let p = Hashtbl.find by_fd fd in
+              match Conn.fill p.conn with
+              | () -> drain p
+              | exception End_of_file ->
+                  reading := List.filter (fun r -> r <> fd) !reading;
+                  closed p)
             ready);
       loop ()
     end
   in
   loop ()
 
-let hub_shutdown t h =
-  let n = Array.length t.shards in
-  for i = 1 to n - 1 do
-    Conn.send ?session:h.hsessions.(i) h.conns.(i)
-      (Frame.make ~kind:Frame.Shutdown ~src:0 ~dst:i "");
-    Conn.flush h.conns.(i)
+(* An Idle frame's payload: for each of the leaf's sockets, the shard at
+   the other end (u8), then the data frames sent to it and taken from it
+   (i64 each). *)
+let idle_entry = 17
+
+let idle_payload peers =
+  let b = Bytes.create (idle_entry * List.length peers) in
+  List.iteri
+    (fun k p ->
+      let at = k * idle_entry in
+      Bytes.set_uint8 b at p.shard;
+      Bytes.set_int64_be b (at + 1) (Int64.of_int p.sent);
+      Bytes.set_int64_be b (at + 9) (Int64.of_int p.taken))
+    peers;
+  Bytes.unsafe_to_string b
+
+(* Leaf process: serve until the hub's Shutdown, answer it with a Stats
+   frame, and return once that is written.  About to block with counts
+   that changed since its last Idle, a leaf queues a new Idle on its hub
+   socket, where it shares a write with whatever else is queued there.
+   A link whose peer closed at a frame boundary has shut down: that peer
+   got its Shutdown first. *)
+let leaf_loop t sh l =
+  (* The hub socket last: a flush writes the link frames that other
+     leaves wait for before the Idle that only feeds termination. *)
+  let hub = Option.get l.lpeers.(0) in
+  let peers = List.filter_map Fun.id (Array.to_list l.lpeers) in
+  let peers = List.filter (fun p -> p.shard <> 0) peers @ [ hub ] in
+  let before_block () =
+    if not l.shutdown then begin
+      let report = idle_payload peers in
+      if not (String.equal report l.last_idle) then begin
+        Conn.send ?session:hub.session hub.conn
+          (Frame.make ~kind:Frame.Idle ~src:sh.index ~dst:0 report);
+        l.last_idle <- report
+      end
+    end
+  in
+  let handle p f =
+    match f.Frame.hdr.kind with
+    | Frame.Request | Frame.Reply -> take_data t sh p f
+    | Frame.Shutdown when p.shard = 0 ->
+        l.shutdown <- true;
+        let failure =
+          match Sched.check_failures (Kernel.sched sh.kernel) with
+          | () -> None
+          | exception Failure m -> Some m
+        in
+        let link_frames =
+          List.fold_left (fun a p -> if p.shard = 0 then a else a + p.sent) 0 peers
+        in
+        Conn.send ?session:hub.session hub.conn
+          (Frame.make ~kind:Frame.Stats ~src:sh.index ~dst:0
+             (stats_payload sh ~link_frames ~failure))
+    | k -> perr "leaf %d: unexpected %s frame from shard %d" sh.index (Frame.kind_name k) p.shard
+  in
+  let closed p = if p.shard = 0 then perr "leaf %d: the hub closed its socket" sh.index in
+  serve sh peers ~timeout:(-1.0)
+    ~stop:(fun () -> l.shutdown && List.for_all (fun p -> Conn.pending p.conn = 0) peers)
+    ~before_block ~handle ~closed
+
+(* Termination: the hub is idle — its scheduler quiescent, every whole
+   frame it has read handled — and every directed socket balances: its
+   sender's count of data frames sent equals its receiver's count taken.
+   The hub reads its own counters for its sockets and each leaf's latest
+   Idle for the rest.  Each socket is FIFO and every Idle reports a
+   leaf about to block, so equal counts mean no frame crosses the cut of
+   those reports in either direction: a consistent global state in which
+   every process is idle and nothing is in flight (DESIGN.md §13). *)
+let balanced t h =
+  Array.for_all
+    (fun p ->
+      let i = p.shard in
+      h.told.(i) && p.sent = h.told_taken.(i).(0) && h.told_sent.(i).(0) = p.taken)
+    h.hpeers
+  && List.for_all
+       (fun (a, b) ->
+         h.told_sent.(a).(b) = h.told_taken.(b).(a)
+         && h.told_sent.(b).(a) = h.told_taken.(a).(b))
+       t.links
+
+let take_idle h ~n p payload =
+  let len = String.length payload in
+  if len mod idle_entry <> 0 then perr "hub: %d-byte idle from shard %d" len p.shard;
+  for k = 0 to (len / idle_entry) - 1 do
+    let at = k * idle_entry in
+    let j = String.get_uint8 payload at in
+    if j >= n || j = p.shard then perr "hub: idle from shard %d counts shard %d" p.shard j;
+    h.told_sent.(p.shard).(j) <- Int64.to_int (String.get_int64_be payload (at + 1));
+    h.told_taken.(p.shard).(j) <- Int64.to_int (String.get_int64_be payload (at + 9))
   done;
-  for i = 1 to n - 1 do
-    let rec await () =
-      let f = Conn.recv ?session:h.hsessions.(i) h.conns.(i) in
-      match f.Frame.hdr.kind with
-      | Frame.Stats -> h.remote.(i) <- Some (parse_stats f.Frame.payload)
-      | Frame.Idle -> await ()
-      | k -> perr "hub: expected stats from shard %d, got %s" i (Frame.kind_name k)
-    in
-    await ()
-  done
+  h.told.(p.shard) <- true
+
+exception Leaf_closed of int
+
+(* Hub: serve until the cluster terminates, then send every leaf
+   Shutdown and serve until each has answered with its Stats.  A leaf
+   that closes its socket before its Stats has died. *)
+let hub_loop t h =
+  let n = Array.length t.shards in
+  let sh0 = t.shards.(0) in
+  let handle p f =
+    match f.Frame.hdr.kind with
+    | Frame.Request | Frame.Reply -> take_data t sh0 p f
+    | Frame.Idle -> take_idle h ~n p f.Frame.payload
+    | Frame.Stats when h.stopping && h.remote.(p.shard) = None ->
+        h.remote.(p.shard) <- Some (parse_stats f.Frame.payload)
+    | k -> perr "hub: unexpected %s frame from shard %d" (Frame.kind_name k) p.shard
+  in
+  let closed p = if h.remote.(p.shard) = None then raise (Leaf_closed p.shard) in
+  let peers = Array.to_list h.hpeers in
+  let serve stop = serve sh0 peers ~timeout:30.0 ~stop ~before_block:ignore ~handle ~closed in
+  serve (fun () -> balanced t h);
+  h.stopping <- true;
+  List.iter
+    (fun p ->
+      Conn.send ?session:p.session p.conn (Frame.make ~kind:Frame.Shutdown ~src:0 ~dst:p.shard ""))
+    peers;
+  serve (fun () -> List.for_all (fun p -> h.remote.(p.shard) <> None) peers)
+
+let status_text = function
+  | Unix.WEXITED c -> Printf.sprintf "exited %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
 
 (* Fork one process per leaf shard after the topology is built: every
    closure, Eject and UID crosses by inheritance, so both sides of each
-   proxy already agree on names without any wire-level bootstrap. *)
+   proxy already agree on names without any wire-level bootstrap.  The
+   leaf-to-leaf links are made before the fork, so each is a connected
+   pair whose two ends only the two leaves keep. *)
 let wire_run t cfg =
   let n = Array.length t.shards in
   if n = 1 then det_loop t
   else begin
-    (* Leaves write only to their socket; make a dead hub surface as an
+    (* Leaves write only to their sockets; make a dead peer surface as an
        orderly EPIPE-free read error, and keep buffered output from
        being flushed twice across the fork. *)
     flush stdout;
@@ -651,31 +718,55 @@ let wire_run t cfg =
     let server = Transport.listen cfg.wire_transport in
     let nonce = Random.State.bits64 (Random.State.make_self_init ()) in
     let pids = Array.make n 0 in
-    let conns = Array.make n Unix.stdin in
-    let cleanup_children () =
-      Array.iteri
-        (fun i pid ->
-          if i > 0 && pid > 0 then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-          end)
-        pids
+    let status = Array.make n None in
+    (* Every descriptor the hub holds for the run, closed on every way
+       out of it. *)
+    let held = ref [] in
+    let hold fd =
+      held := fd :: !held;
+      fd
     in
-    let restore () =
+    let close_held fds =
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds;
+      held := List.filter (fun fd -> not (List.mem fd fds)) !held
+    in
+    let reap i =
+      if pids.(i) > 0 && status.(i) = None then
+        status.(i) <-
+          (try Some (snd (Unix.waitpid [] pids.(i))) with Unix.Unix_error _ -> None)
+    in
+    let finish () =
+      close_held !held;
       Transport.close_server server;
       match prev_sigpipe with
       | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
       | None -> ()
     in
+    let session token = Option.map (fun c -> Auth.session c ~token) cfg.wire_auth in
+    let link_session a b =
+      Option.map (fun c -> Auth.session c ~token:(Auth.link_token c ~nonce a b)) cfg.wire_auth
+    in
+    let peer shard fd session = { shard; conn = Conn.create fd; session; sent = 0; taken = 0 } in
     match
+      let ends =
+        List.map
+          (fun (a, b) ->
+            let fa, fb = Transport.pair cfg.wire_transport in
+            (a, b, hold fa, hold fb))
+          t.links
+      in
       for i = 1 to n - 1 do
         match Unix.fork () with
         | 0 -> (
             (* Leaf process for shard i. *)
-            pids.(i) <- 0;
             try
+              List.iter
+                (fun (a, b, fa, fb) ->
+                  if a <> i then Unix.close fa;
+                  if b <> i then Unix.close fb)
+                ends;
               let conn = Transport.dial server in
-              let session =
+              let hub_session =
                 match cfg.wire_auth with
                 | None ->
                     Frame.write conn (Frame.hello ~shard:i ~nonce);
@@ -689,11 +780,16 @@ let wire_run t cfg =
                     Frame.write conn (Auth.hello c ~shard:i ~nonce);
                     match Auth.verify_welcome c ~expect_nonce:nonce (Frame.read conn) with
                     | Error reason -> perr "leaf %d: %s" i reason
-                    | Ok token -> Some (Auth.session c ~token))
+                    | Ok token -> session token)
               in
-              let l =
-                { conn = Conn.create conn; session; processed = 0; last_idle_sent = -1 }
-              in
+              let lpeers = Array.make n None in
+              lpeers.(0) <- Some (peer 0 conn hub_session);
+              List.iter
+                (fun (a, b, fa, fb) ->
+                  if a = i then lpeers.(b) <- Some (peer b fa (link_session a b))
+                  else if b = i then lpeers.(a) <- Some (peer a fb (link_session a b)))
+                ends;
+              let l = { lpeers; last_idle = ""; shutdown = false } in
               t.fabric <- Leaf l;
               leaf_loop t t.shards.(i) l;
               (* _exit: skip at_exit handlers (test-runner reporting,
@@ -703,83 +799,81 @@ let wire_run t cfg =
               Printf.eprintf "eden-wire leaf %d: %s\n%!" i (Printexc.to_string e);
               Unix._exit 2)
         | pid -> pids.(i) <- pid
-      done
+      done;
+      close_held (List.concat_map (fun (_, _, fa, fb) -> [ fa; fb ]) ends);
+      let conns = Array.make n None in
+      let hsessions = Array.make n None in
+      for _ = 1 to n - 1 do
+        let fd = hold (Transport.accept server) in
+        let shard, n2, token =
+          match cfg.wire_auth with
+          | None ->
+              let shard, n2 = Frame.parse_handshake ~expect:Frame.Hello (Frame.read fd) in
+              (shard, n2, None)
+          | Some c -> (
+              match
+                Auth.verify_hello
+                  ~lookup:(fun id -> if Int64.equal id c.Auth.id then Some c else None)
+                  (Frame.read fd)
+              with
+              | Error reason -> perr "hub: %s" reason
+              | Ok (shard, n2, c) -> (shard, n2, Some (Auth.mint_token c ~shard ~nonce)))
+        in
+        if shard < 1 || shard >= n then perr "hub: hello from shard %d" shard;
+        if conns.(shard) <> None then perr "hub: duplicate hello from shard %d" shard;
+        if not (Int64.equal n2 nonce) then perr "hub: hello nonce mismatch from shard %d" shard;
+        conns.(shard) <- Some fd;
+        match (cfg.wire_auth, token) with
+        | Some c, Some token ->
+            Frame.write fd (Auth.welcome c ~shard ~nonce ~token);
+            hsessions.(shard) <- session token
+        | _ -> Frame.write fd (Frame.welcome ~shard ~nonce)
+      done;
+      let h =
+        {
+          hpeers =
+            Array.init (n - 1) (fun k ->
+                peer (k + 1) (Option.get conns.(k + 1)) hsessions.(k + 1));
+          hfaults = cfg.wire_faults;
+          told = Array.make n false;
+          told_sent = Array.make_matrix n n 0;
+          told_taken = Array.make_matrix n n 0;
+          remote = Array.make n None;
+          stopping = false;
+        }
+      in
+      t.fabric <- Hub h;
+      hub_loop t h
     with
-    | exception e ->
-        cleanup_children ();
-        restore ();
-        raise e
-    | () -> (
-        match
-          let seen = Array.make n false in
-          let hsessions = Array.make n None in
-          for _ = 1 to n - 1 do
-            let fd = Transport.accept server in
-            match cfg.wire_auth with
-            | None ->
-                let shard, n2 =
-                  Frame.parse_handshake ~expect:Frame.Hello (Frame.read fd)
-                in
-                if shard < 1 || shard >= n then perr "hub: hello from shard %d" shard;
-                if seen.(shard) then perr "hub: duplicate hello from shard %d" shard;
-                if not (Int64.equal n2 nonce) then
-                  perr "hub: hello nonce mismatch from shard %d" shard;
-                seen.(shard) <- true;
-                conns.(shard) <- fd;
-                Frame.write fd (Frame.welcome ~shard ~nonce)
-            | Some c -> (
-                match
-                  Auth.verify_hello
-                    ~lookup:(fun id -> if Int64.equal id c.Auth.id then Some c else None)
-                    (Frame.read fd)
-                with
-                | Error reason -> perr "hub: %s" reason
-                | Ok (shard, n2, c) ->
-                    if shard < 1 || shard >= n then
-                      perr "hub: hello from shard %d" shard;
-                    if seen.(shard) then perr "hub: duplicate hello from shard %d" shard;
-                    if not (Int64.equal n2 nonce) then
-                      perr "hub: hello nonce mismatch from shard %d" shard;
-                    seen.(shard) <- true;
-                    conns.(shard) <- fd;
-                    let token = Auth.mint_token c ~shard ~nonce in
-                    Frame.write fd (Auth.welcome c ~shard ~nonce ~token);
-                    hsessions.(shard) <- Some (Auth.session c ~token))
-          done;
-          let h =
-            {
-              conns = Array.map Conn.create conns;
-              pids;
-              sent_to = Array.make n 0;
-              idle_at = Array.make n (-1);
-              hfaults = cfg.wire_faults;
-              remote = Array.make n None;
-              hsessions;
-            }
-          in
-          t.fabric <- Hub h;
-          hub_loop t h;
-          hub_shutdown t h
-        with
-        | exception e ->
-            cleanup_children ();
-            restore ();
-            raise e
-        | () ->
-            Array.iteri
-              (fun i fd -> if i > 0 then try Unix.close fd with _ -> ())
-              conns;
-            for i = 1 to n - 1 do
-              match snd (Unix.waitpid [] pids.(i)) with
-              | Unix.WEXITED 0 -> ()
-              | Unix.WEXITED c ->
-                  restore ();
-                  failwith (Printf.sprintf "Cluster: wire leaf %d exited %d" i c)
-              | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-                  restore ();
-                  failwith (Printf.sprintf "Cluster: wire leaf %d killed by %d" i s)
-            done;
-            restore ())
+    | exception e -> (
+        Array.iteri
+          (fun i pid ->
+            if i > 0 && pid > 0 then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          pids;
+        for i = 1 to n - 1 do
+          reap i
+        done;
+        finish ();
+        match e with
+        | Leaf_closed i ->
+            failwith
+              (Printf.sprintf "Cluster: wire leaf %d closed its socket mid-run (%s)" i
+                 (Option.fold ~none:"not reaped" ~some:status_text status.(i)))
+        | e -> raise e)
+    | () ->
+        finish ();
+        for i = 1 to n - 1 do
+          reap i
+        done;
+        Array.iteri
+          (fun i st ->
+            match st with
+            | Some (Unix.WEXITED 0) -> ()
+            | Some st -> failwith (Printf.sprintf "Cluster: wire leaf %d %s" i (status_text st))
+            | None when i > 0 ->
+                failwith (Printf.sprintf "Cluster: wire leaf %d could not be reaped" i)
+            | None -> ())
+          status
   end
 
 let run t =
@@ -794,10 +888,17 @@ let run t =
       Array.iter Domain.join domains
   | Wire cfg -> wire_run t cfg);
   match t.fabric with
-  | Hub _ ->
-      (* Leaf failures surfaced through exit codes in [wire_run]; only
-         the hub shard's fibers live in this process. *)
-      Sched.check_failures (Kernel.sched t.shards.(0).kernel)
+  | Hub h ->
+      (* Only the hub shard's fibers live in this process; each leaf
+         sent its first fiber failure with its Stats. *)
+      Sched.check_failures (Kernel.sched t.shards.(0).kernel);
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Some { r_failure = Some m; _ } ->
+              failwith (Printf.sprintf "Cluster: wire leaf %d: %s" i m)
+          | _ -> ())
+        h.remote
   | Inproc | Leaf _ ->
       Array.iter (fun sh -> Sched.check_failures (Kernel.sched sh.kernel)) t.shards
 
@@ -814,6 +915,14 @@ let remote_list t =
         (List.filter_map Fun.id
            (Array.to_list (Array.sub h.remote 1 (Array.length t.shards - 1))))
   | Inproc | Leaf _ -> None
+
+let cross_messages t =
+  let links =
+    match remote_list t with
+    | Some remotes -> List.fold_left (fun a r -> a + r.r_link_frames) 0 remotes
+    | None -> 0
+  in
+  Atomic.get t.carried + links
 
 let meter t =
   match remote_list t with

@@ -29,27 +29,34 @@ type wire_config = {
   wire_transport : Eden_wire.Transport.kind;
       (** Unix-domain socket or TCP loopback. *)
   wire_faults : Eden_wire.Faults.t option;
-      (** Fault injection applied at the hub's egress — the one
-          chokepoint every cross-process frame passes exactly once, so
-          a replay's per-frame loss script lines up with the wire. *)
+      (** Fault injection applied at the hub's egress: one script event
+          per data frame the hub sends, so a replay's per-frame loss
+          script lines up with those frames.  Frames between two leaves
+          travel on their own link and are not faulted. *)
   wire_auth : Eden_wire.Auth.community option;
       (** When set, the hub↔leaf handshake runs the RFC-0002 three-layer
           exchange (community id, keyed MAC, per-connection session
-          token) and every subsequent frame is sealed with an 8-byte MAC
-          trailer; [None] preserves the plain path for benchmarks. *)
+          token), each leaf-to-leaf link derives a token of its own
+          ({!Eden_wire.Auth.link_token}), and every data frame on every
+          socket is sealed with an 8-byte MAC trailer; [None] preserves
+          the plain path for benchmarks. *)
 }
 
 type mode =
   | Deterministic
   | Parallel
   | Wire of wire_config
-      (** One OS process per shard, connected by real sockets in a star
-          around shard 0 (the {e hub}, which stays in the calling
-          process).  {!run} forks the leaves {e after} the topology is
-          built, so every Eject, closure and UID crosses by inheritance
-          and both ends of each proxy already agree on names; frames
-          carry [Value]s in the {!Eden_wire.Bin} codec.  At most 256
-          shards (shard indices ride in one header byte).
+      (** One OS process per shard over real sockets.  Shard 0 (the
+          {e hub}) stays in the calling process and has a socket to
+          every leaf; each pair of leaves that some {!proxy} connects
+          has a link of its own, made by the parent before it forks, so
+          a Request or Reply always travels straight from its sender to
+          its receiver and no process relays.  {!run} forks the leaves
+          {e after} the topology is built, so every Eject, closure and
+          UID crosses by inheritance and both ends of each proxy already
+          agree on names; frames carry [Value]s in the
+          {!Eden_wire.Bin} codec.  At most 256 shards (shard indices
+          ride in one header byte).
 
           The OCaml 5 runtime forbids [Unix.fork] once any domain has
           ever been spawned, so in a process that mixes modes every
@@ -92,7 +99,8 @@ val proxy :
     another shard.  Only the listed [ops] are forwarded.  When the
     target lives on [shard] itself, the target UID is returned
     unchanged (no proxy Eject, no cross-domain message).  Must be
-    called before {!run}. *)
+    called before {!run}: in [Wire] mode the proxies decide which
+    leaves get a link. *)
 
 val set_det_pick : t -> (n:int -> int) option -> unit
 (** Installs (or clears) a shard-order policy for [Deterministic] mode
@@ -110,17 +118,25 @@ val run : t -> unit
 (** Drives the whole cluster to quiescence — round-robin on the calling
     domain in [Deterministic] mode, one [Domain.spawn] per shard in
     [Parallel] mode, one forked OS process per leaf shard in [Wire]
-    mode — then re-raises the first fiber failure of any shard (in
-    [Wire] mode a leaf failure surfaces as its nonzero exit status).
-    May be called once.
+    mode — then re-raises the first fiber failure of any shard.  In
+    [Wire] mode a leaf sends its first failure with its shutdown stats,
+    and the failure names the shard; a leaf that exits or closes its
+    socket mid-run fails the run naming the shard and its exit status,
+    after the hub has closed every socket and reaped every leaf.  May be
+    called once.
 
-    Wire termination: a leaf reports [Idle n] whenever its scheduler
-    quiesces having consumed [n] data frames; the hub stops once every
-    leaf's report matches the count of frames actually sent to it.
-    Socket FIFO ordering makes this sound — everything a leaf emitted
-    precedes its Idle — and frames eaten by fault injection were never
-    sent, so a faulted run still terminates (the requesting fiber stays
-    blocked, exactly like simulated loss without retransmission). *)
+    Wire termination: a leaf about to block whose counts changed since
+    its last report sends the hub an [Idle] with, for each of its
+    sockets, the data frames it has sent and taken.  The hub stops when
+    it is idle itself and every directed socket balances — its sender's
+    count equals its receiver's, read from the latest reports and the
+    hub's own counters.  Each socket is FIFO and every report comes from
+    a leaf about to block, so equal counts mean no frame crosses the cut
+    of those reports in either direction: the cut is a global state in
+    which every process is idle and nothing is in flight.  Frames eaten
+    by fault injection were never sent, so a faulted run still
+    terminates (the requesting fiber stays blocked, exactly like
+    simulated loss without retransmission). *)
 
 val meter : t -> Eden_kernel.Kernel.Meter.snapshot
 (** Counter-wise sum over all shards.  In [Wire] mode (after {!run})
@@ -149,6 +165,8 @@ val makespans : t -> float array
     from their reported stats. *)
 
 val cross_messages : t -> int
-(** Messages that crossed a shard boundary (requests + replies); in
-    [Wire] mode, data frames as counted at the hub (each exactly
-    once). *)
+(** Messages that crossed a shard boundary (requests + replies).  In
+    [Wire] mode: the data frames the hub sent (fault-dropped ones
+    included) and took, plus the frames each leaf sent on its
+    leaf-to-leaf links, which it reports at shutdown — each frame
+    exactly once. *)

@@ -78,6 +78,17 @@ let mint_token c ~shard ~nonce =
   Buffer.add_int64_be b nonce;
   siphash ~key:c.key (Buffer.contents b)
 
+(* A leaf-to-leaf link has no handshake: the parent made both ends, so
+   both derive its token.  The label keeps it apart from every
+   [mint_token], and the ordered pair makes it one token per link. *)
+let link_token c ~nonce a b =
+  let buf = Buffer.create 15 in
+  Buffer.add_string buf "link.";
+  Buffer.add_uint8 buf (min a b land 0xFF);
+  Buffer.add_uint8 buf (max a b land 0xFF);
+  Buffer.add_int64_be buf nonce;
+  siphash ~key:c.key (Buffer.contents buf)
+
 (* Shared field parse for both directions; every failure is a result,
    never an exception — a hostile handshake must not crash the shard. *)
 let parse_auth_handshake ~expect f =

@@ -15,7 +15,9 @@
     Layer 3 — {e session token}: the welcome carries a per-connection
     token derived from the community key and the hello nonce; both
     sides mix it into every data-frame MAC, binding frames to this
-    connection rather than to the long-lived community key.
+    connection rather than to the long-lived community key.  A
+    leaf-to-leaf link, made by the parent before it forks, skips the
+    handshake: both ends derive its token with {!link_token}.
 
     The unauthenticated version-1 handshake remains the default
     everywhere — benchmarks compare the two paths (experiment A1). *)
@@ -50,6 +52,13 @@ val mint_token : community -> shard:int -> nonce:int64 -> int64
     deterministically from the community key, shard and hello nonce,
     so forked processes that share the key agree without another
     round trip. *)
+
+val link_token : community -> nonce:int64 -> int -> int -> int64
+(** The session token of the leaf-to-leaf link between two shards,
+    derived from the community key, the run nonce and the two shard
+    indices (in either order), so both ends agree without a handshake.
+    Distinct from every {!mint_token} of the run and from every other
+    link's. *)
 
 val verify_hello :
   lookup:(int64 -> community option) -> Frame.t -> (int * int64 * community, string) result

@@ -4,7 +4,9 @@ let initial_capacity = 4096
 
 type t = {
   fd : Unix.file_descr;
+  (* Queued bytes not yet written are [out[out_lo, out_len)]. *)
   mutable out : Bytes.t;
+  mutable out_lo : int;
   mutable out_len : int;
   (* Received bytes not yet cut into frames are [inb[lo, hi)]. *)
   mutable inb : Bytes.t;
@@ -15,9 +17,11 @@ type t = {
 }
 
 let create fd =
+  Unix.set_nonblock fd;
   {
     fd;
     out = Bytes.create initial_capacity;
+    out_lo = 0;
     out_len = 0;
     inb = Bytes.create initial_capacity;
     lo = 0;
@@ -27,7 +31,7 @@ let create fd =
   }
 
 let fd t = t.fd
-let pending t = t.out_len
+let pending t = t.out_len - t.out_lo
 let writes t = t.writes
 let reads t = t.reads
 let capacity t = Bytes.length t.inb
@@ -35,11 +39,17 @@ let capacity t = Bytes.length t.inb
 (* --- Sending ----------------------------------------------------------- *)
 
 let reserve t n =
-  let need = t.out_len + n in
-  if need > Bytes.length t.out then begin
-    let b = Bytes.create (max need (2 * Bytes.length t.out)) in
-    Bytes.blit t.out 0 b 0 t.out_len;
-    t.out <- b
+  let live = t.out_len - t.out_lo in
+  if t.out_len + n > Bytes.length t.out then begin
+    let b =
+      if live + n > Bytes.length t.out then
+        Bytes.create (max (live + n) (2 * Bytes.length t.out))
+      else t.out
+    in
+    Bytes.blit t.out t.out_lo b 0 live;
+    t.out <- b;
+    t.out_lo <- 0;
+    t.out_len <- live
   end
 
 (* Queue one frame whose [plen] payload bytes [blit] writes at the
@@ -86,16 +96,24 @@ let send_parts ?session t ~kind ?(flags = 0) ~src ~dst ?(seq = 0) ps =
 let send_value ?session t ~kind ?flags ~src ~dst ?seq v =
   send_parts ?session t ~kind ?flags ~src ~dst ?seq (Bin.parts v)
 
+(* The socket is non-blocking: [Unix.write] stops at the first write
+   the socket refuses, and raises only when it refused the first. *)
 let flush t =
-  let rec go pos =
-    if pos < t.out_len then begin
-      let n = Unix.write t.fd t.out pos (t.out_len - pos) in
+  let rec go () =
+    if t.out_lo < t.out_len then begin
       t.writes <- t.writes + 1;
-      go (pos + n)
+      match Unix.write t.fd t.out t.out_lo (t.out_len - t.out_lo) with
+      | n ->
+          t.out_lo <- t.out_lo + n;
+          go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     end
   in
-  go 0;
-  t.out_len <- 0
+  go ();
+  if t.out_lo = t.out_len then begin
+    t.out_lo <- 0;
+    t.out_len <- 0
+  end
 
 (* --- Receiving --------------------------------------------------------- *)
 
@@ -142,19 +160,21 @@ let fill t =
       Bytes.blit t.inb 0 b 0 avail;
       t.inb <- b
   | Some _ | None -> ());
-  let r = Unix.read t.fd t.inb t.hi (Bytes.length t.inb - t.hi) in
   t.reads <- t.reads + 1;
-  if r = 0 then
-    if avail = 0 then raise End_of_file
-    else
-      raise
-        (Eden_kernel.Value.Protocol_error
-           (Printf.sprintf "wire: peer closed mid-frame (%d bytes buffered)" avail));
-  t.hi <- t.hi + r
+  match Unix.read t.fd t.inb t.hi (Bytes.length t.inb - t.hi) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | 0 ->
+      if avail = 0 then raise End_of_file
+      else
+        raise
+          (Eden_kernel.Value.Protocol_error
+             (Printf.sprintf "wire: peer closed mid-frame (%d bytes buffered)" avail))
+  | r -> t.hi <- t.hi + r
 
 let rec recv ?session t =
   match take ?session t with
   | Some f -> f
   | None ->
+      ignore (Unix.select [ t.fd ] [] [] (-1.0));
       fill t;
       recv ?session t

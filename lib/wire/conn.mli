@@ -1,10 +1,16 @@
-(** A buffered frame connection over one blocking socket.
+(** A buffered frame connection over one non-blocking socket.
 
     Frames queue in one growable output buffer and {!flush} sends
     everything queued with one [write], so a process that emits several
-    frames in one scheduler turn pays one syscall for all of them.  On
-    the way in, one [read] takes whatever the socket holds and frames
-    are cut from the input buffer; {!take} never touches the socket.
+    frames in one scheduler turn pays one syscall for all of them.  A
+    flush never blocks: what the socket does not take stays queued, and
+    the caller waits for the socket to become writable (while it goes
+    on reading) before it flushes again — so two processes that each
+    have more to send the other than a socket holds keep draining each
+    other instead of wedging.
+    On the way in, one [read] takes whatever the socket holds and
+    frames are cut from the input buffer; {!take} never touches the
+    socket.
 
     The bytes on the wire are exactly those of {!Frame.encode} (and, for
     a sealed frame, of {!Auth.seal}): buffering changes how many
@@ -17,8 +23,9 @@
 type t
 
 val create : Unix.file_descr -> t
-(** Take over a socket whose handshake is done.  Nothing may have been
-    read past the handshake frame (see {!Frame.read}). *)
+(** Take over a socket whose handshake is done, and make it
+    non-blocking.  Nothing may have been read past the handshake frame
+    (see {!Frame.read}). *)
 
 val fd : t -> Unix.file_descr
 
@@ -57,11 +64,12 @@ val send_value :
 (** [send_parts] of [Bin.parts v]. *)
 
 val pending : t -> int
-(** Bytes queued and not yet flushed. *)
+(** Bytes queued and not yet written. *)
 
 val flush : t -> unit
-(** Send everything queued: one [write] unless the socket takes it
-    short. *)
+(** Write what is queued until the socket refuses more: one [write]
+    when it takes everything.  Never blocks; whatever the socket did
+    not take stays queued, and {!pending} says how much. *)
 
 (** {1 Receiving} *)
 
@@ -76,18 +84,19 @@ val partial : t -> bool
     reader that saw this knows a whole frame is on its way. *)
 
 val fill : t -> unit
-(** One [read] of whatever the socket holds, into the input buffer.
+(** One [read] of whatever the socket holds, into the input buffer;
+    nothing when it holds nothing.
     @raise End_of_file on a close at a frame boundary.
     @raise Eden_kernel.Value.Protocol_error on a close mid-frame. *)
 
 val recv : ?session:Auth.session -> t -> Frame.t
-(** The next frame, reading (and blocking) only while no whole frame is
+(** The next frame, waiting for the socket only while no whole frame is
     buffered.  Same errors as {!take} and {!fill}. *)
 
 (** {1 Syscall counters} *)
 
 val writes : t -> int
-(** [write] calls made by {!flush} so far. *)
+(** [write] calls made by {!flush} so far, refused ones included. *)
 
 val reads : t -> int
 (** [read] calls made by {!fill} and {!recv} so far. *)

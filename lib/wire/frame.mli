@@ -13,9 +13,10 @@
 
     [len] counts every byte after the length word itself (header tail +
     payload), so the minimum frame is 12 bytes on the wire.  [src] and
-    [dst] are shard indices — the hub (shard 0) routes leaf-to-leaf
-    frames by [dst].  [seq] carries the request id for [Request]/[Reply]
-    and a sender sequence number for one-way traffic.
+    [dst] are shard indices: every socket joins exactly two shards, and
+    a frame that names another pair is refused.  [seq] carries the
+    request id for [Request]/[Reply] and a sender sequence number for
+    one-way traffic.
 
     The handshake is two 28-byte frames: the leaf sends [Hello]
     (magic, protocol version, shard index, run nonce), the hub answers

@@ -345,6 +345,41 @@ let test_conn_one_write_per_flush () =
       check Alcotest.bool "every frame arrives" true (got = frames);
       check Alcotest.int "and one read takes them all" 1 (Conn.reads r))
 
+(* A reader that has stalled cannot wedge its writer: the flush writes
+   what the socket holds and returns with the rest queued, and the rest
+   goes out, intact, in later flushes once the reader drains. *)
+let test_conn_flush_never_blocks () =
+  with_pair (fun a b ->
+      let w = Conn.create a and r = Conn.create b in
+      let frames =
+        List.init 64 (fun i ->
+            Frame.make ~kind:Frame.Reply ~src:1 ~dst:2 ~seq:i
+              (String.make 32768 (Char.chr (65 + (i mod 26)))))
+      in
+      List.iter (Conn.send w) frames;
+      let total = Conn.pending w in
+      Conn.flush w;
+      check Alcotest.bool "the flush returned with the rest still queued" true
+        (Conn.pending w > 0 && Conn.pending w < total);
+      let got = ref [] in
+      while List.length !got < 64 do
+        (match Unix.select [ b ] (if Conn.pending w > 0 then [ a ] else []) [] 5.0 with
+        | [], [], _ -> Alcotest.fail "neither end can move"
+        | _ -> ());
+        Conn.flush w;
+        Conn.fill r;
+        let rec take_all () =
+          match Conn.take r with
+          | Some f ->
+              got := f :: !got;
+              take_all ()
+          | None -> ()
+        in
+        take_all ()
+      done;
+      check Alcotest.int "nothing left queued" 0 (Conn.pending w);
+      check Alcotest.bool "every frame arrives intact and in order" true (List.rev !got = frames))
+
 (* The hub copies every chunk it sends to a leaf into the frame; the
    handle it was given must be released once the bytes are queued, so a
    run leaves the hub's view gauge where it found it. *)
@@ -562,45 +597,62 @@ let test_stall_report_transport_exemption () =
 let transports =
   [ ("unix", wire Transport.Unix_socket); ("tcp", wire Transport.Tcp) ]
 
-let test_equivalence_fanin () =
-  let topo = Topo.fanin ~domains:3 { Topo.default with branches = 4; filters = 1; items = 12; work = 50 } in
-  let oracle = Topo.run Cluster.Deterministic ~domains:3 topo in
+let community () = Auth.community ~id:0x7E57L ~key:"wire-test-key-16"
+
+let authenticated =
+  ( "auth",
+    Cluster.Wire
+      {
+        Cluster.wire_transport = Transport.Unix_socket;
+        wire_faults = None;
+        wire_auth = Some (community ());
+      } )
+
+(* Each wire run against the deterministic oracle: byte-identical sink
+   streams, equal op counts, invocations and cross-shard messages. *)
+let matches_oracle tag (oracle : Topo.outcome) (o : Topo.outcome) =
+  check Alcotest.bool (tag ^ ": eos clean") true o.eos_clean;
+  check
+    Alcotest.(list (pair string string))
+    (tag ^ ": byte-identical streams") oracle.sinks o.sinks;
+  check Alcotest.(list (pair string int)) (tag ^ ": op counts") oracle.op_counts o.op_counts;
+  check Alcotest.int (tag ^ ": invocations") oracle.meter.Kernel.Meter.invocations
+    o.meter.Kernel.Meter.invocations;
+  check Alcotest.int (tag ^ ": cross messages") oracle.cross_messages o.cross_messages
+
+let equivalence_fanin ~domains modes =
+  let topo =
+    Topo.fanin ~domains { Topo.default with branches = 4; filters = 1; items = 12; work = 50 }
+  in
+  let oracle = Topo.run Cluster.Deterministic ~domains topo in
   check Alcotest.int "oracle consumed all" (4 * 12) (Topo.consumed oracle);
   List.iter
     (fun (name, mode) ->
-      let o = Topo.run mode ~domains:3 topo in
-      check Alcotest.bool (name ^ ": eos clean") true o.eos_clean;
-      check
-        Alcotest.(list (pair string string))
-        (name ^ ": byte-identical per-branch streams")
-        oracle.sinks o.sinks;
-      check
-        Alcotest.(list (pair string int))
-        (name ^ ": op counts") oracle.op_counts o.op_counts;
-      check Alcotest.int (name ^ ": invocations")
-        oracle.meter.Kernel.Meter.invocations o.meter.Kernel.Meter.invocations;
-      check Alcotest.int (name ^ ": cross messages") oracle.cross_messages o.cross_messages)
-    transports
+      matches_oracle (Printf.sprintf "fan-in %s/%d shards" name domains) oracle
+        (Topo.run mode ~domains topo))
+    modes
 
-let test_equivalence_f2 () =
+let equivalence_f2 ~domains modes =
+  let run mode = Topo.run mode ~domains (Topo.f2 ~batch:2 ~domains ~filters:3 ~items:16 ()) in
+  let oracle = run Cluster.Deterministic in
+  check Alcotest.int "oracle consumed all" 16 (Topo.consumed oracle);
+  List.iter
+    (fun (name, mode) ->
+      matches_oracle (Printf.sprintf "F2 %s/%d shards" name domains) oracle (run mode))
+    modes
+
+let test_equivalence_fanin () = equivalence_fanin ~domains:3 transports
+let test_equivalence_f2 () = List.iter (fun domains -> equivalence_f2 ~domains transports) [ 2; 3 ]
+
+(* Four and five shards place the F2 chain over three and four leaves,
+   so several leaf pairs talk over their own links at once. *)
+let test_equivalence_multi_leaf () =
   List.iter
     (fun domains ->
-      let run mode = Topo.run mode ~domains (Topo.f2 ~batch:2 ~domains ~filters:3 ~items:16 ()) in
-      let oracle = run Cluster.Deterministic in
-      check Alcotest.int "oracle consumed all" 16 (Topo.consumed oracle);
-      List.iter
-        (fun (name, mode) ->
-          let o = run mode in
-          let tag = Printf.sprintf "%s/%d shards" name domains in
-          check
-            Alcotest.(list (pair string string))
-            (tag ^ ": byte-identical item stream") oracle.sinks o.sinks;
-          check Alcotest.int (tag ^ ": consumed") (Topo.consumed oracle) (Topo.consumed o);
-          check
-            Alcotest.(list (pair string int))
-            (tag ^ ": op counts") oracle.op_counts o.op_counts)
-        transports)
-    [ 2; 3 ]
+      equivalence_f2 ~domains transports;
+      equivalence_fanin ~domains transports)
+    [ 4; 5 ];
+  equivalence_f2 ~domains:4 [ authenticated ]
 
 let test_equivalence_f4 () =
   let run mode = Topo.run mode ~domains:3 (Topo.f4_terminal ~domains:3 ~items:16 ()) in
@@ -731,6 +783,152 @@ let test_wire_cluster_with_faults () =
   check Alcotest.int "every offered frame delivered" m.Net.sent m.Net.delivered;
   check Alcotest.bool "the delayed frames are in the meter" true (m.Net.delivered >= 2)
 
+(* --- Failures and faults in a wire cluster ------------------------------ *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A 2-shard cluster whose leaf handler raises: the hub's driver never
+   gets its reply, and the run must say why. *)
+let test_leaf_fiber_failure () =
+  let run mode =
+    let c = Cluster.create mode ~shards:2 () in
+    let target =
+      Kernel.create_eject (Cluster.kernel c 1) ~type_name:"boom" (fun _ ~passive:_ ->
+          [ ("Ping", fun _ -> failwith "boom") ])
+    in
+    let p = Cluster.proxy c ~shard:0 ~ops:[ "Ping" ] ~target:(1, target) in
+    Cluster.driver c 0 (fun ctx -> ignore (Kernel.invoke ctx p ~op:"Ping" Value.Unit));
+    match Cluster.run c with
+    | () -> Alcotest.fail "a leaf fiber failed and the run returned normally"
+    | exception Failure m -> m
+  in
+  let det = run Cluster.Deterministic in
+  check Alcotest.bool ("oracle names the failure: " ^ det) true (contains det "boom");
+  let m = run (wire Transport.Unix_socket) in
+  check Alcotest.bool ("wire names the shard: " ^ m) true (contains m "leaf 1");
+  check Alcotest.bool ("wire names the fiber failure: " ^ m) true
+    (contains m "died" && contains m "Failure(\"boom\")")
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A leaf that dies mid-run: the run fails naming it, and the hub
+   closes every socket and reaps every leaf on the way out. *)
+let test_dead_leaf_cleanup () =
+  let run () =
+    let c = Cluster.create (wire Transport.Unix_socket) ~shards:3 () in
+    let k2 = Cluster.kernel c 2 in
+    let dies =
+      Kernel.create_eject k2 ~type_name:"dies" (fun _ ~passive:_ ->
+          [ ("Ping", fun _ -> Unix._exit 3) ])
+    in
+    (* A proxy between the leaves gives them a link to close too. *)
+    ignore (Cluster.proxy c ~shard:1 ~ops:[ "Ping" ] ~target:(2, dies));
+    let p = Cluster.proxy c ~shard:0 ~ops:[ "Ping" ] ~target:(2, dies) in
+    Cluster.driver c 0 (fun ctx -> ignore (Kernel.invoke ctx p ~op:"Ping" Value.Unit));
+    match Cluster.run c with
+    | () -> Alcotest.fail "a leaf died and the run returned normally"
+    | exception Failure m -> m
+  in
+  let before = open_fds () in
+  for _ = 1 to 2 do
+    let m = run () in
+    check Alcotest.bool ("the failure names the dead leaf: " ^ m) true
+      (contains m "leaf 2" && contains m "exited 3")
+  done;
+  check Alcotest.int "the hub's descriptors are back where they were" before (open_fds ());
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "child %d was left behind" pid
+
+(* The hub asks shard 1's relay, which asks shard 2's echo [k] times
+   per request over the leaves' own link.  Only the [m] frames the hub
+   sends pass its fault injector: one Slow event each. *)
+let test_faults_hub_egress_only () =
+  let m = 5 and k = 3 and spare = 4 in
+  let run mode =
+    let c = Cluster.create mode ~shards:3 () in
+    let echo =
+      Kernel.create_eject (Cluster.kernel c 2) ~type_name:"echo" (fun _ ~passive:_ ->
+          [ ("Echo", fun v -> Value.Str (String.uppercase_ascii (Value.to_str v))) ])
+    in
+    let to_echo = Cluster.proxy c ~shard:1 ~ops:[ "Echo" ] ~target:(2, echo) in
+    let relay =
+      Kernel.create_eject (Cluster.kernel c 1) ~type_name:"relay" (fun ctx ~passive:_ ->
+          [
+            ( "Relay",
+              fun v ->
+                Value.List
+                  (List.init k (fun _ ->
+                       match Kernel.invoke ctx to_echo ~op:"Echo" v with
+                       | Ok r -> r
+                       | Error e -> failwith e)) );
+          ])
+    in
+    let to_relay = Cluster.proxy c ~shard:0 ~ops:[ "Relay" ] ~target:(1, relay) in
+    let got = ref [] in
+    Cluster.driver c 0 (fun ctx ->
+        for i = 1 to m do
+          let item = Value.Str (Printf.sprintf "item %d" i) in
+          match Kernel.invoke ctx to_relay ~op:"Relay" item with
+          | Ok v -> got := Value.to_string v :: !got
+          | Error e -> failwith e
+        done);
+    Cluster.run c;
+    (List.rev !got, Cluster.cross_messages c)
+  in
+  let oracle, cross = run Cluster.Deterministic in
+  check Alcotest.int "oracle: every request answered" m (List.length oracle);
+  check Alcotest.int "oracle: hub and link frames" ((2 * m) + (2 * m * k)) cross;
+  let faults = Faults.of_script (List.init (m + spare) (fun _ -> Faults.Slow 0.001)) in
+  let got, wcross =
+    run
+      (Cluster.Wire
+         {
+           Cluster.wire_transport = Transport.Unix_socket;
+           wire_faults = Some faults;
+           wire_auth = None;
+         })
+  in
+  check Alcotest.(list string) "delays keep the stream intact" oracle got;
+  check Alcotest.int "cross messages" cross wcross;
+  check Alcotest.int "one script event per frame the hub sent, none for link frames" spare
+    (Faults.remaining faults);
+  check Alcotest.int "every offered frame delivered" m (Faults.meter faults).Net.delivered
+
+(* Every leaf-to-leaf link of a 5-shard run has its own token: a frame
+   sealed on one link fails the MAC on every other link and on every
+   hub socket. *)
+let test_link_tokens_distinct () =
+  let c = community () and nonce = 0x1234L in
+  let leaves = [ 1; 2; 3; 4 ] in
+  let links =
+    List.concat_map
+      (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) leaves)
+      leaves
+  in
+  let sockets =
+    List.map (fun (a, b) -> (Printf.sprintf "link %d-%d" a b, Auth.link_token c ~nonce a b)) links
+    @ List.map (fun i -> (Printf.sprintf "hub-%d" i, Auth.mint_token c ~shard:i ~nonce)) leaves
+  in
+  check Alcotest.int "every token distinct" (List.length sockets)
+    (List.length (List.sort_uniq compare (List.map snd sockets)));
+  check Alcotest.int64 "a link's token does not depend on the order of its ends"
+    (Auth.link_token c ~nonce 1 2) (Auth.link_token c ~nonce 2 1);
+  let frame = Frame.make ~kind:Frame.Request ~src:1 ~dst:2 ~seq:7 (Bin.encode (Value.Str "x")) in
+  let token = Auth.link_token c ~nonce 1 2 in
+  let sealed = Auth.seal (Auth.session c ~token) frame in
+  check Alcotest.bool "opens on its own link" true
+    (Auth.open_ (Auth.session c ~token) sealed = frame);
+  List.iter
+    (fun (name, tok) ->
+      if not (Int64.equal tok token) then
+        protocol_error ("refused on " ^ name) (fun () ->
+            Auth.open_ (Auth.session c ~token:tok) sealed))
+    sockets
+
 let suite =
   [
     Alcotest.test_case "bin: trailing bytes rejected" `Quick test_bin_trailing_garbage;
@@ -765,10 +963,22 @@ let suite =
       test_equivalence_f2;
     Alcotest.test_case "multi-process equivalence: F4 report topology" `Quick
       test_equivalence_f4;
+    Alcotest.test_case "multi-leaf equivalence: F2 and fan-in at 4 and 5 shards" `Quick
+      test_equivalence_multi_leaf;
     Alcotest.test_case "replay: simulated loss schedule reproduces on the wire"
       `Quick test_replay_reproduces_on_wire;
     Alcotest.test_case "wire cluster: injected delays keep streams intact" `Quick
       test_wire_cluster_with_faults;
     Alcotest.test_case "wire cluster: sent chunk handles are released" `Quick
       test_wire_releases_sent_chunks;
+    Alcotest.test_case "conn: flush into a stalled reader returns with the rest pending"
+      `Quick test_conn_flush_never_blocks;
+    Alcotest.test_case "leaf fiber failure fails the wire run, naming shard and fiber"
+      `Quick test_leaf_fiber_failure;
+    Alcotest.test_case "dead leaf cleanup: the run names the shard, closes every socket"
+      `Quick test_dead_leaf_cleanup;
+    Alcotest.test_case "faults: only frames the hub sends consume the script" `Quick
+      test_faults_hub_egress_only;
+    Alcotest.test_case "link tokens: a frame sealed for one link is refused on the others"
+      `Quick test_link_tokens_distinct;
   ]
