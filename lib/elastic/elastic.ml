@@ -41,13 +41,17 @@ let params ?(tick = 5.0) ?(checkpoint_every = 4) ?(capacity_per_replica = 8) ?(a
 
 (* Per-channel processing state while the channel is owned by no
    replica: the authoritative state plus the stamped items awaiting a
-   home.  [p_cseq + length backlog] always equals the channel's stamp
-   counter. *)
+   home, [(cseq, payload)] pairs in stamping order: [front] oldest
+   first, then [back] newest first.  Fresh items join [back] and
+   rerouted ones [front], each by one cons, so a long park or a
+   scale-to-zero costs O(1) per item.  [p_cseq + backlog_length]
+   always equals the channel's stamp counter. *)
 type parked = {
   mutable p_cseq : int;
   mutable p_oseq : int;
   mutable p_state : Value.t;
-  mutable backlog : (int * Value.t) list; (* (cseq, payload), oldest first *)
+  mutable front : (int * Value.t) list;
+  mutable back : (int * Value.t) list;
   mutable p_sealed : bool;
       (* Owner is mid-drain: the authoritative state is still in flight,
          so accumulate but do not re-home until the handoff lands. *)
@@ -135,12 +139,14 @@ let tbl_ref tbl key = match Hashtbl.find_opt tbl key with
       Hashtbl.add tbl key r;
       r
 
+let backlog_length pk = List.length pk.front + List.length pk.back
+
 let live_reps ctrl = List.filter (fun r -> not r.draining) ctrl.reps
 let live_count ctrl = List.length (live_reps ctrl)
 
 let load ctrl =
   List.fold_left (fun acc r -> acc + Window.length r.pend) 0 ctrl.reps
-  + Hashtbl.fold (fun _ pk acc -> acc + List.length pk.backlog) ctrl.parked_tbl 0
+  + Hashtbl.fold (fun _ pk acc -> acc + backlog_length pk) ctrl.parked_tbl 0
 
 let parked_sorted ctrl =
   Hashtbl.fold (fun c pk acc -> (c, pk) :: acc) ctrl.parked_tbl []
@@ -432,9 +438,9 @@ let forward_async ctrl rep =
 let install_to ctrl rep chan pk =
   Window.push rep.pend
     (Eproto.Install { chan; cseq = pk.p_cseq; oseq = pk.p_oseq; state = pk.p_state });
-  List.iter
-    (fun (cseq, payload) -> Window.push rep.pend (Eproto.Item { chan; cseq; payload }))
-    pk.backlog;
+  let push (cseq, payload) = Window.push rep.pend (Eproto.Item { chan; cseq; payload }) in
+  List.iter push pk.front;
+  List.iter push (List.rev pk.back);
   rep.chans <- List.sort_uniq compare (chan :: rep.chans);
   Hashtbl.replace ctrl.assign chan rep;
   Hashtbl.remove ctrl.parked_tbl chan;
@@ -457,7 +463,14 @@ let parked_entry ctrl chan =
   | Some pk -> pk
   | None ->
       let pk =
-        { p_cseq = 0; p_oseq = 0; p_state = ctrl.spec.init; backlog = []; p_sealed = false }
+        {
+          p_cseq = 0;
+          p_oseq = 0;
+          p_state = ctrl.spec.init;
+          front = [];
+          back = [];
+          p_sealed = false;
+        }
       in
       Hashtbl.add ctrl.parked_tbl chan pk;
       pk
@@ -473,7 +486,7 @@ let route ctrl v =
   | Some rep -> Window.push rep.pend (Eproto.Item { chan; cseq; payload = v })
   | None -> (
       let pk = parked_entry ctrl chan in
-      pk.backlog <- pk.backlog @ [ (cseq, v) ];
+      pk.back <- (cseq, v) :: pk.back;
       if not pk.p_sealed then
         match least_loaded (live_reps ctrl) with
         | Some rep -> install_to ctrl rep chan pk
@@ -483,7 +496,7 @@ let route ctrl v =
 let assign_parked ctrl =
   List.iter
     (fun (chan, pk) ->
-      if pk.backlog <> [] && not pk.p_sealed then
+      if (pk.front <> [] || pk.back <> []) && not pk.p_sealed then
         match least_loaded (live_reps ctrl) with
         | Some rep -> install_to ctrl rep chan pk
         | None -> ())
@@ -523,7 +536,7 @@ let reroute_pend ctrl rep =
           pk.p_state <- state
       | Eproto.Item { chan; cseq; payload } ->
           let pk = parked_entry ctrl chan in
-          pk.backlog <- (cseq, payload) :: pk.backlog)
+          pk.front <- (cseq, payload) :: pk.front)
     (List.rev (Window.to_list rep.pend));
   Window.reset rep.pend ~base:(base rep) [];
   rep.sent <- base rep
@@ -1016,4 +1029,4 @@ let windows ctrl =
 
 let parked_backlogs ctrl =
   parked_sorted ctrl
-  |> List.map (fun (chan, pk) -> (chan, List.length pk.backlog, pk.p_sealed))
+  |> List.map (fun (chan, pk) -> (chan, backlog_length pk, pk.p_sealed))

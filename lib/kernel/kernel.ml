@@ -25,6 +25,10 @@ type runtime = {
   mutable worker_fids : int list;
   handlers : (string, handler) Hashtbl.t;
   mutable stopping : bool;
+  (* ["<uid>/worker"], formatted at the first worker spawn of this
+     activation ([""] until then): a Serial Eject never pays for it,
+     and a Concurrent one pays once rather than per invocation. *)
+  mutable worker_name : string;
 }
 
 type eject_state = Active of runtime | Passive | Destroyed
@@ -64,7 +68,7 @@ and t = {
   uid_gen : Uid.gen;
   ejects : eject Estore.t;
   node_ids : Net.node_id list;
-  per_op : (string, int) Hashtbl.t;
+  per_op : (string, op_stat) Hashtbl.t;
   mutable invocations : int;
   mutable replies : int;
   mutable activations : int;
@@ -92,6 +96,12 @@ and t = {
 
 and guard =
   dst:Uid.t -> op:string -> Value.t -> (Value.t * ((Value.t, string) result -> unit) option, string) result
+
+(* One interned record per operation name: its invocation count and,
+   bound at its first reply, its ["rtt.<op>"] histogram — so an invoke
+   hashes [op] once and a reply neither builds the name nor looks it
+   up. *)
+and op_stat = { mutable count : int; mutable rtt : Obs.Histogram.t option }
 
 and ctx = { k : t; self_uid : Uid.t option; src_node : Net.node_id }
 
@@ -122,19 +132,26 @@ let e_tw_decr e =
 let e_crash_reset e =
   e.flags <- (e.flags land (f_concurrent lor (crash_mask lsl crash_shift))) + (1 lsl crash_shift)
 
+(* Fiber ids are unique, so dropping the first match is [List.filter]
+   without the copy: the tail after it is shared, and a worker that
+   finishes while it is still the newest entry costs no allocation. *)
+let rec remove_fid fid = function
+  | [] -> []
+  | f :: rest when f = fid -> rest
+  | f :: rest -> f :: remove_fid fid rest
+
 (* When a fiber finishes, forget its span binding and prune it from its
    Eject's worker list: [worker_fids] otherwise only ever grows (one
    entry per Concurrent invocation), and deactivate/destroy would
    re-cancel long-dead fibers. *)
 let on_fiber_finish t fid =
   Hashtbl.remove t.fiber_spans fid;
-  match Hashtbl.find_opt t.fiber_owner fid with
-  | None -> ()
-  | Some uid -> (
+  match Hashtbl.find t.fiber_owner fid with
+  | exception Not_found -> ()
+  | uid -> (
       Hashtbl.remove t.fiber_owner fid;
       match Estore.find t.ejects uid with
-      | Some { state = Active rt; _ } ->
-          rt.worker_fids <- List.filter (fun f -> f <> fid) rt.worker_fids
+      | Some { state = Active rt; _ } -> rt.worker_fids <- remove_fid fid rt.worker_fids
       | Some _ | None -> ())
 
 let create ?(seed = 0xEDE0L) ?(latency = Net.Fixed 1.0) ?(nodes = [ "node-0" ])
@@ -269,9 +286,15 @@ let with_transport_wait ctx f =
   | Some uid -> (
       match Estore.find ctx.k.ejects uid with
       | None | Some { state = Destroyed; _ } -> f ()
-      | Some e ->
+      | Some e -> (
           e_tw_incr e;
-          Fun.protect ~finally:(fun () -> e_tw_decr e) f)
+          match f () with
+          | v ->
+              e_tw_decr e;
+              v
+          | exception exn ->
+              e_tw_decr e;
+              raise exn))
 
 let in_transport_wait t uid =
   match Estore.find t.ejects uid with
@@ -282,45 +305,54 @@ let timeouts t = t.timeouts
 
 (* --- Eject runtime ------------------------------------------------- *)
 
+(* Undo [run_handler]'s span binding ([None]: nothing was bound). *)
+let unbind t = function
+  | None -> ()
+  | Some (fid, Some prev) -> Hashtbl.replace t.fiber_spans fid prev
+  | Some (fid, None) -> Hashtbl.remove t.fiber_spans fid
+
 let run_handler t e msg =
   match msg with
   | Stop -> ()
   | Invoke { op; arg; span; reply_to } -> (
       let rt = match e.state with Active rt -> rt | Passive | Destroyed -> assert false in
       (* Bind the invocation's span to the executing fiber for the
-         duration of the handler so nested invokes become children. *)
+         duration of the handler so nested invokes become children.
+         With spans off there is nothing to bind, and the fiber is not
+         asked for. *)
       let bound =
-        match (span, Sched.current_fid t.sched) with
-        | Some s, Some fid ->
-            let saved = Hashtbl.find_opt t.fiber_spans fid in
-            Hashtbl.replace t.fiber_spans fid s;
-            Some (fid, saved)
-        | _ -> None
+        match span with
+        | None -> None
+        | Some s -> (
+            match Sched.current_fid t.sched with
+            | Some fid ->
+                let saved = Hashtbl.find_opt t.fiber_spans fid in
+                Hashtbl.replace t.fiber_spans fid s;
+                Some (fid, saved)
+            | None -> None)
       in
-      let unbind () =
-        match bound with
-        | None -> ()
-        | Some (fid, Some prev) -> Hashtbl.replace t.fiber_spans fid prev
-        | Some (fid, None) -> Hashtbl.remove t.fiber_spans fid
-      in
-      match Hashtbl.find_opt rt.handlers op with
-      | None ->
-          unbind ();
+      match Hashtbl.find rt.handlers op with
+      | exception Not_found ->
+          unbind t bound;
           reply_to (Error (Printf.sprintf "no such operation: %s" op))
-      | Some h -> (
+      | h -> (
           match h arg with
           | v ->
-              unbind ();
+              unbind t bound;
               reply_to (Ok v)
           | exception Eden_error m ->
-              unbind ();
+              unbind t bound;
               reply_to (Error m)
           | exception Value.Protocol_error m ->
-              unbind ();
+              unbind t bound;
               reply_to (Error ("protocol error: " ^ m))
           | exception Sched.Cancelled ->
-              unbind ();
+              unbind t bound;
               raise Sched.Cancelled))
+
+let worker_name e rt =
+  if rt.worker_name = "" then rt.worker_name <- Uid.to_string e.uid ^ "/worker";
+  rt.worker_name
 
 let rec coordinator t e rt () =
   let msg = Mailbox.receive rt.mailbox in
@@ -336,8 +368,7 @@ let rec coordinator t e rt () =
           | Serial -> run_handler t e m
           | Concurrent ->
               let fid =
-                Sched.spawn_inside ~name:(Uid.to_string e.uid ^ "/worker") (fun () ->
-                    run_handler t e m)
+                Sched.spawn t.sched ~name:(worker_name e rt) (fun () -> run_handler t e m)
               in
               Hashtbl.replace t.fiber_owner fid e.uid;
               rt.worker_fids <- fid :: rt.worker_fids))
@@ -357,6 +388,7 @@ and activate ?span t e =
           worker_fids = [];
           handlers = Hashtbl.create 8;
           stopping = false;
+          worker_name = "";
         }
       in
       e.state <- Active rt;
@@ -394,12 +426,35 @@ and activate ?span t e =
 
 (* --- Invocation ---------------------------------------------------- *)
 
-let bump_op t op =
-  Hashtbl.replace t.per_op op (1 + Option.value ~default:0 (Hashtbl.find_opt t.per_op op))
+let op_stat t op =
+  match Hashtbl.find t.per_op op with
+  | st -> st
+  | exception Not_found ->
+      let st = { count = 0; rtt = None } in
+      Hashtbl.add t.per_op op st;
+      st
+
+let rtt_histogram t op st =
+  match st.rtt with
+  | Some h -> h
+  | None ->
+      let h = Obs.histogram t.obs ("rtt." ^ op) in
+      st.rtt <- Some h;
+      h
+
+(* The kernel detects a dangling UID at the source; model the check as
+   a local hop so even errors cost simulated time. *)
+let fail_local t ~src_node settle msg =
+  Net.send t.net ~src:src_node ~dst:src_node ~size:16 (fun () -> settle (Error msg))
+
+let dispatch ?span t e ~op arg reply_to =
+  let rt = activate ?span t e in
+  Mailbox.send rt.mailbox (Invoke { op; arg; span; reply_to })
 
 let invoke_from t ~src_node dst ~op arg =
   t.invocations <- t.invocations + 1;
-  bump_op t op;
+  let st = op_stat t op in
+  st.count <- st.count + 1;
   let t0 = Sched.now t.sched in
   let span =
     if Obs.spans_enabled t.obs then
@@ -424,18 +479,13 @@ let invoke_from t ~src_node dst ~op arg =
   let settle r =
     let first = Ivar.try_fill ivar r in
     let now = Sched.now t.sched in
-    if first then Obs.Histogram.add (Obs.histogram t.obs ("rtt." ^ op)) (now -. t0);
+    if first then Obs.Histogram.add (rtt_histogram t op st) (now -. t0);
     match span with
     | Some id -> Obs.span_end t.obs id ~at:now ~ok:(first && Result.is_ok r)
     | None -> ()
   in
-  let fail_local msg =
-    (* The kernel detects a dangling UID at the source; model the check
-       as a local hop so even errors cost simulated time. *)
-    Net.send t.net ~src:src_node ~dst:src_node ~size:16 (fun () -> settle (Error msg))
-  in
   (match Estore.find t.ejects dst with
-  | None | Some { state = Destroyed; _ } -> fail_local "no such eject"
+  | None | Some { state = Destroyed; _ } -> fail_local t ~src_node settle "no such eject"
   | Some e ->
       let size = Value.size arg + String.length op + 16 in
       Net.send t.net ~src:src_node ~dst:e.node ~size (fun () ->
@@ -449,25 +499,19 @@ let invoke_from t ~src_node dst ~op arg =
                 in
                 Net.send t.net ~src:e.node ~dst:src_node ~size:rsize (fun () -> settle r)
               in
-              let admitted =
-                match t.guard with None -> Ok (arg, None) | Some g -> g ~dst ~op arg
-              in
-              match admitted with
-              | Error msg ->
-                  (* Refused at the door: replied without activating —
-                     an attack must not wake a dormant victim. *)
-                  reply_to (Error msg)
-              | Ok (arg, done_cb) ->
-                  let reply_to =
-                    match done_cb with
-                    | None -> reply_to
-                    | Some f ->
-                        fun r ->
+              match t.guard with
+              | None -> dispatch ?span t e ~op arg reply_to
+              | Some g -> (
+                  match g ~dst ~op arg with
+                  | Error msg ->
+                      (* Refused at the door: replied without activating —
+                         an attack must not wake a dormant victim. *)
+                      reply_to (Error msg)
+                  | Ok (arg, None) -> dispatch ?span t e ~op arg reply_to
+                  | Ok (arg, Some f) ->
+                      dispatch ?span t e ~op arg (fun r ->
                           f r;
-                          reply_to r
-                  in
-                  let rt = activate ?span t e in
-                  Mailbox.send rt.mailbox (Invoke { op; arg; span; reply_to }))));
+                          reply_to r)))));
   ivar
 
 let invoke_async ctx dst ~op arg = invoke_from ctx.k ~src_node:ctx.src_node dst ~op arg
@@ -482,7 +526,7 @@ let invoke_timeout ctx dst ~op arg ~timeout =
       (* Seal the abandoned reply slot: a reply arriving after the
          timeout finds the ivar filled and is discarded, and filling it
          empties its waiter queue so repeated retries do not accumulate
-         orphan resume closures. *)
+         orphan wakers. *)
       ignore (Ivar.try_fill ivar (Error "timed out"));
       ctx.k.timeouts <- ctx.k.timeouts + 1;
       None
@@ -539,9 +583,7 @@ let spawn_worker ctx ?name body =
   let e = my_eject ctx in
   match e.state with
   | Active rt ->
-      let name =
-        match name with Some n -> n | None -> Uid.to_string e.uid ^ "/worker"
-      in
+      let name = match name with Some n -> n | None -> worker_name e rt in
       let fid = Sched.spawn ctx.k.sched ~name body in
       Hashtbl.replace ctx.k.fiber_owner fid e.uid;
       (* Inherit the spawner's span: the current fiber's binding, or the
@@ -720,5 +762,5 @@ module Meter = struct
 end
 
 let op_counts t =
-  Hashtbl.fold (fun op n acc -> (op, n) :: acc) t.per_op []
+  Hashtbl.fold (fun op st acc -> (op, st.count) :: acc) t.per_op []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -42,7 +42,13 @@ type t = {
   mutable require_auth : bool;
   authenticated : (int * int, unit) Hashtbl.t;
   mutable loss_probability : float;
-  mutable m : meter;
+  (* The meter's counters, bumped in place: [meter] builds the record
+     only when it is read, so a send copies nothing. *)
+  mutable sent : int;
+  mutable delivered : int;
+  mutable dropped_loss : int;
+  mutable dropped_partition : int;
+  mutable bytes : int;
   (* Cached histogram handles; set once via [set_obs]. *)
   mutable h_delay : Obs.Histogram.t option;
   mutable h_size : Obs.Histogram.t option;
@@ -68,7 +74,11 @@ let create ?(seed = 0x5EEDL) ~sched ~latency () =
     require_auth = false;
     authenticated = Hashtbl.create 8;
     loss_probability = 0.0;
-    m = empty_meter;
+    sent = 0;
+    delivered = 0;
+    dropped_loss = 0;
+    dropped_partition = 0;
+    bytes = 0;
     h_delay = None;
     h_size = None;
   }
@@ -132,7 +142,8 @@ let latency_for t ~src ~dst ~size =
     draw_latency t model size
 
 let send t ~src ~dst ~size deliver =
-  t.m <- { t.m with sent = t.m.sent + 1; bytes = t.m.bytes + size };
+  t.sent <- t.sent + 1;
+  t.bytes <- t.bytes + size;
   let unestablished =
     src <> dst && not (is_established t src dst && is_authenticated t src dst)
   in
@@ -158,24 +169,35 @@ let send t ~src ~dst ~size deliver =
   (* A message crossing a partitioned link is charged to the partition
      even when the loss coin also came up: the link would have eaten it
      regardless. *)
-  if partitioned then
-    t.m <-
-      { t.m with dropped = t.m.dropped + 1; dropped_partition = t.m.dropped_partition + 1 }
-  else if lost then
-    t.m <- { t.m with dropped = t.m.dropped + 1; dropped_loss = t.m.dropped_loss + 1 }
+  if partitioned then t.dropped_partition <- t.dropped_partition + 1
+  else if lost then t.dropped_loss <- t.dropped_loss + 1
   else begin
     let delay = latency_for t ~src ~dst ~size in
     (match t.h_delay with Some h -> Obs.Histogram.add h delay | None -> ());
     (match t.h_size with Some h -> Obs.Histogram.add h (float_of_int size) | None -> ());
     Sched.timer t.sched delay (fun () ->
-        t.m <- { t.m with delivered = t.m.delivered + 1 };
+        t.delivered <- t.delivered + 1;
         deliver ())
   end
 
-let meter t = t.m
-let reset_meter t = t.m <- empty_meter
+let meter (t : t) =
+  {
+    sent = t.sent;
+    delivered = t.delivered;
+    dropped = t.dropped_loss + t.dropped_partition;
+    dropped_loss = t.dropped_loss;
+    dropped_partition = t.dropped_partition;
+    bytes = t.bytes;
+  }
 
-let meter_diff later earlier =
+let reset_meter (t : t) =
+  t.sent <- 0;
+  t.delivered <- 0;
+  t.dropped_loss <- 0;
+  t.dropped_partition <- 0;
+  t.bytes <- 0
+
+let meter_diff (later : meter) (earlier : meter) : meter =
   {
     sent = later.sent - earlier.sent;
     delivered = later.delivered - earlier.delivered;
@@ -185,7 +207,7 @@ let meter_diff later earlier =
     bytes = later.bytes - earlier.bytes;
   }
 
-let meter_add a b =
+let meter_add (a : meter) (b : meter) : meter =
   {
     sent = a.sent + b.sent;
     delivered = a.delivered + b.delivered;
@@ -195,6 +217,6 @@ let meter_add a b =
     bytes = a.bytes + b.bytes;
   }
 
-let pp_meter ppf m =
+let pp_meter ppf (m : meter) =
   Format.fprintf ppf "sent=%d delivered=%d dropped=%d (loss=%d partition=%d) bytes=%d" m.sent
     m.delivered m.dropped m.dropped_loss m.dropped_partition m.bytes

@@ -15,15 +15,17 @@ module Slab = Eden_util.Slab
 (* ------------------------------------------------------------------ *)
 
 module Histogram = struct
+  (* An all-float record is stored flat, so [add] updates these three
+     in place; as fields of [t] each store would box a fresh float. *)
+  type moments = { mutable sum : float; mutable minv : float; mutable maxv : float }
+
   type t = {
     lo : float; (* upper bound of the underflow bucket *)
     growth : float; (* geometric bucket growth factor *)
     log_growth : float;
     mutable counts : int array;
     mutable n : int;
-    mutable sum : float;
-    mutable minv : float;
-    mutable maxv : float;
+    m : moments;
   }
 
   let create ?(lo = 1e-3) ?(growth = 2.0) () =
@@ -35,9 +37,7 @@ module Histogram = struct
       log_growth = Float.log growth;
       counts = Array.make 8 0;
       n = 0;
-      sum = 0.0;
-      minv = infinity;
-      maxv = neg_infinity;
+      m = { sum = 0.0; minv = infinity; maxv = neg_infinity };
     }
 
   (* Bucket 0 holds [0, lo); bucket i >= 1 holds [lo*g^(i-1), lo*g^i). *)
@@ -61,9 +61,10 @@ module Histogram = struct
     ensure t i;
     t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1;
-    t.sum <- t.sum +. v;
-    if v < t.minv then t.minv <- v;
-    if v > t.maxv then t.maxv <- v
+    let m = t.m in
+    m.sum <- m.sum +. v;
+    if v < m.minv then m.minv <- v;
+    if v > m.maxv then m.maxv <- v
 
   (* Fold [src] into [into].  Bucket-exact when the two histograms share
      bucket geometry; geometry mismatch is a caller error.  Used to
@@ -74,15 +75,15 @@ module Histogram = struct
     ensure into (Array.length src.counts - 1);
     Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
     into.n <- into.n + src.n;
-    into.sum <- into.sum +. src.sum;
-    if src.minv < into.minv then into.minv <- src.minv;
-    if src.maxv > into.maxv then into.maxv <- src.maxv
+    into.m.sum <- into.m.sum +. src.m.sum;
+    if src.m.minv < into.m.minv then into.m.minv <- src.m.minv;
+    if src.m.maxv > into.m.maxv then into.m.maxv <- src.m.maxv
 
   let count t = t.n
-  let total t = t.sum
-  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-  let min_value t = if t.n = 0 then 0.0 else t.minv
-  let max_value t = if t.n = 0 then 0.0 else t.maxv
+  let total t = t.m.sum
+  let mean t = if t.n = 0 then 0.0 else t.m.sum /. float_of_int t.n
+  let min_value t = if t.n = 0 then 0.0 else t.m.minv
+  let max_value t = if t.n = 0 then 0.0 else t.m.maxv
 
   (* Upper bound of the bucket containing the rank-th sample, clamped
      to the exact observed extrema so p100 is exact and small
@@ -93,20 +94,20 @@ module Histogram = struct
       let p = Float.max 0.0 (Float.min 1.0 p) in
       let rank = max 1 (int_of_float (Float.ceil (p *. float_of_int t.n))) in
       let rec walk i cum =
-        if i >= Array.length t.counts then t.maxv
+        if i >= Array.length t.counts then t.m.maxv
         else begin
           let cum = cum + t.counts.(i) in
           if cum >= rank then bucket_upper t i else walk (i + 1) cum
         end
       in
-      Float.max t.minv (Float.min t.maxv (walk 0 0))
+      Float.max t.m.minv (Float.min t.m.maxv (walk 0 0))
     end
 
   let pp ppf t =
     if t.n = 0 then Fmt.pf ppf "(empty)"
     else
       Fmt.pf ppf "n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g" t.n (mean t)
-        (percentile t 0.5) (percentile t 0.9) (percentile t 0.99) t.maxv
+        (percentile t 0.5) (percentile t 0.9) (percentile t 0.99) t.m.maxv
 end
 
 (* ------------------------------------------------------------------ *)

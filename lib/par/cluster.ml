@@ -342,7 +342,7 @@ let send t sh ~kind ~dst ~seq v =
       | None -> perr "leaf %d: no link to shard %d (make its proxies before run)" sh.index dst));
   release_payloads ps
 
-let forward t sh ~target:(tshard, tuid) ~op arg =
+let forward t sh tshard tuid ~op arg =
   let req_id = sh.next_req in
   sh.next_req <- req_id + 1;
   let slot = Ivar.create () in
@@ -373,7 +373,7 @@ let proxy t ~shard ~ops ~target:(tshard, tuid) =
                    is expected blocking, not a stall (see
                    [Pipeline.stall_report]). *)
                 Kernel.with_transport_wait ctx (fun () ->
-                    forward t sh ~target:(tshard, tuid) ~op arg) ))
+                    forward t sh tshard tuid ~op arg) ))
           ops)
   end
 

@@ -9,14 +9,18 @@ type 'a t = {
 let create ?(label = "dqueue") () =
   { mu = Mutex.create (); nonempty = Condition.create (); q = Queue.create (); closed = false; label }
 
+(* [push] and [try_pop] run once per cross-shard message: they lock
+   by hand rather than build a [Mutex.protect] closure, since nothing
+   between the lock and the unlock can raise. *)
 let push t x =
-  Mutex.protect t.mu (fun () ->
-      if t.closed then false
-      else begin
-        Queue.push x t.q;
-        Condition.signal t.nonempty;
-        true
-      end)
+  Mutex.lock t.mu;
+  let open_ = not t.closed in
+  if open_ then begin
+    Queue.push x t.q;
+    Condition.signal t.nonempty
+  end;
+  Mutex.unlock t.mu;
+  open_
 
 let pop t =
   Mutex.protect t.mu (fun () ->
@@ -25,7 +29,11 @@ let pop t =
       done;
       Queue.take_opt t.q)
 
-let try_pop t = Mutex.protect t.mu (fun () -> Queue.take_opt t.q)
+let try_pop t =
+  Mutex.lock t.mu;
+  let x = Queue.take_opt t.q in
+  Mutex.unlock t.mu;
+  x
 
 let close t =
   Mutex.protect t.mu (fun () ->

@@ -23,14 +23,16 @@ let read_timeout sched t delay =
   (match t.value with
   | Some _ -> ()
   | None ->
-      (* Race the ivar's waiter list against a timer; the shared resume
+      (* Race the ivar's waiter list against a timer; the shared waker
          is idempotent so whichever fires second is a no-op.  If the
          fill wins, delete the pending timer so timeout-heavy callers
          don't grow the heap with entries that never fire. *)
       let timer = ref (-1) in
-      Sched.suspend ~reason:"ivar (timeout)" (fun resume ->
-          Waitq.park_external t.waiters resume;
-          timer := Sched.timer_cancellable sched delay resume);
+      Sched.park ~reason:"ivar (timeout)"
+        (fun () w ->
+          Waitq.park_external t.waiters w;
+          timer := Sched.timer_cancellable sched delay (fun () -> ignore (Sched.wake w)))
+        ();
       Sched.cancel_timer sched !timer);
   t.value
 

@@ -25,9 +25,11 @@ let receive_timeout sched t delay =
       (* As in [Ivar.read_timeout]: whichever of send/timer loses the
          race is a no-op, and a won race deletes the loser's timer. *)
       let timer = ref (-1) in
-      Sched.suspend ~reason:"mailbox (timeout)" (fun resume ->
-          Waitq.park_external t.waiters resume;
-          timer := Sched.timer_cancellable sched delay resume);
+      Sched.park ~reason:"mailbox (timeout)"
+        (fun () w ->
+          Waitq.park_external t.waiters w;
+          timer := Sched.timer_cancellable sched delay (fun () -> ignore (Sched.wake w)))
+        ();
       Sched.cancel_timer sched !timer;
       let x = Queue.take_opt t.q in
       if x <> None && not (Queue.is_empty t.q) then ignore (Waitq.wake_one t.waiters);

@@ -18,56 +18,81 @@ type fiber_id = int
 
 type timer_handle = int
 
-type state = Ready | Running | Blocked of string | Finished
-
-(* [fired] makes resume/cancel mutually exclusive and idempotent:
-   whichever of {waker, canceller, timer} gets there first wins.
-   [wtimer] is the heap handle of the pending timer backing this wake
-   (sleeps, timeouts); firing or cancelling removes it from the heap so
-   a cancelled sleep costs nothing afterwards. *)
+(* One park of one fiber: the record a waker holds.  [fired] makes
+   wake and cancel mutually exclusive and idempotent: whichever of
+   {waker, canceller, timer} gets there first wins.  [wtimer] is the
+   heap handle of the pending timer backing this park (sleeps); firing
+   or cancelling removes it from the heap so a cancelled sleep costs
+   nothing afterwards.  The continuation lives here, in a record as
+   young as the park, and never in the long-lived [fiber]: storing a
+   young value into an old record costs a write barrier on every
+   park. *)
 type wake = {
+  wsched : t;
+  wfiber : fiber;
+  wk : (unit, unit) Effect.Deep.continuation;
   mutable fired : bool;
-  mutable cancel_hook : unit -> unit;
   mutable wtimer : timer_handle;
 }
 
-type fiber = {
+(* A parked fiber's state holds its park, so parking and waking each
+   store into the fiber once.  A sleeper keeps its duration, not its
+   reason: the ["sleep %.3f"] string is formatted only when [blocked]
+   reads it. *)
+and state =
+  | Ready
+  | Running
+  | Blocked of string * wake
+  | Sleeping of float * wake
+  | Finished
+
+and fiber = {
   fid : fiber_id;
   fname : string;
   mutable fstate : state;
-  mutable fwake : wake option;
   mutable fcancelled : bool;
 }
 
-(* A run-queue slice remembers which fiber it will resume so a
-   scheduling policy can choose between runnable fibers by id. *)
-type slice = { sfid : fiber_id; thunk : unit -> unit }
+(* A run-queue slice: a fiber's first run, or the continuation of a
+   woken (or yielding) one.  Either way it knows which fiber it will
+   run, so a scheduling policy can choose between runnable fibers by
+   id. *)
+and slice = Start of fiber * (unit -> unit) | Resume of wake
 
-type t = {
+and t = {
   runq : slice Cqueue.t;
   timers : (unit -> unit) Theap.t;
   mutable clock : float;
   fibers : (fiber_id, fiber) Hashtbl.t;
   mutable next_id : int;
   mutable failures : (string * exn) list;
-  mutable current : fiber option;
+  mutable current : fiber; (* [no_fiber] between fibers *)
   mutable live : int;
   mutable finish_hook : fiber_id -> unit;
   (* Schedule-exploration hooks.  [chooser = None] is the bit-identical
      FIFO default; [note_hook = None] makes [note] free. *)
   mutable chooser : (kind:string -> ids:int array -> int) option;
   mutable note_hook : (kind:string -> arg:int -> unit) option;
+  (* The effect handler every fiber runs under, built once (see
+     [handler]). *)
+  mutable fhandler : (unit, unit) Effect.Deep.handler;
 }
+
+type waker = wake
 
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Sleep : float -> unit Effect.t
-  | Suspend : (string * ((unit -> unit) -> unit)) -> unit Effect.t
+  | Park : (string * ('a -> wake -> unit) * 'a) -> unit Effect.t
   | Time : float Effect.t
   | Self : fiber Effect.t
   | Spawn_inside : (string option * (unit -> unit)) -> fiber_id Effect.t
 
-let create () =
+(* Stands for "no fiber is running", so a slice sets [current] without
+   allocating an option. *)
+let no_fiber = { fid = -1; fname = ""; fstate = Finished; fcancelled = false }
+
+let empty () =
   {
     runq = Cqueue.create ();
     timers = Theap.create ~dummy:(fun () -> ()) ();
@@ -75,11 +100,12 @@ let create () =
     fibers = Hashtbl.create 64;
     next_id = 0;
     failures = [];
-    current = None;
+    current = no_fiber;
     live = 0;
     finish_hook = ignore;
     chooser = None;
     note_hook = None;
+    fhandler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
   }
 
 let set_finish_hook t hook = t.finish_hook <- hook
@@ -103,7 +129,6 @@ let timer_count t = Theap.size t.timers
    grow without bound over long runs. *)
 let finish t fiber outcome =
   fiber.fstate <- Finished;
-  fiber.fwake <- None;
   t.live <- t.live - 1;
   Hashtbl.remove t.fibers fiber.fid;
   t.finish_hook fiber.fid;
@@ -111,141 +136,120 @@ let finish t fiber outcome =
   | None -> ()
   | Some exn -> t.failures <- (fiber.fname, exn) :: t.failures
 
-(* Park [fiber]; build the resume/cancel pair sharing one [wake].
-   [register] receives the resume closure and returns the handle of the
-   backing timer (or [-1] when there is none), so whichever of
-   {resume, cancel} fires first can delete the timer from the heap —
-   physically, not as a tombstone.  A handle already popped by the
-   firing timer itself is stale by then, and removal is a no-op. *)
-let park t fiber reason (k : (unit, unit) Effect.Deep.continuation) register =
-  fiber.fstate <- Blocked reason;
-  let wake = { fired = false; cancel_hook = (fun () -> ()); wtimer = -1 } in
-  fiber.fwake <- Some wake;
-  let drop_timer () =
-    if wake.wtimer >= 0 then begin
-      ignore (Theap.remove t.timers wake.wtimer);
-      wake.wtimer <- -1
-    end
-  in
-  let resume () =
-    if not wake.fired then begin
-      wake.fired <- true;
-      drop_timer ();
-      fiber.fwake <- None;
-      fiber.fstate <- Ready;
-      Cqueue.push t.runq
-        {
-          sfid = fiber.fid;
-          thunk =
-            (fun () ->
-              t.current <- Some fiber;
-              fiber.fstate <- Running;
-              if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
-              else Effect.Deep.continue k ());
-        }
-    end
-  in
-  let cancel () =
-    if not wake.fired then begin
-      wake.fired <- true;
-      drop_timer ();
-      fiber.fwake <- None;
-      fiber.fstate <- Ready;
-      Cqueue.push t.runq
-        {
-          sfid = fiber.fid;
-          thunk =
-            (fun () ->
-              t.current <- Some fiber;
-              fiber.fstate <- Running;
-              Effect.Deep.discontinue k Cancelled);
-        }
-    end
-  in
-  wake.cancel_hook <- cancel;
-  let h = register resume in
-  (* [register] may have resumed synchronously; the handle then belongs
-     to a wake that already fired, so delete rather than record it. *)
-  if wake.fired then begin
-    if h >= 0 then ignore (Theap.remove t.timers h)
+(* End the park and queue the fiber to run; [false] if the park had
+   already ended.  A cancelled fiber's slice raises [Cancelled] into it
+   instead of continuing it, so cancelling is waking after setting
+   [fcancelled].  A timer handle already popped by the firing timer
+   itself is stale by then, and removing it is a no-op. *)
+let wake w =
+  if w.fired then false
+  else begin
+    w.fired <- true;
+    let t = w.wsched in
+    if w.wtimer >= 0 then begin
+      ignore (Theap.remove t.timers w.wtimer);
+      w.wtimer <- -1
+    end;
+    w.wfiber.fstate <- Ready;
+    Cqueue.push t.runq (Resume w);
+    true
   end
-  else wake.wtimer <- h
 
-let rec spawn t ?name body =
+let new_wake t fiber k = { wsched = t; wfiber = fiber; wk = k; fired = false; wtimer = -1 }
+
+let wake_thunk w () = ignore (wake w)
+
+let slice_fid = function Start (f, _) -> f.fid | Resume w -> w.wfiber.fid
+
+let run_slice t = function
+  | Start (_, thunk) -> thunk ()
+  | Resume w ->
+      let fiber = w.wfiber in
+      t.current <- fiber;
+      fiber.fstate <- Running;
+      if fiber.fcancelled then Effect.Deep.discontinue w.wk Cancelled
+      else Effect.Deep.continue w.wk ()
+
+let spawn t ?name body =
   let fid = t.next_id in
   t.next_id <- fid + 1;
   let fname = match name with Some n -> n | None -> Printf.sprintf "fiber-%d" fid in
-  let fiber = { fid; fname; fstate = Ready; fwake = None; fcancelled = false } in
+  let fiber = { fid; fname; fstate = Ready; fcancelled = false } in
   Hashtbl.replace t.fibers fid fiber;
   t.live <- t.live + 1;
-  let handler : (unit, unit) Effect.Deep.handler =
-    {
-      retc = (fun () -> finish t fiber None);
-      exnc =
-        (fun exn ->
-          match exn with Cancelled -> finish t fiber None | exn -> finish t fiber (Some exn));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
-                  else begin
-                    fiber.fstate <- Ready;
-                    Cqueue.push t.runq
-                      {
-                        sfid = fiber.fid;
-                        thunk =
-                          (fun () ->
-                            t.current <- Some fiber;
-                            fiber.fstate <- Running;
-                            if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
-                            else Effect.Deep.continue k ());
-                      }
-                  end)
-          | Sleep d ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
-                  else
-                    park t fiber
-                      (Printf.sprintf "sleep %.3f" d)
-                      k
-                      (fun resume -> timer_cancellable t d resume))
-          | Suspend (reason, register) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
-                  else
-                    park t fiber reason k (fun resume ->
-                        register resume;
-                        -1))
-          | Time -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k t.clock)
-          | Self -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k fiber)
-          | Spawn_inside (name, body) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let fid : fiber_id = spawn_dispatch t name body in
-                  Effect.Deep.continue k fid)
-          | _ -> None);
-    }
-  in
   let thunk () =
-    t.current <- Some fiber;
+    t.current <- fiber;
     if fiber.fcancelled then finish t fiber None
     else begin
       fiber.fstate <- Running;
-      Effect.Deep.match_with body () handler
+      Effect.Deep.match_with body () t.fhandler
     end
   in
-  Cqueue.push t.runq { sfid = fid; thunk };
+  Cqueue.push t.runq (Start (fiber, thunk));
   fid
 
-(* Indirection so the Spawn_inside handler (defined inside [spawn]) can
-   recurse into [spawn] with optional-argument plumbing resolved. *)
-and spawn_dispatch t name body =
-  match name with Some n -> spawn t ~name:n body | None -> spawn t body
+(* The effect handler of every fiber of [t].  Effects are performed
+   only by the running fiber, so the handler reads the fiber from
+   [t.current] and one handler serves them all: a spawn builds no
+   closures for it. *)
+let handler t : (unit, unit) Effect.Deep.handler =
+  {
+    retc = (fun () -> finish t t.current None);
+    exnc =
+      (fun exn ->
+        match exn with
+        | Cancelled -> finish t t.current None
+        | exn -> finish t t.current (Some exn));
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                let fiber = t.current in
+                if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
+                else begin
+                  fiber.fstate <- Ready;
+                  Cqueue.push t.runq
+                    (Resume { wsched = t; wfiber = fiber; wk = k; fired = true; wtimer = -1 })
+                end)
+        | Sleep d ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                let fiber = t.current in
+                if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
+                else begin
+                  let w = new_wake t fiber k in
+                  fiber.fstate <- Sleeping (d, w);
+                  w.wtimer <- timer_cancellable t d (wake_thunk w)
+                end)
+        | Park (reason, register, arg) ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                let fiber = t.current in
+                if fiber.fcancelled then Effect.Deep.discontinue k Cancelled
+                else begin
+                  let w = new_wake t fiber k in
+                  fiber.fstate <- Blocked (reason, w);
+                  register arg w
+                end)
+        | Time -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k t.clock)
+        | Self ->
+            Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k t.current)
+        | Spawn_inside (name, body) ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                let fid : fiber_id =
+                  match name with Some n -> spawn t ~name:n body | None -> spawn t body
+                in
+                Effect.Deep.continue k fid)
+        | _ -> None);
+  }
+
+let create () =
+  let t = empty () in
+  t.fhandler <- handler t;
+  t
 
 let cancel t fid =
   match Hashtbl.find_opt t.fibers fid with
@@ -253,9 +257,10 @@ let cancel t fid =
   | Some fiber -> (
       match fiber.fstate with
       | Finished -> ()
-      | Running | Ready | Blocked _ -> (
+      | Running | Ready -> fiber.fcancelled <- true
+      | Blocked (_, w) | Sleeping (_, w) ->
           fiber.fcancelled <- true;
-          match fiber.fwake with Some w -> w.cancel_hook () | None -> ()))
+          ignore (wake w))
 
 (* Ask the chooser (when installed, and only when there is an actual
    choice) which index to take; out-of-range answers are a policy bug. *)
@@ -287,7 +292,7 @@ let pop_slice t =
         let j = ref 0 in
         Cqueue.iter
           (fun s ->
-            ids.(!j) <- s.sfid;
+            ids.(!j) <- slice_fid s;
             incr j)
           t.runq;
         let i = consult t ~kind:"sched.run" ~ids in
@@ -298,29 +303,32 @@ let pop_slice t =
 (* Fire one pending timer.  Strictly earliest-deadline-first; a chooser
    may only break ties between timers due at the same instant. *)
 let fire_timer t =
-  let pick =
-    match t.chooser with
-    | None -> Theap.delete_min t.timers
-    | Some _ ->
-        let m = Theap.min_tie_count t.timers in
-        if m <= 1 then Theap.delete_min t.timers
-        else
-          let i = consult t ~kind:"sched.timer" ~ids:(Array.init m (fun i -> i)) in
-          Theap.delete_nth_min t.timers i
-  in
-  match pick with
-  | None -> false
-  | Some (time, thunk) ->
-      if time > t.clock then t.clock <- time;
-      thunk ();
-      t.current <- None;
-      true
+  if Theap.is_empty t.timers then false
+  else begin
+    (* Every timer tied at the minimum is due at [time]. *)
+    let time = Theap.min_key t.timers in
+    let thunk =
+      match t.chooser with
+      | None -> Theap.pop_min t.timers
+      | Some _ -> (
+          let m = Theap.min_tie_count t.timers in
+          if m <= 1 then Theap.pop_min t.timers
+          else
+            let i = consult t ~kind:"sched.timer" ~ids:(Array.init m (fun i -> i)) in
+            match Theap.delete_nth_min t.timers i with
+            | Some (_, thunk) -> thunk
+            | None -> assert false)
+    in
+    if time > t.clock then t.clock <- time;
+    thunk ();
+    t.current <- no_fiber;
+    true
+  end
 
 let step t =
   if not (Cqueue.is_empty t.runq) then begin
-    let s = pop_slice t in
-    s.thunk ();
-    t.current <- None;
+    run_slice t (pop_slice t);
+    t.current <- no_fiber;
     true
   end
   else fire_timer t
@@ -332,17 +340,15 @@ let run t =
 let run_until t limit =
   let rec go () =
     if not (Cqueue.is_empty t.runq) then begin
-      let s = pop_slice t in
-      s.thunk ();
-      t.current <- None;
+      run_slice t (pop_slice t);
+      t.current <- no_fiber;
       go ()
     end
-    else
-      match Theap.find_min t.timers with
-      | Some (time, _) when time <= limit ->
-          ignore (fire_timer t);
-          go ()
-      | Some _ | None -> if t.clock < limit then t.clock <- limit
+    else if (not (Theap.is_empty t.timers)) && Theap.min_key t.timers <= limit then begin
+      ignore (fire_timer t);
+      go ()
+    end
+    else if t.clock < limit then t.clock <- limit
   in
   go ()
 
@@ -350,20 +356,20 @@ let live_count t = t.live
 let runnable t = Cqueue.length t.runq
 let tracked_count t = Hashtbl.length t.fibers
 let is_live t fid = Hashtbl.mem t.fibers fid
-let current_fid t = Option.map (fun f -> f.fid) t.current
-
-let blocked t =
-  Hashtbl.fold
-    (fun _ f acc -> match f.fstate with Blocked reason -> (f.fname, reason) :: acc | _ -> acc)
-    t.fibers []
-  |> List.sort compare
+let current_fid t = if t.current == no_fiber then None else Some t.current.fid
 
 let blocked_info t =
   Hashtbl.fold
     (fun _ f acc ->
-      match f.fstate with Blocked reason -> (f.fid, f.fname, reason) :: acc | _ -> acc)
+      match f.fstate with
+      | Blocked (reason, _) -> (f.fid, f.fname, reason) :: acc
+      | Sleeping (d, _) -> (f.fid, f.fname, Printf.sprintf "sleep %.3f" d) :: acc
+      | Ready | Running | Finished -> acc)
     t.fibers []
   |> List.sort compare
+
+let blocked t =
+  List.map (fun (_, name, reason) -> (name, reason)) (blocked_info t) |> List.sort compare
 
 let failures t = t.failures
 
@@ -377,7 +383,9 @@ let check_failures t =
 
 let yield () = Effect.perform Yield
 let sleep d = Effect.perform (Sleep d)
-let suspend ~reason register = Effect.perform (Suspend (reason, register))
+let park ~reason register arg = Effect.perform (Park (reason, register, arg))
+let resume_of register w = register (wake_thunk w)
+let suspend ~reason register = park ~reason resume_of register
 let time () = Effect.perform Time
 let self_name () = (Effect.perform Self).fname
 let spawn_inside ?name body = Effect.perform (Spawn_inside (name, body))

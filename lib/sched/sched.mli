@@ -184,11 +184,25 @@ val yield : unit -> unit
 val sleep : float -> unit
 (** Suspends for the given span of virtual time. *)
 
+type waker
+(** One park of one fiber: the handle that ends it. *)
+
+val park : reason:string -> ('a -> waker -> unit) -> 'a -> unit
+(** [park ~reason register x] parks the current fiber.  [register x w]
+    is called immediately with the park's waker; stash it somewhere a
+    waker will find it.  [reason] appears in [blocked] listings.
+    Passing [x] separately lets a caller register with a closed
+    function, so a park allocates no closure. *)
+
+val wake : waker -> bool
+(** Ends the park and makes its fiber runnable; [false], and nothing
+    happens, when the park has already ended — woken before, timed out,
+    or its fiber cancelled.  May be called from any context. *)
+
 val suspend : reason:string -> ((unit -> unit) -> unit) -> unit
-(** [suspend ~reason register] parks the current fiber.  [register] is
-    called immediately with a [resume] closure; stash it somewhere a
-    waker will find it.  [resume] is idempotent and may be called from
-    any context.  [reason] appears in [blocked] listings. *)
+(** [suspend ~reason register] is {!park} with a [resume] closure
+    instead of a waker: [register] is called immediately with it.
+    [resume] is idempotent and may be called from any context. *)
 
 val time : unit -> float
 (** Virtual time, from inside a fiber. *)

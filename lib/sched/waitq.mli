@@ -2,8 +2,9 @@
     synchronisation structure.
 
     A fiber [park]s itself on the queue; any context may later [wake_one]
-    or [wake_all].  Wakes are FIFO.  A resume left behind by a cancelled
-    fiber is harmless (resumes are idempotent). *)
+    or [wake_all].  Wakes are FIFO.  A waker left behind by a park that
+    already ended — a cancelled fiber, or a timed-out
+    [receive_timeout] — is skipped. *)
 
 type t
 
@@ -13,15 +14,15 @@ val create : string -> t
 val park : t -> unit
 (** Suspend the current fiber until woken.  Fiber context only. *)
 
-val park_external : t -> (unit -> unit) -> unit
-(** Registers an externally-created resume closure (from
-    {!Sched.suspend}) without suspending; used to race a queue against a
-    timer. *)
+val park_external : t -> Sched.waker -> unit
+(** Registers an externally-created waker (from {!Sched.park}) without
+    suspending; used to race a queue against a timer. *)
 
 val wake_one : t -> bool
-(** Wakes the longest-parked fiber; [false] if none was parked. *)
+(** Wakes the longest-parked fiber whose park has not ended; [false] if
+    none was parked. *)
 
 val wake_all : t -> int
-(** Wakes everyone; returns how many resumes were issued. *)
+(** Wakes everyone; returns how many fibers it woke. *)
 
 val waiters : t -> int

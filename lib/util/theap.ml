@@ -119,11 +119,12 @@ let is_live t h =
   let slot = h land slot_mask in
   h >= 0 && slot < t.used && t.gens.(slot) = h lsr slot_bits
 
-(* Detach the entry at heap index [idx]: swap the last entry in, then
-   restore heap order from there.  The vacated slot is recycled. *)
+(* Detach the entry at heap index [idx] and return its value: swap the
+   last entry in, then restore heap order from there.  The vacated slot
+   is recycled. *)
 let delete_at t idx =
   let slot = t.heap.(idx) in
-  let key = t.keys.(slot) and v = t.values.(slot) in
+  let v = t.values.(slot) in
   t.values.(slot) <- t.dummy;
   t.pos.(slot) <- -1;
   t.gens.(slot) <- t.gens.(slot) + 1;
@@ -135,7 +136,7 @@ let delete_at t idx =
     sift_up t idx;
     sift_down t idx
   end;
-  (key, v)
+  v
 
 let remove t h =
   if not (is_live t h) then false
@@ -144,13 +145,17 @@ let remove t h =
     true
   end
 
-let find_min t =
+let delete_min t =
   if t.size = 0 then None
   else
-    let slot = t.heap.(0) in
-    Some (t.keys.(slot), t.values.(slot))
+    let key = t.keys.(t.heap.(0)) in
+    Some (key, delete_at t 0)
 
-let delete_min t = if t.size = 0 then None else Some (delete_at t 0)
+let min_key t = if t.size = 0 then infinity else t.keys.(t.heap.(0))
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Theap.pop_min: empty";
+  delete_at t 0
 
 let min_tie_count t =
   if t.size = 0 then 0
@@ -190,5 +195,5 @@ let delete_nth_min t i =
     in
     match List.nth_opt by_seq i with
     | None -> invalid_arg "Theap.delete_nth_min: index beyond tie count"
-    | Some idx -> Some (delete_at t idx)
+    | Some idx -> Some (k, delete_at t idx)
   end

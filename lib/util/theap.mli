@@ -31,10 +31,16 @@ val size : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val find_min : 'a t -> (float * 'a) option
-
 val delete_min : 'a t -> (float * 'a) option
 (** Earliest deadline; insertion order among ties. *)
+
+val min_key : 'a t -> float
+(** The earliest deadline; [infinity] when empty. *)
+
+val pop_min : 'a t -> 'a
+(** {!delete_min}'s value alone, with no option or pair built: the
+    form a hot loop that already read {!min_key} wants.
+    @raise Invalid_argument when empty. *)
 
 val min_tie_count : 'a t -> int
 (** How many entries are tied at the minimum deadline. *)

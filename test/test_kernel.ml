@@ -492,6 +492,136 @@ let test_meter_counts_timeouts () =
     (Eden_util.Text.contains_sub ~sub:"timeouts=1"
        (Format.asprintf "%a" Kernel.Meter.pp snap))
 
+(* --- Allocation pins --------------------------------------------------
+
+   What one invocation costs in minor words, pinned at the value reached
+   plus 10%: 152 words for a bare Serial invoke, 196 for a Concurrent
+   one, 1 460 for an F2 line on one kernel and 2 613 on three shards.  Minor words are deterministic (same code path, same
+   count), so a pin moves only when an allocation is added to or taken
+   off a per-invoke path (DESIGN §15).  Each measurement starts after a
+   warm-up that brings every table and buffer to its steady size. *)
+
+module T = Eden_transput
+module Cluster = Eden_par.Cluster
+
+let words_per ~warm ~n item =
+  for _ = 1 to warm do
+    item ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    item ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let echo_only _ctx ~passive:_ = [ ("Echo", fun v -> v) ]
+
+(* [n] bare invocations of an echo Eject from a driver. *)
+let bare_invoke dispatch =
+  let k = Kernel.create () in
+  let uid = Kernel.create_eject k ~dispatch ~type_name:"echo" echo_only in
+  let words = ref 0. in
+  Kernel.run_driver k (fun ctx ->
+      words :=
+        words_per ~warm:200 ~n:2000 (fun () ->
+            ignore (Kernel.invoke ctx uid ~op:"Echo" (Value.Int 1))));
+  (!words, k)
+
+(* The F2 read-only chain (trim_trailing -> upcase -> rot13, one line
+   per Transfer under legacy flowctl) read to its end.  On one shard
+   every stage shares a kernel; on three, the stages alternate over
+   shards 1 and 2 and the reader sits on shard 0, as in the benchmark,
+   so every hop crosses shards. *)
+let f2_line ~shards =
+  let warm = 100 and n = 500 in
+  let c = Cluster.create Cluster.Deterministic ~shards () in
+  let shard_of j = if shards = 1 then 0 else 1 + (j mod 2) in
+  let next = ref 0 in
+  let gen () =
+    let i = !next in
+    if i >= warm + n then None
+    else begin
+      next := i + 1;
+      Some (Value.Str (Printf.sprintf "Line %d of the Eden stream  \t" i))
+    end
+  in
+  let src = T.Stage.source_ro (Cluster.kernel c (shard_of 0)) ~capacity:0 gen in
+  let _, last =
+    List.fold_left
+      (fun (j, prev) f ->
+        let shard = shard_of j in
+        let upstream = Cluster.proxy c ~shard ~ops:[ T.Proto.transfer_op ] ~target:prev in
+        let uid =
+          T.Stage.filter_ro (Cluster.kernel c shard) ~capacity:0
+            ~flowctl:Eden_flowctl.Flowctl.legacy ~upstream f
+        in
+        (j + 1, (shard, uid)))
+      (1, (shard_of 0, src))
+      Eden_filters.Catalog.[ trim_trailing; upcase; rot13 ]
+  in
+  let up = Cluster.proxy c ~shard:0 ~ops:[ T.Proto.transfer_op ] ~target:last in
+  let words = ref 0. in
+  Cluster.driver c 0 (fun ctx ->
+      let p = T.Pull.connect ctx ~flowctl:Eden_flowctl.Flowctl.legacy up in
+      words := words_per ~warm ~n (fun () -> ignore (T.Pull.read p));
+      while T.Pull.read p <> None do
+        ()
+      done);
+  Cluster.run c;
+  (!words, c)
+
+let rtt_counts hists =
+  List.filter_map
+    (fun (name, h) ->
+      if String.starts_with ~prefix:"rtt." name then Some (name, Eden_obs.Obs.Histogram.count h)
+      else None)
+    hists
+
+let net_counts (m : Eden_net.Net.meter) =
+  [ m.sent; m.delivered; m.dropped; m.dropped_loss; m.dropped_partition; m.bytes ]
+
+(* The counters are the ones this fixed run read before the per-invoke
+   allocations were cut: the cuts moved no count. *)
+let test_allocation_pins () =
+  let pin what ~limit words =
+    if words > limit then
+      Alcotest.failf "%s: %.1f minor words, pinned at %.0f" what words limit
+  in
+  let ops = Alcotest.(list (pair string int)) and ints = Alcotest.(list int) in
+  List.iter
+    (fun (what, dispatch, limit) ->
+      let words, k = bare_invoke dispatch in
+      pin what ~limit words;
+      check ops (what ^ ": op counts") [ ("Echo", 2200) ] (Kernel.op_counts k);
+      check ops (what ^ ": rtt histogram") [ ("rtt.Echo", 2200) ]
+        (rtt_counts (Eden_obs.Obs.histograms (Kernel.obs k)));
+      check ints (what ^ ": net meter") [ 4400; 4400; 0; 0; 0; 114400 ]
+        (net_counts (Eden_net.Net.meter (Kernel.net k))))
+    [
+      ("bare Serial invoke", Kernel.Serial, 167.);
+      ("bare Concurrent invoke", Kernel.Concurrent, 216.);
+    ];
+  List.iter
+    (fun (shards, limit, transfers, net, makespans) ->
+      let what = Printf.sprintf "F2 line on %d shard(s)" shards in
+      let words, c = f2_line ~shards in
+      pin what ~limit words;
+      check ops (what ^ ": op counts") [ ("Transfer", transfers) ] (Cluster.op_counts c);
+      check ops (what ^ ": rtt histogram") [ ("rtt.Transfer", transfers) ]
+        (rtt_counts (Cluster.histograms c));
+      check ints (what ^ ": net meter") net (net_counts (Cluster.meter c).Kernel.Meter.net);
+      check
+        Alcotest.(array (float 0.))
+        (what ^ ": virtual makespans") makespans (Cluster.makespans c))
+    [
+      (1, 1606., 2404, [ 4808; 4808; 0; 0; 0; 241636 ], [| 0x1.e33333333327dp+6 |]);
+      ( 3,
+        2874.,
+        4808,
+        [ 9616; 9616; 0; 0; 0; 483272 ],
+        [| 0x1.e0ccccccccc19p+6; 0x1.e2666666665b1p+6; 0x1.e33333333327dp+6 |] );
+    ]
+
 let suite =
   [
     ("invoke echo", `Quick, test_invoke_echo);
@@ -525,4 +655,5 @@ let suite =
     ("uid collections", `Quick, test_uid_collections);
     ("value pp shapes", `Quick, test_value_pp_shapes);
     ("mint is fresh", `Quick, test_mint_is_fresh);
+    ("allocation pins: minor words per invoke and per F2 line", `Quick, test_allocation_pins);
   ]

@@ -498,6 +498,28 @@ let test_mailbox_timeout () =
   check Alcotest.(option int) "first arrives" (Some 9) !first;
   check Alcotest.(option int) "second times out" None !second
 
+(* A timed-out [receive_timeout] leaves its waker in the mailbox's
+   queue.  The next send must skip that stale waker and wake the
+   receiver parked behind it, not spend its one wake on nobody. *)
+let test_mailbox_timeout_no_lost_wakeup () =
+  let t = Sched.create () in
+  let mb : int Mailbox.t = Mailbox.create () in
+  let a = ref (Some 0) and b = ref None in
+  ignore (Sched.spawn t ~name:"A" (fun () -> a := Mailbox.receive_timeout t mb 1.0));
+  ignore
+    (Sched.spawn t ~name:"B" (fun () ->
+         Sched.sleep 1.5;
+         b := Some (Mailbox.receive mb)));
+  ignore
+    (Sched.spawn t ~name:"C" (fun () ->
+         Sched.sleep 2.0;
+         Mailbox.send mb 7));
+  run_ok t;
+  check Alcotest.(option int) "A timed out" None !a;
+  check Alcotest.(list (pair string string)) "nobody left blocked" [] (Sched.blocked t);
+  check Alcotest.(option int) "B received the message" (Some 7) !b;
+  check Alcotest.int "mailbox drained" 0 (Mailbox.length mb)
+
 (* ------------------------------------------------------------------ *)
 (* Chan (bounded)                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -745,6 +767,7 @@ let suite =
     ("mailbox many receivers", `Quick, test_mailbox_many_receivers);
     ("mailbox try_receive", `Quick, test_mailbox_try_receive);
     ("mailbox timeout", `Quick, test_mailbox_timeout);
+    ("mailbox timeout: no lost wakeup", `Quick, test_mailbox_timeout_no_lost_wakeup);
     ("chan backpressure", `Quick, test_chan_backpressure);
     ("chan try ops", `Quick, test_chan_try_ops);
     ("semaphore limits concurrency", `Quick, test_semaphore_limits_concurrency);
