@@ -1717,22 +1717,22 @@ let w1 ?(quick = false) () =
 (* ------------------------------------------------------------------ *)
 
 let a1 ?(quick = false) () =
-  section "A1  Authenticated wire: RFC-0002 three-layer overhead (wall clock)";
+  section "A1  Authenticated wire: per-socket sealing overhead (wall clock)";
   let domains = 3 in
   let f2_filters = 3 in
   (* 4096 items keep each streamed run near 0.1 s on a small host, long
-     enough that fork, handshake and scheduling jitter stay well inside
-     the gate's 15% width. *)
+     enough that fork, socket set-up and scheduling jitter stay well
+     inside the gate's 15% width. *)
   let n_items = if quick then 128 else 4096 in
   Printf.printf
     "The F2 chain over Unix sockets at %d shards, plain versus the\n\
-     three-layer authenticated transport (community id + keyed hello/\n\
-     welcome MACs at connection setup, per-connection session MACs\n\
-     sealing every data frame).  'setup' rows move one item, so the\n\
-     wall clock is fork + handshake; 'stream' rows move %d items and\n\
-     measure the steady-state sealing cost.  Streams must stay\n\
-     byte-identical to the unauthenticated run, and the batch-64\n\
-     authenticated overhead must stay within 15%% (gated on the full run).\n\n"
+     authenticated transport (a session MAC sealing every data frame,\n\
+     under a per-socket token both ends derive from the community key\n\
+     and a run nonce).  'setup' rows move one item, so the wall clock\n\
+     is socket pairs + fork; 'stream' rows move %d items and measure\n\
+     the steady-state sealing cost.  Streams must stay byte-identical\n\
+     to the unauthenticated run, and the batch-64 authenticated\n\
+     overhead must stay within 15%% (gated on the full run).\n\n"
     domains n_items;
   let mode auth =
     Par.Cluster.Wire

@@ -30,17 +30,6 @@ type t = {
   mutable local_latency : latency;
   link_latency : (int * int, latency) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t;
-  (* Handshake gating: when [require_establishment] is set, inter-node
-     links must be [establish]ed before they carry traffic; frames sent
-     earlier are charged to [dropped_partition] (the link does not exist
-     yet — that is a connectivity condition, not random loss). *)
-  mutable require_establishment : bool;
-  established : (int * int, unit) Hashtbl.t;
-  (* Authenticated-handshake gating, the same boundary rule one layer
-     up: with [require_auth] set, an established link still drops (to
-     [dropped_partition], loss coin unflipped) until [authenticate]. *)
-  mutable require_auth : bool;
-  authenticated : (int * int, unit) Hashtbl.t;
   mutable loss_probability : float;
   (* The meter's counters, bumped in place: [meter] builds the record
      only when it is read, so a send copies nothing. *)
@@ -69,10 +58,6 @@ let create ?(seed = 0x5EEDL) ~sched ~latency () =
     local_latency = Fixed (mean_of latency /. 10.0);
     link_latency = Hashtbl.create 8;
     partitions = Hashtbl.create 8;
-    require_establishment = false;
-    established = Hashtbl.create 8;
-    require_auth = false;
-    authenticated = Hashtbl.create 8;
     loss_probability = 0.0;
     sent = 0;
     delivered = 0;
@@ -114,16 +99,6 @@ let partition t a b = Hashtbl.replace t.partitions (link_key a b) ()
 let heal t a b = Hashtbl.remove t.partitions (link_key a b)
 let heal_all t = Hashtbl.reset t.partitions
 
-let set_require_establishment t flag = t.require_establishment <- flag
-let establish t a b = Hashtbl.replace t.established (link_key a b) ()
-let is_established t a b =
-  (not t.require_establishment) || a = b || Hashtbl.mem t.established (link_key a b)
-
-let set_require_auth t flag = t.require_auth <- flag
-let authenticate t a b = Hashtbl.replace t.authenticated (link_key a b) ()
-let is_authenticated t a b =
-  (not t.require_auth) || a = b || Hashtbl.mem t.authenticated (link_key a b)
-
 let draw_latency t model size =
   match model with
   | Fixed f -> f
@@ -144,27 +119,17 @@ let latency_for t ~src ~dst ~size =
 let send t ~src ~dst ~size deliver =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
-  let unestablished =
-    src <> dst && not (is_established t src dst && is_authenticated t src dst)
-  in
-  let partitioned =
-    unestablished || (src <> dst && Hashtbl.mem t.partitions (link_key src dst))
-  in
+  let partitioned = src <> dst && Hashtbl.mem t.partitions (link_key src dst) in
   (* Same-node hops never traverse the lossy medium: like partitions,
      loss only applies when [src <> dst].  Without this exemption a
      local error reply (e.g. "no such eject") could be dropped and the
-     invoker would block forever.  A frame sent before its link is
-     established never reaches the medium either, so the loss coin is
-     not flipped for it — it is a connectivity drop, like a partition. *)
-  let lost =
-    (not unestablished) && src <> dst && t.loss_probability > 0.0
-    && Prng.float t.prng 1.0 < t.loss_probability
-  in
+     invoker would block forever. *)
+  let flip = src <> dst && t.loss_probability > 0.0 in
+  let lost = flip && Prng.float t.prng 1.0 < t.loss_probability in
   (* Surface every nondeterministic draw to the schedule-exploration
      trace: the loss coin whenever it was actually flipped, and any
      partition drop. *)
-  if (not unestablished) && src <> dst && t.loss_probability > 0.0 then
-    Sched.note t.sched ~kind:"net.loss" ~arg:(if lost then 1 else 0);
+  if flip then Sched.note t.sched ~kind:"net.loss" ~arg:(if lost then 1 else 0);
   if partitioned then Sched.note t.sched ~kind:"net.partition" ~arg:1;
   (* A message crossing a partitioned link is charged to the partition
      even when the loss coin also came up: the link would have eaten it

@@ -62,39 +62,6 @@ val partition : t -> node_id -> node_id -> unit
 val heal : t -> node_id -> node_id -> unit
 val heal_all : t -> unit
 
-(** {1 Link establishment}
-
-    Off by default (every link is implicitly up, the seed behaviour).
-    When enabled, an inter-node link carries traffic only after
-    {!establish}; a frame sent earlier is dropped and charged to
-    [dropped_partition] — the link does not exist yet, which is a
-    connectivity condition, not random loss.  The loss coin is not
-    flipped for such frames (they never reach the medium), keeping
-    chaos-experiment tables truthful across the simulated and real
-    transports, whose handshake has the same boundary. *)
-
-val set_require_establishment : t -> bool -> unit
-val establish : t -> node_id -> node_id -> unit
-(** Marks the (symmetric) link up.  Not undone by {!heal_all} —
-    partitions and establishment are independent conditions. *)
-
-val is_established : t -> node_id -> node_id -> bool
-(** True when the link can carry traffic as far as establishment is
-    concerned ([true] whenever gating is off or [a = b]). *)
-
-(** {1 Authenticated establishment}
-
-    The same boundary rule one layer up, for the {!Eden_wire.Auth}
-    three-layer handshake: with [require_auth] set, an {e established}
-    link still drops every frame (charged to [dropped_partition], loss
-    coin unflipped) until {!authenticate} marks its authenticated
-    handshake complete.  Setup-phase retries therefore never pollute
-    the loss columns of an authenticated-vs-plain comparison (A1). *)
-
-val set_require_auth : t -> bool -> unit
-val authenticate : t -> node_id -> node_id -> unit
-val is_authenticated : t -> node_id -> node_id -> bool
-
 (** {1 Sending} *)
 
 val send : t -> src:node_id -> dst:node_id -> size:int -> (unit -> unit) -> unit

@@ -16,11 +16,9 @@ module Chunk = Eden_chunk.Chunk
 type wire_config = {
   wire_transport : Transport.kind;
   wire_faults : Faults.t option;
-  (* When set, the fork-time handshake runs the RFC-0002 three-layer
-     exchange (community id, keyed MAC, per-connection session token)
-     and every post-handshake frame on every socket is sealed with an
-     8-byte MAC trailer.  [None] is the plain version-1 handshake —
-     the benchmark baseline (A1 measures the difference). *)
+  (* When set, every frame on every socket is sealed with an 8-byte MAC
+     trailer under a token both ends of the socket derive.  [None] is the
+     plain wire — the benchmark baseline (A1 measures the difference). *)
   wire_auth : Auth.community option;
 }
 
@@ -330,7 +328,7 @@ let send t sh ~kind ~dst ~seq v =
       | None -> deliver ()
       | Some fl -> (
           let size = 4 + Frame.header_bytes + Bin.parts_length ps + mac_overhead p.session in
-          match Faults.apply fl ~established:true ~size with
+          match Faults.apply fl ~size with
           | Faults.Drop -> ()
           | Faults.Delay d ->
               Unix.sleepf d;
@@ -358,6 +356,15 @@ let forward t sh tshard tuid ~op arg =
   | Error m -> raise (Kernel.Eden_error m)
 
 let proxy t ~shard ~ops ~target:(tshard, tuid) =
+  (* Checked here: a bad index would otherwise surface only inside [run],
+     after [post] had already counted the message in flight. *)
+  let check what i =
+    let n = Array.length t.shards in
+    if i < 0 || i >= n then
+      invalid_arg (Printf.sprintf "Cluster.proxy: %s %d outside [0, %d)" what i n)
+  in
+  check "shard" shard;
+  check "target shard" tshard;
   let sh = t.shards.(shard) in
   if tshard = shard then tuid
   else begin
@@ -699,9 +706,11 @@ let status_text = function
 
 (* Fork one process per leaf shard after the topology is built: every
    closure, Eject and UID crosses by inheritance, so both sides of each
-   proxy already agree on names without any wire-level bootstrap.  The
-   leaf-to-leaf links are made before the fork, so each is a connected
-   pair whose two ends only the two leaves keep. *)
+   proxy already agree on names without any wire-level bootstrap.  Every
+   socket is made before the fork — one from the hub to each leaf, one
+   per leaf-to-leaf link — as a connected pair whose two ends only the
+   two shards it joins keep: no process listens, and a leaf that dies at
+   any point is an end of file on a socket the hub already holds. *)
 let wire_run t cfg =
   let n = Array.length t.shards in
   if n = 1 then det_loop t
@@ -715,8 +724,6 @@ let wire_run t cfg =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
       with Invalid_argument _ | Sys_error _ -> None
     in
-    let server = Transport.listen cfg.wire_transport in
-    let nonce = Random.State.bits64 (Random.State.make_self_init ()) in
     let pids = Array.make n 0 in
     let status = Array.make n None in
     (* Every descriptor the hub holds for the run, closed on every way
@@ -737,14 +744,23 @@ let wire_run t cfg =
     in
     let finish () =
       close_held !held;
-      Transport.close_server server;
       match prev_sigpipe with
       | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
       | None -> ()
     in
-    let session token = Option.map (fun c -> Auth.session c ~token) cfg.wire_auth in
-    let link_session a b =
-      Option.map (fun c -> Auth.session c ~token:(Auth.link_token c ~nonce a b)) cfg.wire_auth
+    (* Each end of the socket between shards [a < b] derives its session
+       itself: [mint_token] for the hub's socket to a leaf, [link_token]
+       for a link, both under a nonce drawn for this run. *)
+    let session =
+      match cfg.wire_auth with
+      | None -> fun _ _ -> None
+      | Some c ->
+          let nonce = Random.State.bits64 (Random.State.make_self_init ()) in
+          fun a b ->
+            let token =
+              if a = 0 then Auth.mint_token c ~shard:b ~nonce else Auth.link_token c ~nonce a b
+            in
+            Some (Auth.session c ~token)
     in
     let peer shard fd session = { shard; conn = Conn.create fd; session; sent = 0; taken = 0 } in
     match
@@ -753,42 +769,35 @@ let wire_run t cfg =
           (fun (a, b) ->
             let fa, fb = Transport.pair cfg.wire_transport in
             (a, b, hold fa, hold fb))
-          t.links
+          (List.init (n - 1) (fun k -> (0, k + 1)) @ t.links)
+      in
+      (* Shard [i]'s end of each of its sockets, as a peer; every other
+         end goes to [drop]. *)
+      let own i ~drop =
+        List.concat_map
+          (fun (a, b, fa, fb) ->
+            if a = i then begin
+              drop fb;
+              [ peer b fa (session a b) ]
+            end
+            else if b = i then begin
+              drop fa;
+              [ peer a fb (session a b) ]
+            end
+            else begin
+              drop fa;
+              drop fb;
+              []
+            end)
+          ends
       in
       for i = 1 to n - 1 do
         match Unix.fork () with
         | 0 -> (
             (* Leaf process for shard i. *)
             try
-              List.iter
-                (fun (a, b, fa, fb) ->
-                  if a <> i then Unix.close fa;
-                  if b <> i then Unix.close fb)
-                ends;
-              let conn = Transport.dial server in
-              let hub_session =
-                match cfg.wire_auth with
-                | None ->
-                    Frame.write conn (Frame.hello ~shard:i ~nonce);
-                    let shard, n2 =
-                      Frame.parse_handshake ~expect:Frame.Welcome (Frame.read conn)
-                    in
-                    if shard <> i || not (Int64.equal n2 nonce) then
-                      perr "leaf %d: welcome names shard %d" i shard;
-                    None
-                | Some c -> (
-                    Frame.write conn (Auth.hello c ~shard:i ~nonce);
-                    match Auth.verify_welcome c ~expect_nonce:nonce (Frame.read conn) with
-                    | Error reason -> perr "leaf %d: %s" i reason
-                    | Ok token -> session token)
-              in
               let lpeers = Array.make n None in
-              lpeers.(0) <- Some (peer 0 conn hub_session);
-              List.iter
-                (fun (a, b, fa, fb) ->
-                  if a = i then lpeers.(b) <- Some (peer b fa (link_session a b))
-                  else if b = i then lpeers.(a) <- Some (peer a fb (link_session a b)))
-                ends;
+              List.iter (fun p -> lpeers.(p.shard) <- Some p) (own i ~drop:Unix.close);
               let l = { lpeers; last_idle = ""; shutdown = false } in
               t.fabric <- Leaf l;
               leaf_loop t t.shards.(i) l;
@@ -800,40 +809,9 @@ let wire_run t cfg =
               Unix._exit 2)
         | pid -> pids.(i) <- pid
       done;
-      close_held (List.concat_map (fun (_, _, fa, fb) -> [ fa; fb ]) ends);
-      let conns = Array.make n None in
-      let hsessions = Array.make n None in
-      for _ = 1 to n - 1 do
-        let fd = hold (Transport.accept server) in
-        let shard, n2, token =
-          match cfg.wire_auth with
-          | None ->
-              let shard, n2 = Frame.parse_handshake ~expect:Frame.Hello (Frame.read fd) in
-              (shard, n2, None)
-          | Some c -> (
-              match
-                Auth.verify_hello
-                  ~lookup:(fun id -> if Int64.equal id c.Auth.id then Some c else None)
-                  (Frame.read fd)
-              with
-              | Error reason -> perr "hub: %s" reason
-              | Ok (shard, n2, c) -> (shard, n2, Some (Auth.mint_token c ~shard ~nonce)))
-        in
-        if shard < 1 || shard >= n then perr "hub: hello from shard %d" shard;
-        if conns.(shard) <> None then perr "hub: duplicate hello from shard %d" shard;
-        if not (Int64.equal n2 nonce) then perr "hub: hello nonce mismatch from shard %d" shard;
-        conns.(shard) <- Some fd;
-        match (cfg.wire_auth, token) with
-        | Some c, Some token ->
-            Frame.write fd (Auth.welcome c ~shard ~nonce ~token);
-            hsessions.(shard) <- session token
-        | _ -> Frame.write fd (Frame.welcome ~shard ~nonce)
-      done;
       let h =
         {
-          hpeers =
-            Array.init (n - 1) (fun k ->
-                peer (k + 1) (Option.get conns.(k + 1)) hsessions.(k + 1));
+          hpeers = Array.of_list (own 0 ~drop:(fun fd -> close_held [ fd ]));
           hfaults = cfg.wire_faults;
           told = Array.make n false;
           told_sent = Array.make_matrix n n 0;

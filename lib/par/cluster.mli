@@ -34,12 +34,13 @@ type wire_config = {
           script lines up with those frames.  Frames between two leaves
           travel on their own link and are not faulted. *)
   wire_auth : Eden_wire.Auth.community option;
-      (** When set, the hub↔leaf handshake runs the RFC-0002 three-layer
-          exchange (community id, keyed MAC, per-connection session
-          token), each leaf-to-leaf link derives a token of its own
-          ({!Eden_wire.Auth.link_token}), and every data frame on every
-          socket is sealed with an 8-byte MAC trailer; [None] preserves
-          the plain path for benchmarks. *)
+      (** When set, every frame on every socket is sealed with an
+          8-byte MAC trailer under a per-socket session token that both
+          ends derive from the community key and a nonce drawn for the
+          run — {!Eden_wire.Auth.mint_token} for a hub socket,
+          {!Eden_wire.Auth.link_token} for a leaf-to-leaf link — so no
+          frame is exchanged to agree on it; [None] preserves the plain
+          path for benchmarks. *)
 }
 
 type mode =
@@ -49,12 +50,14 @@ type mode =
       (** One OS process per shard over real sockets.  Shard 0 (the
           {e hub}) stays in the calling process and has a socket to
           every leaf; each pair of leaves that some {!proxy} connects
-          has a link of its own, made by the parent before it forks, so
-          a Request or Reply always travels straight from its sender to
-          its receiver and no process relays.  {!run} forks the leaves
-          {e after} the topology is built, so every Eject, closure and
-          UID crosses by inheritance and both ends of each proxy already
-          agree on names; frames carry [Value]s in the
+          has a link of its own, so a Request or Reply always travels
+          straight from its sender to its receiver and no process
+          relays.  The parent makes every one of these sockets with
+          {!Eden_wire.Transport.pair} before it forks, so no process
+          listens and no socket needs a handshake.  {!run} forks the
+          leaves {e after} the topology is built, so every Eject,
+          closure and UID crosses by inheritance and both ends of each
+          proxy already agree on names; frames carry [Value]s in the
           {!Eden_wire.Bin} codec.  At most 256 shards (shard indices
           ride in one header byte).
 
@@ -100,7 +103,9 @@ val proxy :
     target lives on [shard] itself, the target UID is returned
     unchanged (no proxy Eject, no cross-domain message).  Must be
     called before {!run}: in [Wire] mode the proxies decide which
-    leaves get a link. *)
+    leaves get a link.
+    @raise Invalid_argument naming the index when [shard] or the
+    target's shard is not in [[0, shard_count t)]. *)
 
 val set_det_pick : t -> (n:int -> int) option -> unit
 (** Installs (or clears) a shard-order policy for [Deterministic] mode
@@ -121,9 +126,9 @@ val run : t -> unit
     mode — then re-raises the first fiber failure of any shard.  In
     [Wire] mode a leaf sends its first failure with its shutdown stats,
     and the failure names the shard; a leaf that exits or closes its
-    socket mid-run fails the run naming the shard and its exit status,
-    after the hub has closed every socket and reaped every leaf.  May be
-    called once.
+    socket at any point before its stats fails the run naming the shard
+    and its exit status, after the hub has closed every socket and
+    reaped every leaf.  May be called once.
 
     Wire termination: a leaf about to block whose counts changed since
     its last report sends the hub an [Idle] with, for each of its

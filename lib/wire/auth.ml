@@ -34,42 +34,7 @@ let community ~id ~key =
   if String.length key <> 16 then invalid_arg "Auth.community: key must be 16 bytes";
   { id; key }
 
-(* --- Handshake ------------------------------------------------------ *)
-
-(* Authenticated handshake payload, 40 bytes: the 16-byte base
-   (magic u32, version u16, shard u8, pad, nonce u64), then
-   community id u64, session token u64, MAC u64.  The MAC covers the
-   frame kind and routing bytes plus everything before itself, under
-   the community key — layer 2 sealing layers 1 and 3. *)
-
-let auth_payload_bytes = 40
-
-let handshake_mac c ~kind ~src ~dst body32 =
-  let b = Buffer.create 36 in
-  Buffer.add_uint8 b (Frame.kind_code kind);
-  Buffer.add_uint8 b (src land 0xFF);
-  Buffer.add_uint8 b (dst land 0xFF);
-  Buffer.add_string b body32;
-  siphash ~key:c.key (Buffer.contents b)
-
-let handshake c ~kind ~src ~dst ~shard ~nonce ~token =
-  let b = Buffer.create auth_payload_bytes in
-  Buffer.add_int32_be b Frame.magic;
-  Buffer.add_uint16_be b Frame.version;
-  Buffer.add_uint8 b (shard land 0xFF);
-  Buffer.add_uint8 b 0;
-  Buffer.add_int64_be b nonce;
-  Buffer.add_int64_be b c.id;
-  Buffer.add_int64_be b token;
-  let body32 = Buffer.contents b in
-  Buffer.add_int64_be b (handshake_mac c ~kind ~src ~dst body32);
-  Frame.make ~kind ~flags:Frame.flag_auth ~src ~dst (Buffer.contents b)
-
-let hello c ~shard ~nonce =
-  handshake c ~kind:Frame.Hello ~src:shard ~dst:0 ~shard ~nonce ~token:0L
-
-let welcome c ~shard ~nonce ~token =
-  handshake c ~kind:Frame.Welcome ~src:0 ~dst:shard ~shard ~nonce ~token
+(* --- Session tokens ------------------------------------------------- *)
 
 let mint_token c ~shard ~nonce =
   let b = Buffer.create 17 in
@@ -78,9 +43,10 @@ let mint_token c ~shard ~nonce =
   Buffer.add_int64_be b nonce;
   siphash ~key:c.key (Buffer.contents b)
 
-(* A leaf-to-leaf link has no handshake: the parent made both ends, so
-   both derive its token.  The label keeps it apart from every
-   [mint_token], and the ordered pair makes it one token per link. *)
+(* The parent made both ends of every socket before it forked, so both
+   derive its token.  For a leaf-to-leaf link, the label keeps it apart
+   from every [mint_token], and the ordered pair makes it one token per
+   link. *)
 let link_token c ~nonce a b =
   let buf = Buffer.create 15 in
   Buffer.add_string buf "link.";
@@ -88,47 +54,6 @@ let link_token c ~nonce a b =
   Buffer.add_uint8 buf (max a b land 0xFF);
   Buffer.add_int64_be buf nonce;
   siphash ~key:c.key (Buffer.contents buf)
-
-(* Shared field parse for both directions; every failure is a result,
-   never an exception — a hostile handshake must not crash the shard. *)
-let parse_auth_handshake ~expect f =
-  let { Frame.kind; flags; src; dst; seq = _ } = f.Frame.hdr in
-  let p = f.Frame.payload in
-  if kind <> expect then Error (Printf.sprintf "expected %s frame" (Frame.kind_name expect))
-  else if flags land Frame.flag_auth = 0 then Error "unauthenticated handshake"
-  else if String.length p <> auth_payload_bytes then
-    Error (Printf.sprintf "auth handshake payload %d bytes, want %d" (String.length p)
-             auth_payload_bytes)
-  else if not (Int32.equal (String.get_int32_be p 0) Frame.magic) then Error "bad magic"
-  else if String.get_uint16_be p 4 <> Frame.version then Error "bad version"
-  else
-    let shard = Char.code p.[6] in
-    let nonce = String.get_int64_be p 8 in
-    let cid = String.get_int64_be p 16 in
-    let token = String.get_int64_be p 24 in
-    let mac = String.get_int64_be p 32 in
-    Ok (src, dst, shard, nonce, cid, token, mac, String.sub p 0 32)
-
-let verify_hello ~lookup f =
-  match parse_auth_handshake ~expect:Frame.Hello f with
-  | Error _ as e -> e
-  | Ok (src, dst, shard, nonce, cid, _token, mac, body32) -> (
-      match lookup cid with
-      | None -> Error (Printf.sprintf "unknown community %Ld" cid)
-      | Some c ->
-          if not (Int64.equal mac (handshake_mac c ~kind:Frame.Hello ~src ~dst body32))
-          then Error "hello MAC mismatch"
-          else Ok (shard, nonce, c))
-
-let verify_welcome c ~expect_nonce f =
-  match parse_auth_handshake ~expect:Frame.Welcome f with
-  | Error _ as e -> e
-  | Ok (src, dst, _shard, nonce, cid, token, mac, body32) ->
-      if not (Int64.equal cid c.id) then Error "welcome for another community"
-      else if not (Int64.equal mac (handshake_mac c ~kind:Frame.Welcome ~src ~dst body32))
-      then Error "welcome MAC mismatch"
-      else if not (Int64.equal nonce expect_nonce) then Error "welcome nonce mismatch"
-      else Ok token
 
 (* --- Data-frame sealing --------------------------------------------- *)
 

@@ -1,29 +1,29 @@
-(** Authenticated wire sessions — the ASoc RFC-0002 three-layer model.
+(** Authenticated wire sessions — what remains of the ASoc RFC-0002
+    three-layer model once every socket is made before the fork.
 
-    Layer 1 — {e community} (namespace) id: every shard belongs to a
-    community, a shared-key namespace; the hello names it in clear so
-    the hub can pick the verification key.
+    Layer 1 — {e community} (namespace): every shard of a run belongs to
+    one community, a shared-key namespace.  Its [id] names it in the
+    configuration and does not travel on the wire: every socket is made
+    before the fork, so no process has to pick a key for a peer it has
+    not met.
 
-    Layer 2 — {e keyed MAC}: handshake frames carry a SipHash-2-4 MAC
-    over header and payload under the community key, so a forged or
-    bit-flipped handshake is rejected before any state is built; after
-    the handshake every data frame is sealed with an 8-byte MAC
-    trailer ({!seal} / {!open_}) that also covers a per-direction
-    counter — a captured frame re-sent later fails as a {e replay},
-    not just a bad MAC.
+    Layer 2 — {e keyed MAC}: every data frame is sealed with an 8-byte
+    SipHash-2-4 trailer ({!seal} / {!open_}) under the community key,
+    which also covers a per-direction counter — a captured frame re-sent
+    later fails as a {e replay}, not just a bad MAC.
 
-    Layer 3 — {e session token}: the welcome carries a per-connection
-    token derived from the community key and the hello nonce; both
-    sides mix it into every data-frame MAC, binding frames to this
-    connection rather than to the long-lived community key.  A
-    leaf-to-leaf link, made by the parent before it forks, skips the
-    handshake: both ends derive its token with {!link_token}.
+    Layer 3 — {e session token}: every socket has a token that both of
+    its ends derive on their own from the community key and a nonce
+    drawn for the run — {!mint_token} for the hub's socket to a leaf,
+    {!link_token} for a leaf-to-leaf link — and mix into every MAC,
+    binding frames to that socket rather than to the long-lived key.
 
-    The unauthenticated version-1 handshake remains the default
-    everywhere — benchmarks compare the two paths (experiment A1). *)
+    Plain, unsealed sockets remain the default everywhere — benchmarks
+    compare the two paths (experiment A1). *)
 
 type community = { id : int64; key : string }
-(** A namespace and its 16-byte secret key. *)
+(** A namespace and its 16-byte secret key.  The [id] labels the
+    namespace for whoever configures a run; nothing sends it. *)
 
 val community : id:int64 -> key:string -> community
 (** @raise Invalid_argument unless [key] is exactly 16 bytes. *)
@@ -39,46 +39,25 @@ val siphash_prefixed : key:string -> prefix:string -> string -> int64
     how data frames are sealed.  @raise Invalid_argument unless
     [prefix] is a whole number of 8-byte words. *)
 
-(** {1 Handshake} *)
-
-val hello : community -> shard:int -> nonce:int64 -> Frame.t
-(** Authenticated hello: base 16-byte handshake payload, then
-    community id, a zero token slot, and the MAC ([flag_auth] set). *)
-
-val welcome : community -> shard:int -> nonce:int64 -> token:int64 -> Frame.t
+(** {1 Session tokens} *)
 
 val mint_token : community -> shard:int -> nonce:int64 -> int64
-(** The per-connection session token the hub issues: derived
-    deterministically from the community key, shard and hello nonce,
-    so forked processes that share the key agree without another
-    round trip. *)
+(** The session token of the hub's socket to leaf [shard], derived
+    from the community key, the shard and the run nonce, so the hub and
+    the forked leaf agree on it without exchanging a frame. *)
 
 val link_token : community -> nonce:int64 -> int -> int -> int64
 (** The session token of the leaf-to-leaf link between two shards,
     derived from the community key, the run nonce and the two shard
-    indices (in either order), so both ends agree without a handshake.
-    Distinct from every {!mint_token} of the run and from every other
-    link's. *)
-
-val verify_hello :
-  lookup:(int64 -> community option) -> Frame.t -> (int * int64 * community, string) result
-(** Check an authenticated hello: frame shape, magic/version, [lookup]
-    of the claimed community id, and the MAC.  [Ok (shard, nonce,
-    community)] on success; [Error reason] never raises — a hostile
-    handshake must not crash the shard process. *)
-
-val verify_welcome :
-  community -> expect_nonce:int64 -> Frame.t -> (int64, string) result
-(** Leaf-side check of the authenticated welcome; [Ok token].  The
-    nonce echo must match the hello's — a welcome captured from
-    another connection fails here. *)
+    indices (in either order), so both ends agree without exchanging a
+    frame.  Distinct from every {!mint_token} of the run and from every
+    other link's. *)
 
 (** {1 Data-frame sealing} *)
 
 type session
-(** One direction-pair of counters plus the key material of an
-    established authenticated connection.  Not shared between
-    connections. *)
+(** One direction-pair of counters plus the key material of one end
+    of an authenticated socket.  Not shared between sockets. *)
 
 val session : community -> token:int64 -> session
 

@@ -109,7 +109,14 @@ let parts v =
    never trigger a large allocation (a list element costs >= 1 byte, a
    string byte costs 1). *)
 
-type cursor = { s : string; mutable pos : int; limit : int }
+type cursor = {
+  s : string;
+  mutable pos : int;
+  limit : int;
+  (* Every chunk decoded so far: a decode that fails releases them, so
+     a corrupt frame leaks no chunk handle. *)
+  mutable chunks : Chunk.t list;
+}
 
 let need c n what =
   if c.limit - c.pos < n then
@@ -177,6 +184,7 @@ let rec value c depth =
       err "chunk length %d exceeds %d remaining bytes" len (c.limit - c.pos);
     let ch = Chunk.of_substring c.s ~pos:c.pos ~len in
     c.pos <- c.pos + len;
+    c.chunks <- ch :: c.chunks;
     Value.Chunk ch
   end
   else if tag = tag_list then begin
@@ -190,14 +198,23 @@ let rec value c depth =
   end
   else err "unknown tag %#x" tag
 
+(* [f c], or — if it raises — every chunk [c] decoded released first. *)
+let owning c f =
+  match f c with
+  | v -> v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      List.iter Chunk.release c.chunks;
+      Printexc.raise_with_backtrace e bt
+
 let decode_prefix s ~pos =
   if pos < 0 || pos > String.length s then invalid_arg "Bin.decode_prefix";
-  let c = { s; pos; limit = String.length s } in
-  let v = value c 0 in
-  (v, c.pos)
+  owning { s; pos; limit = String.length s; chunks = [] } (fun c ->
+      let v = value c 0 in
+      (v, c.pos))
 
 let decode s =
-  let v, stop = decode_prefix s ~pos:0 in
-  if stop <> String.length s then
-    err "%d trailing bytes after value" (String.length s - stop);
-  v
+  owning { s; pos = 0; limit = String.length s; chunks = [] } (fun c ->
+      let v = value c 0 in
+      if c.pos <> c.limit then err "%d trailing bytes after value" (c.limit - c.pos);
+      v)

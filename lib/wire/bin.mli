@@ -17,7 +17,8 @@
     - {!decode} consumes the whole string — trailing bytes are a
       protocol violation, not silently ignored;
     - every failure raises [Value.Protocol_error] with a bounded
-      message. *)
+      message, after releasing every chunk the decode had made, so a
+      corrupt frame leaks no chunk handle. *)
 
 module Value = Eden_kernel.Value
 

@@ -23,9 +23,9 @@
 type t
 
 val create : Unix.file_descr -> t
-(** Take over a socket whose handshake is done, and make it
-    non-blocking.  Nothing may have been read past the handshake frame
-    (see {!Frame.read}). *)
+(** Take over a socket, typically one end of a {!Transport.pair}, and
+    make it non-blocking.  Nothing may have been read from it yet, or
+    those bytes are lost to the frame stream. *)
 
 val fd : t -> Unix.file_descr
 

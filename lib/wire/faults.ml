@@ -28,7 +28,7 @@ let of_events events =
 let partition t = t.partitioned <- true
 let heal t = t.partitioned <- false
 
-let apply ?(authenticated = true) t ~established ~size =
+let apply t ~size =
   t.m <- { t.m with Net.sent = t.m.Net.sent + 1; bytes = t.m.Net.bytes + size };
   let drop_partition () =
     t.m <-
@@ -37,12 +37,9 @@ let apply ?(authenticated = true) t ~established ~size =
         dropped_partition = t.m.Net.dropped_partition + 1 };
     Drop
   in
-  (* Handshake boundary / partition: the frame never reaches the medium,
-     so no script event (the loss coin) is consumed for it.  The same
-     rule covers the authenticated handshake: an established link that
-     has not finished its Auth exchange is connectivity-down, and setup
-     retries must not consume loss events meant for data frames. *)
-  if (not established) || (not authenticated) || t.partitioned then drop_partition ()
+  (* Partitioned: the frame never reaches the medium, so no script
+     event (the loss coin) is consumed for it. *)
+  if t.partitioned then drop_partition ()
   else begin
     let ev =
       match t.script with

@@ -6,11 +6,9 @@
     data frame offered and returns the action to take, charging the
     same meter buckets as the simulator so chaos tables line up:
 
-    - a frame offered before the link's handshake completed, or while
-      the injector is partitioned, is dropped and charged to
-      [dropped_partition] {e without} consuming a script event — it
-      never reached the medium, exactly the [Net] handshake-boundary
-      rule;
+    - a frame offered while the injector is partitioned is dropped and
+      charged to [dropped_partition] {e without} consuming a script
+      event — it never reached the medium;
     - a [Lose] event drops the frame and charges [dropped_loss];
     - a [Cut] event drops it and charges [dropped_partition];
     - a [Slow d] event delivers after sleeping [d] seconds.
@@ -45,13 +43,9 @@ val partition : t -> unit
 
 val heal : t -> unit
 
-val apply : ?authenticated:bool -> t -> established:bool -> size:int -> action
+val apply : t -> size:int -> action
 (** Offer one data frame of [size] wire bytes.  Returns the action and
-    updates the meter.  [authenticated] (default [true], the plain
-    path) extends the handshake-boundary rule to the {!Auth} exchange:
-    a frame offered on an established but not-yet-authenticated link
-    drops to [dropped_partition] without consuming a script event,
-    exactly like a pre-establishment frame. *)
+    updates the meter. *)
 
 val meter : t -> Net.meter
 (** Same shape as the simulator's meter: [sent] counts offered frames,

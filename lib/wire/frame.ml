@@ -1,12 +1,11 @@
 module Value = Eden_kernel.Value
 
-type kind = Hello | Welcome | Request | Reply | Idle | Shutdown | Stats
+type kind = Request | Reply | Idle | Shutdown | Stats
 
 type header = { kind : kind; flags : int; src : int; dst : int; seq : int }
 type t = { hdr : header; payload : string }
 
 let flag_oneway = 1
-let flag_auth = 2 (* handshake carries the RFC-0002 auth extension *)
 let flag_mac = 4 (* payload ends in an 8-byte keyed MAC trailer *)
 let header_bytes = 8
 let max_payload = 16 * 1024 * 1024
@@ -14,9 +13,9 @@ let max_payload = 16 * 1024 * 1024
 let err fmt =
   Printf.ksprintf (fun m -> raise (Value.Protocol_error ("wire: " ^ m))) fmt
 
+(* Codes 1 and 2 are unassigned: a frame carrying either is refused as
+   an unknown kind. *)
 let kind_code = function
-  | Hello -> 1
-  | Welcome -> 2
   | Request -> 3
   | Reply -> 4
   | Idle -> 5
@@ -24,8 +23,6 @@ let kind_code = function
   | Stats -> 7
 
 let kind_of_code = function
-  | 1 -> Hello
-  | 2 -> Welcome
   | 3 -> Request
   | 4 -> Reply
   | 5 -> Idle
@@ -34,8 +31,6 @@ let kind_of_code = function
   | c -> err "unknown frame kind %#x" c
 
 let kind_name = function
-  | Hello -> "hello"
-  | Welcome -> "welcome"
   | Request -> "request"
   | Reply -> "reply"
   | Idle -> "idle"
@@ -92,9 +87,8 @@ let decode s =
     err "frame length %d disagrees with %d bytes present" len (String.length s - 4);
   decode_body (String.sub s 4 len)
 
-(* Unbuffered blocking IO, one frame per call: the handshake, which
-   must not read past its own frame before a buffered [Conn] takes the
-   socket over, and simple tools.  Data traffic goes through [Conn]. *)
+(* Unbuffered blocking IO, one frame per call, for simple tools and
+   measurements.  Data traffic goes through [Conn]. *)
 
 let rec write_all fd b pos len =
   if len > 0 then begin
@@ -121,37 +115,3 @@ let read_exact fd n ~at_boundary =
 let read fd =
   let len = length_word (read_exact fd 4 ~at_boundary:true) 0 in
   decode_body (read_exact fd len ~at_boundary:false)
-
-(* Handshake.  16-byte payload: magic u32, version u16, shard u8,
-   pad u8, nonce u64 — a 28-byte frame each way. *)
-
-let magic = 0x4544454El (* "EDEN" *)
-let version = 1
-
-let handshake_payload ~shard ~nonce =
-  let b = Buffer.create 16 in
-  Buffer.add_int32_be b magic;
-  Buffer.add_uint16_be b version;
-  Buffer.add_uint8 b (shard land 0xFF);
-  Buffer.add_uint8 b 0;
-  Buffer.add_int64_be b nonce;
-  Buffer.contents b
-
-let hello ~shard ~nonce =
-  make ~kind:Hello ~src:shard ~dst:0 (handshake_payload ~shard ~nonce)
-
-let welcome ~shard ~nonce =
-  make ~kind:Welcome ~src:0 ~dst:shard (handshake_payload ~shard ~nonce)
-
-let parse_handshake ~expect f =
-  if f.hdr.kind <> expect then
-    err "expected %s frame, got %s" (kind_name expect) (kind_name f.hdr.kind);
-  let p = f.payload in
-  if String.length p <> 16 then err "handshake payload %d bytes, want 16" (String.length p);
-  let m = String.get_int32_be p 0 in
-  if not (Int32.equal m magic) then err "bad handshake magic %#lx" m;
-  let v = String.get_uint16_be p 4 in
-  if v <> version then err "protocol version %d, want %d" v version;
-  let shard = Char.code p.[6] in
-  let nonce = String.get_int64_be p 8 in
-  (shard, nonce)

@@ -18,34 +18,28 @@
     request id for [Request]/[Reply] and a sender sequence number for
     one-way traffic.
 
-    The handshake is two 28-byte frames: the leaf sends [Hello]
-    (magic, protocol version, shard index, run nonce), the hub answers
-    [Welcome] echoing the nonce.  A version or magic mismatch is a
-    [Value.Protocol_error], not a hang.
+    There is no handshake frame: every socket is made by the parent
+    before it forks ({!Transport.pair}), so both ends know from birth
+    which two shards the socket joins.
 
     Every decoder error path — truncated header, hostile length, unknown
-    kind, short handshake — raises [Value.Protocol_error]. *)
+    kind — raises [Value.Protocol_error]. *)
 
 module Value = Eden_kernel.Value
 
-type kind = Hello | Welcome | Request | Reply | Idle | Shutdown | Stats
+type kind = Request | Reply | Idle | Shutdown | Stats
 
 val kind_name : kind -> string
 
 val kind_code : kind -> int
-(** The wire byte for the kind — also what {!Auth} MACs cover, so a
-    frame cannot be replayed as a different kind. *)
+(** The wire byte for the kind, 3 to 7 — also what {!Auth} MACs cover,
+    so a frame cannot be replayed as a different kind. *)
 
 type header = { kind : kind; flags : int; src : int; dst : int; seq : int }
 type t = { hdr : header; payload : string }
 
 val flag_oneway : int
 (** Flag bit 0: set on [Request] frames that expect no [Reply]. *)
-
-val flag_auth : int
-(** Flag bit 1: a [Hello]/[Welcome] carrying the {!Auth} three-layer
-    extension (community id, keyed MAC, session token) after the
-    16-byte base handshake payload. *)
 
 val flag_mac : int
 (** Flag bit 2: the payload ends in an 8-byte keyed MAC trailer sealed
@@ -88,8 +82,8 @@ val length_word : string -> int -> int
 
 (** {1 Unbuffered blocking socket IO}
 
-    One frame per call, with no read-ahead: what the handshake uses
-    before a {!Conn} takes the socket over. *)
+    One frame per call, with no read-ahead, for simple tools and
+    measurements; data traffic goes through a {!Conn}. *)
 
 val write : Unix.file_descr -> t -> unit
 (** Write one whole frame; handles short writes. *)
@@ -99,16 +93,3 @@ val read : Unix.file_descr -> t
     @raise End_of_file on a clean close at a frame boundary.
     @raise Value.Protocol_error on a mid-frame close or malformed
     header. *)
-
-(** {1 Handshake} *)
-
-val magic : int32
-val version : int
-
-val hello : shard:int -> nonce:int64 -> t
-val welcome : shard:int -> nonce:int64 -> t
-
-val parse_handshake : expect:kind -> t -> int * int64
-(** Validate a [Hello]/[Welcome] frame; returns (shard, nonce).
-    @raise Value.Protocol_error on wrong kind, magic, version, or a
-    short payload. *)

@@ -286,6 +286,38 @@ let test_cluster_run_once () =
   Alcotest.check_raises "second run refused"
     (Invalid_argument "Cluster.run: already run") (fun () -> Cluster.run c)
 
+(* A proxy that names a shard the cluster does not have is refused at
+   the call, in every mode, before anything runs.  Accepted, the first
+   call through it would count a message in flight that can never land,
+   and a Deterministic [run] would spin forever. *)
+let test_proxy_out_of_range () =
+  let wire =
+    Cluster.Wire
+      {
+        Cluster.wire_transport = Eden_wire.Transport.Unix_socket;
+        wire_faults = None;
+        wire_auth = None;
+      }
+  in
+  List.iter
+    (fun mode ->
+      let c = Cluster.create mode ~shards:3 () in
+      let echo =
+        Kernel.create_eject (Cluster.kernel c 1) ~type_name:"echo" (fun _ctx ~passive:_ ->
+            [ ("echo", fun v -> v) ])
+      in
+      List.iter
+        (fun (shard, tshard, msg) ->
+          Alcotest.check_raises msg (Invalid_argument ("Cluster.proxy: " ^ msg)) (fun () ->
+              ignore (Cluster.proxy c ~shard ~ops:[ "echo" ] ~target:(tshard, echo))))
+        [
+          (0, 7, "target shard 7 outside [0, 3)");
+          (0, -1, "target shard -1 outside [0, 3)");
+          (3, 1, "shard 3 outside [0, 3)");
+          (-1, 1, "shard -1 outside [0, 3)");
+        ])
+    [ Cluster.Deterministic; Cluster.Parallel; wire ]
+
 (* --- Fan-in workload: smoke + equivalence ---------------------------- *)
 
 let small_spec = { Topo.default with branches = 4; items = 30; batch = 3; work = 50 }
@@ -389,6 +421,7 @@ let suite =
     ("cluster error propagation (parallel)", `Quick, test_cluster_error Cluster.Parallel);
     ("cluster same-shard fast path", `Quick, test_cluster_fast_path);
     ("cluster run-once guard", `Quick, test_cluster_run_once);
+    ("cluster proxy: out-of-range shard refused before run", `Quick, test_proxy_out_of_range);
     ("parallel smoke", `Quick, test_parallel_smoke);
     ("parallel single domain", `Quick, test_parallel_single_domain);
     ("parallel-vs-deterministic equivalence", `Quick, test_equivalence);

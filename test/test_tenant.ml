@@ -4,13 +4,13 @@
    every attack class the registry meters — forged channel ids, stolen
    capabilities, replayed seq-stamped Transfers, credit hoards — under
    both the deterministic kernel and the authenticated wire (forked
-   shard processes, RFC-0002 three-layer handshake).  Each attack must
+   shard processes, every frame sealed per socket).  Each attack must
    be refused and charged to the right namespace while the victim's
    stream completes byte-identical to its unattacked oracle run.
 
    Also here: the revoke x drain x crash exploration suite with the
    revoke-skips-reclaim calibration mutant, the QCheck delegation-tree
-   balance property, and MAC/handshake fuzzing. *)
+   balance property, and MAC fuzzing. *)
 
 module Check = Eden_check.Check
 module Policy = Eden_check.Policy
@@ -165,30 +165,6 @@ let test_siphash_native_matches_recorded () =
         (String.get_int64_be p (String.length p - 8)))
     [ 0; 1; 7; 8; 9; 100; 4096 ]
 
-let test_auth_handshake_roundtrip () =
-  let c = community () in
-  let lookup id = if Int64.equal id community_id then Some c else None in
-  let hello = Auth.hello c ~shard:2 ~nonce:42L in
-  (match Auth.verify_hello ~lookup hello with
-  | Error e -> Alcotest.failf "hello rejected: %s" e
-  | Ok (shard, nonce, _) ->
-      check Alcotest.int "shard echoed" 2 shard;
-      check Alcotest.int64 "nonce echoed" 42L nonce);
-  let token = Auth.mint_token c ~shard:2 ~nonce:42L in
-  let welcome = Auth.welcome c ~shard:2 ~nonce:42L ~token in
-  (match Auth.verify_welcome c ~expect_nonce:42L welcome with
-  | Error e -> Alcotest.failf "welcome rejected: %s" e
-  | Ok t -> check Alcotest.int64 "session token" token t);
-  (* A welcome captured from another connection fails the nonce echo. *)
-  (match Auth.verify_welcome c ~expect_nonce:43L welcome with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "captured welcome accepted");
-  (* Same community id, different key: the MAC must not verify. *)
-  let imposter = Auth.community ~id:community_id ~key:"fedcba9876543210" in
-  match Auth.verify_hello ~lookup:(fun _ -> Some imposter) hello with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "hello verified under the wrong key"
-
 let test_auth_seal_open_replay () =
   let c = community () in
   let tx = Auth.session c ~token:7L in
@@ -328,7 +304,7 @@ let test_adversary_det () =
 (* Same battery across real OS processes: the registry is installed on
    the leaf shard before the fork, the attacker drives from the hub
    through proxies, and every frame rides the authenticated transport
-   (three-layer handshake, per-connection session MACs).  Revocation is
+   (per-socket session tokens and MACs).  Revocation is
    exercised only in the deterministic battery: a hub-side revoke
    cannot reach a forked leaf's registry copy. *)
 let test_adversary_wire () =
@@ -622,7 +598,7 @@ let prop_delegation_revoke =
            structure_ok && gauge_ok && idempotent && no_regrow
          end))
 
-(* --- QCheck: handshake and MAC fuzz ----------------------------------- *)
+(* --- QCheck: MAC fuzz ------------------------------------------------- *)
 
 let mutate_payload (f : Frame.t) ~mode ~pos ~bit =
   let len = String.length f.Frame.payload in
@@ -638,31 +614,6 @@ let mutate_payload (f : Frame.t) ~mode ~pos ~bit =
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
         { f with Frame.payload = Bytes.to_string b }
       end
-
-(* Truncated or bit-flipped hello/welcome frames must come back as
-   [Error] — never crash the shard process, never verify. *)
-let prop_handshake_fuzz =
-  Seed.to_alcotest
-    (QCheck2.Test.make ~name:"auth handshake: mutated hello/welcome rejected cleanly"
-       ~count:120
-       QCheck2.Gen.(
-         tup5 (int_bound 1) (int_bound 1) (int_bound 255) (int_bound 7) (int_bound 31))
-       (fun (which, mode, pos, bit, shard) ->
-         let c = community () in
-         let nonce = 0xACE0FBA5EL in
-         let token = Auth.mint_token c ~shard ~nonce in
-         let f =
-           if which = 0 then Auth.hello c ~shard ~nonce
-           else Auth.welcome c ~shard ~nonce ~token
-         in
-         let m = mutate_payload f ~mode ~pos ~bit in
-         let lookup id = if Int64.equal id community_id then Some c else None in
-         if which = 0 then
-           match Auth.verify_hello ~lookup m with Ok _ -> false | Error _ -> true
-         else
-           match Auth.verify_welcome c ~expect_nonce:nonce m with
-           | Ok _ -> false
-           | Error _ -> true))
 
 (* Sealed data frames: any payload truncation, bit flip, or header
    rewrite must be refused with the clean protocol error — and an
@@ -715,14 +666,12 @@ let suite =
     ("siphash-2-4 reference vectors", `Quick, test_siphash_vectors);
     ("native siphash reproduces the recorded OCaml outputs", `Quick,
       test_siphash_native_matches_recorded);
-    ("authenticated handshake round-trips", `Quick, test_auth_handshake_roundtrip);
     ("sealed frames open once, replays refused", `Quick, test_auth_seal_open_replay);
     ("credit window revocation reclaims in-flight", `Quick, test_credit_revoke);
     ("adversary battery, deterministic kernel", `Quick, test_adversary_det);
     ("adversary battery over the authenticated wire", `Quick, test_adversary_wire);
     ("mutant hides under FIFO", `Quick, test_mutant_hides_under_fifo);
     prop_delegation_revoke;
-    prop_handshake_fuzz;
     prop_sealed_frame_fuzz;
   ]
   @ exploration_tests @ mutant_tests

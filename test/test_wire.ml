@@ -1,5 +1,5 @@
 (* The wire layer: binary Value codec under hostile input, frame
-   round-trips and handshakes, fault injection at the framing layer,
+   round-trips, socket pairs, fault injection at the framing layer,
    the transport-wait stall exemption, and the headline contract — the
    multi-process cluster (one OS process per shard over real sockets)
    is byte-equivalent to the in-process deterministic oracle. *)
@@ -131,13 +131,36 @@ let test_bin_size_law () =
       Value.List [];
     ]
 
+(* A decode that fails part-way has already made a chunk for every
+   chunk value before the fault; it must release them, or each corrupt
+   frame leaks a chunk view and root. *)
+let test_bin_failed_decode_releases_chunks () =
+  let c = Chunk.of_string "chunk payload" in
+  let pair = Bin.encode (Value.List [ Value.Chunk c; Value.Int 1 ]) in
+  let single = Bin.encode (Value.Chunk c) in
+  Chunk.release c;
+  let views = Chunk.live_views () and roots = Chunk.live_roots () in
+  let cut = String.sub pair 0 (String.length pair - 3) in
+  protocol_error "cut 3 bytes short" (fun () -> Bin.decode cut);
+  protocol_error "prefix cut 3 bytes short" (fun () -> Bin.decode_prefix cut ~pos:0);
+  protocol_error "whole chunk, then a trailing byte" (fun () -> Bin.decode (single ^ "\x00"));
+  check Alcotest.int "chunk views back at baseline" views (Chunk.live_views ());
+  check Alcotest.int "chunk roots back at baseline" roots (Chunk.live_roots ());
+  (* A decode that succeeds still hands its chunks to the caller. *)
+  match Bin.decode pair with
+  | Value.List [ Value.Chunk d; Value.Int 1 ] ->
+      check Alcotest.int "the caller owns the decoded chunk" (views + 1) (Chunk.live_views ());
+      check Alcotest.string "payload intact" "chunk payload" (Chunk.to_string d);
+      Chunk.release d
+  | v -> Alcotest.failf "decoded %s" (Value.preview v)
+
 (* --- Frame ------------------------------------------------------------ *)
 
 let frame_gen =
   let open QCheck2.Gen in
   let kind =
     oneofl
-      Frame.[ Hello; Welcome; Request; Reply; Idle; Shutdown; Stats ]
+      Frame.[ Request; Reply; Idle; Shutdown; Stats ]
   in
   map
     (fun (kind, (flags, src, dst), seq, payload) ->
@@ -162,25 +185,33 @@ let test_frame_malformed () =
   protocol_error "length disagrees with bytes" (fun () ->
       Frame.decode "\x00\x00\x00\x09\x01\x00\x00\x00\x00\x00\x00\x00")
 
-let test_frame_handshake () =
-  let shard, nonce = Frame.parse_handshake ~expect:Frame.Hello (Frame.hello ~shard:3 ~nonce:42L) in
-  check Alcotest.int "shard echoes" 3 shard;
-  check Alcotest.int64 "nonce echoes" 42L nonce;
-  let corrupt ~at c =
-    let f = Frame.welcome ~shard:1 ~nonce:7L in
-    let p = Bytes.of_string f.Frame.payload in
-    Bytes.set p at c;
-    { f with Frame.payload = Bytes.to_string p }
-  in
-  protocol_error "wrong kind" (fun () ->
-      Frame.parse_handshake ~expect:Frame.Welcome (Frame.hello ~shard:1 ~nonce:7L));
-  protocol_error "bad magic" (fun () ->
-      Frame.parse_handshake ~expect:Frame.Welcome (corrupt ~at:0 '\xff'));
-  protocol_error "bad version" (fun () ->
-      Frame.parse_handshake ~expect:Frame.Welcome (corrupt ~at:5 '\x63'));
-  protocol_error "short payload" (fun () ->
-      Frame.parse_handshake ~expect:Frame.Welcome
-        (Frame.make ~kind:Frame.Welcome ~src:0 ~dst:1 "short"))
+(* --- Transport.pair ------------------------------------------------------ *)
+
+let test_transport_pair () =
+  List.iter
+    (fun kind ->
+      let name = Transport.kind_name kind in
+      let a, b = Transport.pair kind in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with _ -> ()) [ a; b ])
+        (fun () ->
+          let ping = Frame.make ~kind:Frame.Request ~src:0 ~dst:1 ~seq:1 "ping" in
+          let pong = Frame.make ~kind:Frame.Reply ~src:1 ~dst:0 ~seq:1 "pong" in
+          Frame.write a ping;
+          check Alcotest.bool (name ^ ": first end to second") true (Frame.read b = ping);
+          Frame.write b pong;
+          check Alcotest.bool (name ^ ": second end to first") true (Frame.read a = pong);
+          if kind = Transport.Tcp then
+            List.iter
+              (fun fd ->
+                check Alcotest.bool (name ^ ": TCP_NODELAY set") true
+                  (Unix.getsockopt fd Unix.TCP_NODELAY))
+              [ a; b ];
+          Unix.close a;
+          match Frame.read b with
+          | exception End_of_file -> ()
+          | _ -> Alcotest.failf "%s: read a frame after the other end closed" name))
+    [ Transport.Unix_socket; Transport.Tcp ]
 
 (* --- Conn: buffered framing ---------------------------------------------- *)
 
@@ -423,32 +454,21 @@ let test_wire_releases_sent_chunks () =
 
 (* --- Faults at the framing layer -------------------------------------- *)
 
-let test_faults_handshake_boundary () =
-  (* A frame offered before the link is established drops into the
-     partition bucket and must NOT consume a script event — same rule
-     as the simulated Net's establishment gate. *)
+let test_faults_accounting () =
+  (* A Lose event is consumed and charged to loss. *)
   let f = Faults.of_script [ Faults.Lose ] in
-  check Alcotest.bool "unestablished frame drops" true
-    (Faults.apply f ~established:false ~size:20 = Faults.Drop);
-  let m = Faults.meter f in
-  check Alcotest.int "charged to partition" 1 m.Net.dropped_partition;
-  check Alcotest.int "not to loss" 0 m.Net.dropped_loss;
-  check Alcotest.int "script untouched" 1 (Faults.remaining f);
-  (* Established: the Lose event is consumed and charged to loss. *)
-  check Alcotest.bool "established frame consumes Lose" true
-    (Faults.apply f ~established:true ~size:20 = Faults.Drop);
+  check Alcotest.bool "frame consumes Lose" true (Faults.apply f ~size:20 = Faults.Drop);
   let m = Faults.meter f in
   check Alcotest.int "loss charged" 1 m.Net.dropped_loss;
+  check Alcotest.int "not to partition" 0 m.Net.dropped_partition;
   check Alcotest.int "script consumed" 0 (Faults.remaining f);
   (* Exhausted script passes; partition overrides it. *)
-  check Alcotest.bool "exhausted script passes" true
-    (Faults.apply f ~established:true ~size:20 = Faults.Pass);
+  check Alcotest.bool "exhausted script passes" true (Faults.apply f ~size:20 = Faults.Pass);
   Faults.partition f;
-  check Alcotest.bool "partitioned drops" true
-    (Faults.apply f ~established:true ~size:20 = Faults.Drop);
+  check Alcotest.bool "partitioned drops" true (Faults.apply f ~size:20 = Faults.Drop);
+  check Alcotest.int "partition charged" 1 (Faults.meter f).Net.dropped_partition;
   Faults.heal f;
-  check Alcotest.bool "healed passes" true
-    (Faults.apply f ~established:true ~size:20 = Faults.Pass);
+  check Alcotest.bool "healed passes" true (Faults.apply f ~size:20 = Faults.Pass);
   let m = Faults.meter f in
   check Alcotest.int "sum invariant" m.Net.dropped
     (m.Net.dropped_loss + m.Net.dropped_partition)
@@ -469,13 +489,13 @@ let test_faults_of_events () =
   in
   check Alcotest.int "four frames scripted" 4 (Faults.remaining f);
   check Alcotest.bool "frame 0 passes" true
-    (Faults.apply f ~established:true ~size:1 = Faults.Pass);
+    (Faults.apply f ~size:1 = Faults.Pass);
   check Alcotest.bool "frame 1 lost" true
-    (Faults.apply f ~established:true ~size:1 = Faults.Drop);
+    (Faults.apply f ~size:1 = Faults.Drop);
   check Alcotest.bool "frame 2 cut" true
-    (Faults.apply f ~established:true ~size:1 = Faults.Drop);
+    (Faults.apply f ~size:1 = Faults.Drop);
   check Alcotest.bool "frame 3 passes" true
-    (Faults.apply f ~established:true ~size:1 = Faults.Pass);
+    (Faults.apply f ~size:1 = Faults.Pass);
   let m = Faults.meter f in
   check Alcotest.int "one loss" 1 m.Net.dropped_loss;
   check Alcotest.int "one partition (folded pair)" 1 m.Net.dropped_partition
@@ -526,40 +546,6 @@ let prop_codec_batch_cut_mid_frame =
       | exception _ -> ok := false);
       !ok)
 
-(* --- Net: establishment accounting at the handshake boundary ----------- *)
-
-let test_net_establishment_accounting () =
-  let s = Sched.create () in
-  let net = Net.create ~sched:s ~latency:(Net.Fixed 1.0) () in
-  let a = Net.add_node net "a" and b = Net.add_node net "b" in
-  Net.set_require_establishment net true;
-  Net.set_loss_probability net 1.0;
-  (* Before the link exists, a certain-loss coin must not even be
-     flipped: the drop is a connectivity condition. *)
-  Net.send net ~src:a ~dst:b ~size:10 (fun () -> ());
-  Sched.run s;
-  let m = Net.meter net in
-  check Alcotest.int "pre-establishment: partition bucket" 1 m.Net.dropped_partition;
-  check Alcotest.int "pre-establishment: loss bucket untouched" 0 m.Net.dropped_loss;
-  Net.establish net a b;
-  check Alcotest.bool "established" true (Net.is_established net a b);
-  Net.send net ~src:a ~dst:b ~size:10 (fun () -> ());
-  Sched.run s;
-  let m = Net.meter net in
-  check Alcotest.int "post-establishment: loss bucket" 1 m.Net.dropped_loss;
-  check Alcotest.int "post-establishment: partition stays" 1 m.Net.dropped_partition;
-  check Alcotest.int "sum invariant" m.Net.dropped
-    (m.Net.dropped_loss + m.Net.dropped_partition);
-  (* Establishment is independent of heal_all. *)
-  Net.heal_all net;
-  check Alcotest.bool "heal_all does not unestablish" true (Net.is_established net a b);
-  (* Local traffic needs no establishment. *)
-  Net.set_loss_probability net 0.0;
-  let got = ref false in
-  Net.send net ~src:a ~dst:a ~size:1 (fun () -> got := true);
-  Sched.run s;
-  check Alcotest.bool "same-node always established" true !got
-
 (* --- Stall report: transport-blocked stages are not stalls ------------- *)
 
 let test_stall_report_transport_exemption () =
@@ -599,14 +585,10 @@ let transports =
 
 let community () = Auth.community ~id:0x7E57L ~key:"wire-test-key-16"
 
-let authenticated =
-  ( "auth",
+let authenticated tr =
+  ( "auth " ^ Transport.kind_name tr,
     Cluster.Wire
-      {
-        Cluster.wire_transport = Transport.Unix_socket;
-        wire_faults = None;
-        wire_auth = Some (community ());
-      } )
+      { Cluster.wire_transport = tr; wire_faults = None; wire_auth = Some (community ()) } )
 
 (* Each wire run against the deterministic oracle: byte-identical sink
    streams, equal op counts, invocations and cross-shard messages. *)
@@ -652,7 +634,7 @@ let test_equivalence_multi_leaf () =
       equivalence_f2 ~domains transports;
       equivalence_fanin ~domains transports)
     [ 4; 5 ];
-  equivalence_f2 ~domains:4 [ authenticated ]
+  equivalence_f2 ~domains:4 [ authenticated Transport.Unix_socket; authenticated Transport.Tcp ]
 
 let test_equivalence_f4 () =
   let run mode = Topo.run mode ~domains:3 (Topo.f4_terminal ~domains:3 ~items:16 ()) in
@@ -679,9 +661,10 @@ let test_equivalence_f4 () =
 let replay_dir = "_check"
 
 (* 4 seq-stamped one-way frames offered to the injector and sent over a
-   real socket; returns the seqs that made it across. *)
+   real socket pair to a forked child's end; returns the seqs that made
+   it across. *)
 let send_over_wire faults =
-  let srv = Transport.listen Transport.Unix_socket in
+  let tx, rx = Transport.pair Transport.Unix_socket in
   flush stdout;
   flush stderr;
   let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
@@ -692,37 +675,36 @@ let send_over_wire faults =
          the socket write — exactly where the hub applies it. *)
       let rc =
         try
-          let fd = Transport.dial srv in
+          Unix.close rx;
           for seq = 0 to 3 do
             let f =
               Frame.make ~kind:Frame.Request ~flags:Frame.flag_oneway ~src:1 ~dst:0
                 ~seq
                 (Bin.encode (Value.Int seq))
             in
-            (match Faults.apply faults ~established:true ~size:(Frame.size f) with
-            | Faults.Pass -> Frame.write fd f
+            (match Faults.apply faults ~size:(Frame.size f) with
+            | Faults.Pass -> Frame.write tx f
             | Faults.Delay d ->
                 Unix.sleepf d;
-                Frame.write fd f
+                Frame.write tx f
             | Faults.Drop -> ())
           done;
-          Unix.close fd;
+          Unix.close tx;
           0
         with _ -> 2
       in
       Unix._exit rc
   | pid ->
       Fun.protect ~finally:finish (fun () ->
-          let conn = Transport.accept srv in
+          Unix.close tx;
           let got = ref [] in
           (try
              while true do
-               let f = Frame.read conn in
+               let f = Frame.read rx in
                got := f.Frame.hdr.Frame.seq :: !got
              done
            with End_of_file -> ());
-          Unix.close conn;
-          Transport.close_server srv;
+          Unix.close rx;
           let _, status = Unix.waitpid [] pid in
           check Alcotest.bool "sender exited cleanly" true (status = Unix.WEXITED 0);
           List.rev !got)
@@ -843,6 +825,89 @@ let test_dead_leaf_cleanup () =
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
   | pid, _ -> Alcotest.failf "child %d was left behind" pid
 
+(* The socket inodes this process holds. *)
+let socket_inodes () =
+  List.filter_map
+    (fun fd ->
+      match Unix.readlink ("/proc/self/fd/" ^ fd) with
+      | l when String.starts_with ~prefix:"socket:[" l ->
+          Some (String.sub l 8 (String.length l - 9))
+      | _ | (exception Unix.Unix_error _) -> None)
+    (Array.to_list (Sys.readdir "/proc/self/fd"))
+
+(* The whitespace-separated fields of each row of a /proc/net table; a
+   table this kernel does not have is empty. *)
+let proc_rows path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text -> (
+      match String.split_on_char '\n' text with
+      | [] -> []
+      | _header :: rows ->
+          List.filter_map
+            (fun r ->
+              match List.filter (( <> ) "") (String.split_on_char ' ' r) with
+              | [] -> None
+              | fields -> Some fields)
+            rows)
+
+(* Every Unix and TCP socket of the host as (inode, listening): a Unix
+   socket listens when its flags are __SO_ACCEPTCON (00010000), a TCP
+   socket when its state is TCP_LISTEN (0A). *)
+let sockets_by_inode () =
+  List.filter_map
+    (function
+      | _ :: _ :: _ :: flags :: _ :: _ :: inode :: _ -> Some (inode, flags = "00010000")
+      | _ -> None)
+    (proc_rows "/proc/net/unix")
+  @ List.concat_map
+      (fun path ->
+        List.filter_map
+          (function
+            | _ :: _ :: _ :: st :: _ :: _ :: _ :: _ :: _ :: inode :: _ -> Some (inode, st = "0A")
+            | _ -> None)
+          (proc_rows path))
+      [ "/proc/net/tcp"; "/proc/net/tcp6" ]
+
+(* Mid-run, after a round trip through a leaf and over a link, the hub
+   holds a socket to each leaf and not one listening socket. *)
+let test_wire_no_listener () =
+  List.iter
+    (fun (name, mode) ->
+      let c = Cluster.create mode ~shards:3 () in
+      let echo =
+        Kernel.create_eject (Cluster.kernel c 2) ~type_name:"echo" (fun _ ~passive:_ ->
+            [ ("Echo", fun v -> v) ])
+      in
+      let to_echo = Cluster.proxy c ~shard:1 ~ops:[ "Echo" ] ~target:(2, echo) in
+      let relay =
+        Kernel.create_eject (Cluster.kernel c 1) ~type_name:"relay" (fun ctx ~passive:_ ->
+            [
+              ( "Relay",
+                fun v ->
+                  match Kernel.invoke ctx to_echo ~op:"Echo" v with
+                  | Ok r -> r
+                  | Error e -> failwith e );
+            ])
+      in
+      let to_relay = Cluster.proxy c ~shard:0 ~ops:[ "Relay" ] ~target:(1, relay) in
+      let seen = ref None in
+      Cluster.driver c 0 (fun ctx ->
+          (match Kernel.invoke ctx to_relay ~op:"Relay" (Value.Int 7) with
+          | Ok (Value.Int 7) -> ()
+          | _ -> failwith "the round trip failed");
+          let table = sockets_by_inode () in
+          seen := Some (List.filter_map (fun i -> List.assoc_opt i table) (socket_inodes ())));
+      Cluster.run c;
+      match !seen with
+      | None -> Alcotest.failf "%s: the hub driver did not run" name
+      | Some listening ->
+          check Alcotest.bool (name ^ ": the hub's sockets to both leaves are found") true
+            (List.length listening >= 2);
+          check Alcotest.int (name ^ ": sockets listening") 0
+            (List.length (List.filter Fun.id listening)))
+    transports
+
 (* The hub asks shard 1's relay, which asks shard 2's echo [k] times
    per request over the leaves' own link.  Only the [m] frames the hub
    sends pass its fault injector: one Slow event each. *)
@@ -934,11 +999,14 @@ let suite =
     Alcotest.test_case "bin: trailing bytes rejected" `Quick test_bin_trailing_garbage;
     Alcotest.test_case "bin: hostile headers" `Quick test_bin_hostile_headers;
     Alcotest.test_case "bin: size law" `Quick test_bin_size_law;
+    Alcotest.test_case "bin: a failed decode releases the chunks it decoded" `Quick
+      test_bin_failed_decode_releases_chunks;
     prop_bin_roundtrip;
     prop_bin_prefix_rejected;
     Alcotest.test_case "frame: malformed inputs" `Quick test_frame_malformed;
-    Alcotest.test_case "frame: handshake validation" `Quick test_frame_handshake;
     prop_frame_roundtrip;
+    Alcotest.test_case "transport: pair ends connected both ways, close reads as EOF"
+      `Quick test_transport_pair;
     Alcotest.test_case "conn: queued frames reach the socket byte-identical" `Quick
       test_conn_bytes_identical;
     prop_conn_split_roundtrip;
@@ -946,15 +1014,13 @@ let suite =
       test_conn_errors;
     Alcotest.test_case "conn: N frames between two flushes cost one write" `Quick
       test_conn_one_write_per_flush;
-    Alcotest.test_case "faults: handshake-boundary accounting" `Quick
-      test_faults_handshake_boundary;
+    Alcotest.test_case "faults: loss, exhaustion and partition accounting" `Quick
+      test_faults_accounting;
     Alcotest.test_case "faults: of_events folds loss+partition pairs" `Quick
       test_faults_of_events;
     Alcotest.test_case "codec.batch: adversarial frames" `Quick
       test_codec_batch_adversarial;
     prop_codec_batch_cut_mid_frame;
-    Alcotest.test_case "net: establishment accounting at the handshake boundary"
-      `Quick test_net_establishment_accounting;
     Alcotest.test_case "stall report: transport-blocked stage exempted" `Quick
       test_stall_report_transport_exemption;
     Alcotest.test_case "multi-process equivalence: fanin over unix sockets and tcp"
@@ -981,4 +1047,5 @@ let suite =
       test_faults_hub_egress_only;
     Alcotest.test_case "link tokens: a frame sealed for one link is refused on the others"
       `Quick test_link_tokens_distinct;
+    Alcotest.test_case "wire run: no process listens" `Quick test_wire_no_listener;
   ]
