@@ -85,18 +85,28 @@ let view segs total =
   Atomic.incr views_live;
   { segs; total; released = Atomic.make false }
 
+(* A zero-length chunk has no segment, so no [release] could ever
+   return a root made for it: it is rootless, like [empty]. *)
+let empty () = view [] 0
+
 let alloc n =
   if n < 0 then invalid_arg "Chunk.alloc: negative length";
-  let root = fresh_root n in
-  Bigarray.Array1.fill root.buf '\000';
-  view (if n = 0 then [] else [ { root; off = 0; len = n } ]) n
+  if n = 0 then empty ()
+  else begin
+    let root = fresh_root n in
+    Bigarray.Array1.fill root.buf '\000';
+    view [ { root; off = 0; len = n } ] n
+  end
 
 let of_substring s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Chunk.of_substring: range outside string";
-  let root = fresh_root len in
-  unsafe_blit_string_ba s pos root.buf 0 len;
-  view (if len = 0 then [] else [ { root; off = 0; len } ]) len
+  if len = 0 then empty ()
+  else begin
+    let root = fresh_root len in
+    unsafe_blit_string_ba s pos root.buf 0 len;
+    view [ { root; off = 0; len } ] len
+  end
 
 let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
@@ -229,8 +239,6 @@ let concat ts =
   let segs = List.concat_map (fun t -> t.segs) ts in
   let total = List.fold_left (fun acc t -> acc + t.total) 0 ts in
   view segs total
-
-let empty () = view [] 0
 
 (* --- Rendering -------------------------------------------------------- *)
 

@@ -26,7 +26,10 @@ exception Fault of fault * string
 
 val fault_name : fault -> string
 
-(** {1 Allocation — each makes one fresh root (one payload copy)} *)
+(** {1 Allocation — each makes one fresh root (one payload copy)}
+
+    Except at length 0: a zero-length chunk has no segment and no
+    root, like {!empty}, so it leaves every gauge as it found it. *)
 
 val alloc : int -> t
 (** Zero-filled chunk of [n] bytes. *)

@@ -70,7 +70,10 @@ let uniq =
       | Some _ | None -> (Some line, [ line ]))
     ~flush:(fun _ -> [])
 
-let is_blank l = String.for_all (fun c -> c = ' ' || c = '\t') l
+(* The blank bytes: [squeeze_blank]'s blank lines are made of them,
+   and both trims drop them from line ends. *)
+let blank_char c = c = ' ' || c = '\t'
+let is_blank l = String.for_all blank_char l
 
 let squeeze_blank =
   Line.stateful ~init:false
@@ -80,7 +83,7 @@ let squeeze_blank =
     ~flush:(fun _ -> [])
 
 let trim_line =
-  let rec rstrip s i = if i > 0 && (s.[i - 1] = ' ' || s.[i - 1] = '\t') then rstrip s (i - 1) else i in
+  let rec rstrip s i = if i > 0 && blank_char s.[i - 1] then rstrip s (i - 1) else i in
   fun l -> String.sub l 0 (rstrip l (String.length l))
 
 let trim_trailing = Line.map trim_line
@@ -114,13 +117,15 @@ let spell ~dictionary =
 
 (* --- chunk-at-a-time counterparts ----------------------------------- *)
 
-(* The same line functions lifted over byte chunks; the equivalence
-   suite holds each pair to byte-identical output. *)
+(* The same line functions lifted over byte chunks; test_chunk holds
+   each pair to byte-identical output.  The four per-byte ones run as
+   byte kernels over the per-byte function or predicate their boxed
+   twin uses. *)
 
-let chunked_upcase = Chunkline.map String.uppercase_ascii
-let chunked_downcase = Chunkline.map String.lowercase_ascii
-let chunked_trim_trailing = Chunkline.map trim_line
-let chunked_rot13 = Chunkline.map (String.map rot13_char)
+let chunked_upcase = Chunkline.tr Char.uppercase_ascii
+let chunked_downcase = Chunkline.tr Char.lowercase_ascii
+let chunked_trim_trailing = Chunkline.rstrip blank_char
+let chunked_rot13 = Chunkline.tr rot13_char
 let chunked_grep pattern = Chunkline.keep (fun l -> Text.contains_sub ~sub:pattern l)
 let chunked_grep_v pattern = Chunkline.keep (fun l -> not (Text.contains_sub ~sub:pattern l))
 

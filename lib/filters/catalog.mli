@@ -52,8 +52,9 @@ val trim_trailing : Eden_transput.Transform.t
 val expand_tabs : ?tabstop:int -> unit -> Eden_transput.Transform.t
 
 val trim_line : string -> string
-(** The pure line function under {!trim_trailing}, shared with its
-    chunked counterpart. *)
+(** The pure line function under {!trim_trailing}: drops trailing
+    spaces and tabs, the same blank predicate {!chunked_trim_trailing}
+    strips with. *)
 
 val cut : delim:char -> field:int -> Eden_transput.Transform.t
 (** 1-indexed field extraction; lines with too few fields pass through
@@ -71,7 +72,11 @@ val fold_width : int -> Eden_transput.Transform.t
 
     The same line functions lifted over [Value.Chunk] byte slices via
     {!Chunkline}; each pair is held byte-identical to its boxed
-    sibling by the equivalence suite. *)
+    sibling over random cuts by [test_chunk].  [chunked_upcase],
+    [chunked_downcase] and [chunked_rot13] are {!Chunkline.tr} of the
+    per-byte function their boxed twin maps, [chunked_trim_trailing] is
+    {!Chunkline.rstrip} of {!trim_line}'s blank predicate; grep and
+    numbering run per line. *)
 
 val chunked_upcase : Eden_transput.Transform.t
 val chunked_downcase : Eden_transput.Transform.t

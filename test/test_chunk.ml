@@ -1,7 +1,8 @@
 (* The zero-copy chunk type and its plumbing: lifecycle faults, the
    QCheck ownership fuzzer, hostile chunk decoding, the gather-write
-   framing, byte-metered flows, and refcount balance through a resil
-   sink crash/replay. *)
+   framing, byte-metered flows, refcount balance through a resil sink
+   crash/replay, and the chunked line filters against their boxed
+   twins. *)
 
 open Eden_kernel
 module Chunk = Eden_chunk.Chunk
@@ -16,6 +17,10 @@ module Backoff = Eden_resil.Backoff
 module Resumable = Eden_transput.Resumable
 module Supervisor = Eden_resil.Supervisor
 module Pipeline = Eden_transput.Pipeline
+module Cat = Eden_filters.Catalog
+module Chunkline = Eden_filters.Chunkline
+module Line = Eden_filters.Line
+module Sed = Eden_filters.Sed
 
 let check = Alcotest.check
 
@@ -102,6 +107,30 @@ let test_gauge_balance () =
   check
     Alcotest.(triple int int int)
     "gauges balance to baseline" base (gauges ())
+
+(* A zero-length chunk has no segment for a release to return, so no
+   path may give it a root. *)
+let test_zero_length_rootless () =
+  let base = gauges () in
+  let e = Chunk.empty () in
+  let enc = Bin.encode (Value.Chunk e) in
+  Chunk.release e;
+  List.iter
+    (fun (what, make) ->
+      let c = make () in
+      check Alcotest.int (what ^ ": length") 0 (Chunk.length c);
+      Chunk.release c;
+      check Alcotest.(triple int int int) (what ^ ": gauges at baseline") base (gauges ()))
+    [
+      ("of_string \"\"", fun () -> Chunk.of_string "");
+      ("of_substring ~len:0", fun () -> Chunk.of_substring "abc" ~pos:1 ~len:0);
+      ("alloc 0", fun () -> Chunk.alloc 0);
+      ( "Bin.decode",
+        fun () ->
+          match Bin.decode enc with
+          | Value.Chunk c -> c
+          | v -> Alcotest.failf "decoded %s" (Value.preview v) );
+    ]
 
 (* --- QCheck lifecycle fuzzer ---------------------------------------- *)
 
@@ -406,6 +435,230 @@ let test_resil_replay_balance () =
         (List.length (List.filter (function Value.Chunk _ -> true | _ -> false) vs)));
   check Alcotest.(triple int int int) "refcounts balance through replay" base (gauges ())
 
+(* --- chunked line filters ------------------------------------------- *)
+
+(* Cuts [doc] into chunk items: each [r] takes the next [r mod 48]
+   bytes (possibly none) as a one-segment chunk or, when [r / 48] is
+   odd, as a two-segment [Chunk.concat]; when [r / 96] is odd an
+   [of_string ""] chunk goes first.  The bytes the list leaves over
+   make one more chunk. *)
+let cut_items doc rs =
+  let n = String.length doc in
+  let piece pos len r =
+    let c =
+      if r / 48 mod 2 = 0 then Chunk.of_substring doc ~pos ~len
+      else begin
+        let h = len / 2 in
+        let a = Chunk.of_substring doc ~pos ~len:h in
+        let b = Chunk.of_substring doc ~pos:(pos + h) ~len:(len - h) in
+        let c = Chunk.concat [ a; b ] in
+        Chunk.release a;
+        Chunk.release b;
+        c
+      end
+    in
+    if r / 96 mod 2 = 0 then [ Value.Chunk c ]
+    else [ Value.Chunk (Chunk.of_string ""); Value.Chunk c ]
+  in
+  let rec go pos = function
+    | [] -> if pos < n then piece pos (n - pos) 0 else []
+    | r :: rest ->
+        let len = min (r mod 48) (n - pos) in
+        piece pos len r @ go (pos + len) rest
+  in
+  go 0 rs
+
+(* Runs a chunk-plane transform over [items]: its output chunks as
+   strings, each released once read; items it left unread (after
+   sed's q) are released too. *)
+let run_chunked f items =
+  let rest = ref items in
+  let next () =
+    match !rest with
+    | [] -> None
+    | v :: tl ->
+        rest := tl;
+        Some v
+  in
+  let out = ref [] in
+  f next (function
+    | Value.Chunk c ->
+        out := Chunk.to_string c :: !out;
+        Chunk.release c
+    | v -> Alcotest.failf "chunk filter emitted %s" (Value.preview v));
+  List.iter (function Value.Chunk c -> Chunk.release c | _ -> ()) !rest;
+  List.rev !out
+
+(* The boxed line stream a document carries: a non-terminated tail is
+   a line, a final newline ends the last one. *)
+let lines_of doc =
+  if doc = "" then []
+  else
+    let ls = String.split_on_char '\n' doc in
+    if doc.[String.length doc - 1] = '\n' then List.filteri (fun i _ -> i < List.length ls - 1) ls
+    else ls
+
+let terminated lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+(* A stateful line filter with end-of-stream output, run through both
+   engines: every other line as it comes, then the last two lines and
+   the line count at end of stream. *)
+let alternate_then_tail ~stateful =
+  stateful ~init:(0, [])
+    ~step:(fun (n, kept) line ->
+      let kept = match kept with last :: _ -> [ line; last ] | [] -> [ line ] in
+      ((n + 1, kept), if n mod 2 = 0 then [ line ] else []))
+    ~flush:(fun (n, kept) -> List.rev kept @ [ string_of_int n ])
+
+let chunked_twins =
+  [
+    ("trim_trailing", Cat.chunked_trim_trailing, Cat.trim_trailing);
+    ("upcase", Cat.chunked_upcase, Cat.upcase);
+    ("downcase", Cat.chunked_downcase, Cat.downcase);
+    ("rot13", Cat.chunked_rot13, Cat.rot13);
+    ("grep", Cat.chunked_grep "a", Cat.grep "a");
+    ("grep_v", Cat.chunked_grep_v "b", Cat.grep_v "b");
+    ("number_lines", Cat.chunked_number_lines (), Cat.number_lines ());
+    ( "stateful with flush",
+      alternate_then_tail ~stateful:Chunkline.stateful,
+      alternate_then_tail ~stateful:Line.stateful );
+  ]
+
+let sed_scripts =
+  List.map
+    (fun lines ->
+      match Sed.parse_script lines with
+      | Ok s -> (String.concat "; " lines, s)
+      | Error e -> failwith e)
+    [
+      [ "s/a/<&>/g" ];
+      [ "/b/d" ];
+      [ "3q" ];
+      [ "y/ab\t/BA_/" ];
+      [ "2a\\after" ];
+      [ "1i\\before"; "/^$/i\\blank" ];
+      [ "2,4s/[ab]/#/g" ];
+      [ "/a/,/b/d"; "6q" ];
+      [ "/A/,3p"; "s/\r/R/g" ];
+    ]
+
+let doc_gen =
+  QCheck2.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'b'; 'A'; 'z'; ' '; '\t'; '\r'; '\000'; '\xff'; '\n'; '\n' ])
+      (int_range 0 300))
+
+(* Every chunked catalog filter and Chunkline.sed against its boxed
+   twin, over random bytes cut at random places. *)
+let prop_twins =
+  prop "chunked filters = boxed twins over random cuts" ~count:300
+    QCheck2.Gen.(triple doc_gen (list_size (int_range 0 24) (int_bound 191)) (int_bound 8))
+    (fun (doc, rs, script) ->
+      let base = gauges () in
+      let lines = lines_of doc in
+      let same what f expect =
+        let got = String.concat "" (run_chunked f (cut_items doc rs)) in
+        if got <> expect then
+          QCheck2.Test.fail_reportf "%s: chunked %S, boxed %S" what got expect
+      in
+      List.iter
+        (fun (what, chunked, boxed) -> same what chunked (terminated (Line.run boxed lines)))
+        chunked_twins;
+      let what, s = List.nth sed_scripts script in
+      same ("sed " ^ what) (Chunkline.sed s) (terminated (Sed.run_lines s lines));
+      gauges () = base)
+
+(* The pins on the byte kernels under the four per-byte catalog
+   filters:
+   - output chunks, not just bytes, are [Chunkline.map]'s for the same
+     line function, so Deposit counts cannot move;
+   - a 64 KiB chunk costs at most 150 minor words end to end, input
+     chunk included (the per-line path took about 71 600);
+   - the kernel contracts, the protocol error and [Str] items as bytes
+     of the stream. *)
+let test_kernel_pins () =
+  let base = gauges () in
+  let line_fn boxed l = match Line.run boxed [ l ] with [ o ] -> o | _ -> assert false in
+  let kernels =
+    [
+      ("trim_trailing", Cat.chunked_trim_trailing, Cat.trim_trailing);
+      ("upcase", Cat.chunked_upcase, Cat.upcase);
+      ("downcase", Cat.chunked_downcase, Cat.downcase);
+      ("rot13", Cat.chunked_rot13, Cat.rot13);
+    ]
+  in
+  let chunks = Alcotest.(list string) in
+  let doc =
+    String.concat ""
+      (List.init 300 (fun i ->
+           Printf.sprintf "%s Line %d\r \000\xff%s\t \n%s" (String.make (i mod 17) 'x') i
+             (if i mod 5 = 0 then "   " else "")
+             (if i mod 7 = 0 then "\n \t\n" else "")))
+    ^ String.make 200 'Q' ^ " \t"
+  in
+  let cuttings =
+    List.map (fun cut -> List.init ((String.length doc / cut) + 1) (fun _ -> cut)) [ 1; 7; 47 ]
+    @ [ List.init 400 (fun i -> (i * 37) + (i / 3)); [] ]
+  in
+  List.iter
+    (fun (what, kernel, boxed) ->
+      List.iter
+        (fun rs ->
+          check chunks (what ^ ": chunks = Chunkline.map's")
+            (run_chunked (Chunkline.map (line_fn boxed)) (cut_items doc rs))
+            (run_chunked kernel (cut_items doc rs)))
+        cuttings)
+    kernels;
+  (* Allocation: sixteen 64 KiB chunks of 33-byte lines. *)
+  let cut = 65536 and n = 16 in
+  let big = Buffer.create ((n + 1) * cut) in
+  while Buffer.length big < n * cut do
+    Buffer.add_string big
+      (Printf.sprintf "Stream %06d of Eden chunks  \t \n" (Buffer.length big / 33))
+  done;
+  let big = Buffer.contents big in
+  List.iter
+    (fun (what, kernel, _) ->
+      let pos = ref 0 in
+      let next () =
+        if !pos + cut > String.length big then None
+        else begin
+          let c = Chunk.of_substring big ~pos:!pos ~len:cut in
+          pos := !pos + cut;
+          Some (Value.Chunk c)
+        end
+      in
+      let emit = function Value.Chunk c -> Chunk.release c | _ -> () in
+      let w0 = Gc.minor_words () in
+      kernel next emit;
+      let words = (Gc.minor_words () -. w0) /. float_of_int n in
+      if words > 150. then
+        Alcotest.failf "%s: %.0f minor words per 64 KiB chunk, pinned at 150" what words)
+    kernels;
+  (* Contracts. *)
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "tr moving '\\n'" (fun () -> Chunkline.tr (fun c -> if c = '\n' then ' ' else c));
+  rejects "tr mapping onto '\\n'" (fun () -> Chunkline.tr (fun c -> if c = 'x' then '\n' else c));
+  rejects "rstrip true on '\\n'" (fun () -> Chunkline.rstrip (fun c -> c = ' ' || c = '\n'));
+  let mixed () =
+    [ Value.Str "ab  "; Value.Chunk (Chunk.of_string "c\t\nd"); Value.Str ""; Value.Str "e \n f\t" ]
+  in
+  List.iter
+    (fun (what, kernel, boxed) ->
+      (match run_chunked kernel [ Value.Chunk (Chunk.of_string "ab\n"); Value.Int 3 ] with
+      | _ -> Alcotest.failf "%s: Int item accepted" what
+      | exception Value.Protocol_error _ -> ());
+      check chunks (what ^ ": Str items as stream bytes")
+        (run_chunked (Chunkline.map (line_fn boxed)) (mixed ()))
+        (run_chunked kernel (mixed ())))
+    kernels;
+  check chunks "upcase over Str items" [ "AB  C\t\n"; "DE \n"; " F\t\n" ]
+    (run_chunked Cat.chunked_upcase (mixed ()));
+  check Alcotest.(triple int int int) "gauges at baseline" base (gauges ())
+
 let suite =
   [
     Alcotest.test_case "basics" `Quick test_basics;
@@ -413,6 +666,7 @@ let suite =
     Alcotest.test_case "equal across segmentations" `Quick test_equal_segmented;
     Alcotest.test_case "typed faults" `Quick test_faults;
     Alcotest.test_case "gauge balance" `Quick test_gauge_balance;
+    Alcotest.test_case "zero-length chunks are rootless" `Quick test_zero_length_rootless;
     prop_lifecycle;
     Alcotest.test_case "bin roundtrip + size law" `Quick test_bin_roundtrip;
     Alcotest.test_case "bin hostile chunk lengths" `Quick test_bin_hostile_chunk;
@@ -423,4 +677,6 @@ let suite =
     Alcotest.test_case "net.size sees chunk bytes" `Quick test_net_size_histogram_counts_chunks;
     Alcotest.test_case "flowctl chunked config" `Quick test_flowctl_chunked;
     Alcotest.test_case "resil replay refcount balance" `Quick test_resil_replay_balance;
+    prop_twins;
+    Alcotest.test_case "line kernels: layout, allocation, contracts" `Quick test_kernel_pins;
   ]
