@@ -110,10 +110,3 @@ let lift_map ~in_ ~out f = Transform.map (fun v -> out.encode (f (in_.decode v))
 
 let lift_filter_map ~in_ ~out f =
   Transform.filter_map (fun v -> Option.map out.encode (f (in_.decode v)))
-
-let lift_stateful ~in_ ~out ~init ~step ~flush =
-  Transform.stateful ~init
-    ~step:(fun s v ->
-      let s', outs = step s (in_.decode v) in
-      (s', List.map out.encode outs))
-    ~flush:(fun s -> List.map out.encode (flush s))

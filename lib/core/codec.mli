@@ -69,11 +69,3 @@ val iter : 'a t -> ('a -> unit) -> Pull.t -> unit
 
 val lift_map : in_:'a t -> out:'b t -> ('a -> 'b) -> Transform.t
 val lift_filter_map : in_:'a t -> out:'b t -> ('a -> 'b option) -> Transform.t
-
-val lift_stateful :
-  in_:'a t ->
-  out:'b t ->
-  init:'s ->
-  step:('s -> 'a -> 's * 'b list) ->
-  flush:('s -> 'b list) ->
-  Transform.t

@@ -267,16 +267,6 @@ let diagnose t =
         stalls = stall_report t.kernel ~stages:t.stages;
       }
 
-let pp_stall ppf { fiber; reason; stage } =
-  match stage with
-  | Some s -> Format.fprintf ppf "%s: %s (%s)" s fiber reason
-  | None -> Format.fprintf ppf "?: %s (%s)" fiber reason
-
-let pp_diagnosis ppf { at; stalls } =
-  Format.fprintf ppf "@[<v>stalled at t=%g with %d blocked fiber(s):" at (List.length stalls);
-  List.iter (fun s -> Format.fprintf ppf "@,  %a" pp_stall s) stalls;
-  Format.fprintf ppf "@]"
-
 type prediction = { entities : int; invocations_per_datum : int }
 
 let predict discipline ~n_filters =

@@ -141,9 +141,6 @@ val diagnose : t -> diagnosis option
     has quiesced with [done_] unfilled — everything still blocked then
     is a genuine stall, not transient backpressure. *)
 
-val pp_stall : Format.formatter -> stall -> unit
-val pp_diagnosis : Format.formatter -> diagnosis -> unit
-
 type prediction = { entities : int; invocations_per_datum : int }
 
 val predict : discipline -> n_filters:int -> prediction

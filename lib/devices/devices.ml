@@ -20,16 +20,11 @@ let terminal_ro k ?node ?(name = "terminal") ?(rate = 0.0) ?(batch = 1) ~upstrea
   let render, lines = fresh_screen () in
   let done_ = Ivar.create () in
   let uid =
-    T.Stage.custom k ?node ~name (fun ctx ~passive:_ ->
-        let pull = T.Pull.connect ctx ~batch ~channel upstream in
-        Kernel.spawn_worker ctx ~name:(name ^ "/pump") (fun () ->
-            T.Pull.iter
-              (fun v ->
-                if rate > 0.0 then Sched.sleep rate;
-                render (Value.to_str v))
-              pull;
-            Ivar.fill done_ ());
-        [])
+    T.Stage.sink_ro k ?node ~name ~batch ~upstream ~upstream_channel:channel
+      ~on_done:(fun () -> Ivar.fill done_ ())
+      (fun v ->
+        if rate > 0.0 then Sched.sleep rate;
+        render (Value.to_str v))
   in
   { uid; lines; done_ }
 

@@ -952,7 +952,6 @@ let router ctrl =
 
 let supervisor ctrl = ctrl.sup
 let await ctrl = Ivar.read ctrl.done_
-let is_done ctrl = Ivar.is_filled ctrl.done_
 
 let await_timeout ctrl ~timeout =
   let deadline = now ctrl +. timeout in
@@ -1026,7 +1025,3 @@ let replica_uids ctrl = List.map (fun r -> (r.r_label, r.r_uid)) ctrl.reps
 
 let windows ctrl =
   List.map (fun r -> (r.r_label, base r, r.sent, next r)) ctrl.reps
-
-let parked_backlogs ctrl =
-  parked_sorted ctrl
-  |> List.map (fun (chan, pk) -> (chan, backlog_length pk, pk.p_sealed))

@@ -118,8 +118,6 @@ val await_timeout : t -> timeout:float -> bool
     hostile schedules); [false] on timeout.  Always {!stop} after a
     [false] so tick timers quiesce. *)
 
-val is_done : t -> bool
-
 val stop : t -> unit
 (** Stops the manager loop and supervisor after at most one more tick. *)
 
@@ -171,6 +169,3 @@ val replica_uids : t -> (string * Uid.t) list
 val windows : t -> (string * int * int * int) list
 (** Per-link [(label, base, sent, next)] — the durable, transmitted and
     append positions.  Debugging aid for wedged schedules. *)
-
-val parked_backlogs : t -> (int * int * bool) list
-(** Per parked channel [(chan, backlog length, sealed)], sorted. *)

@@ -18,8 +18,6 @@ let decode_entry = function
       Item { chan; cseq; payload }
   | v -> raise (Value.Protocol_error ("elastic link entry: " ^ Value.to_string v))
 
-let entry_chan = function Install { chan; _ } | Item { chan; _ } -> chan
-
 let encode_out ~chan ~oseq payload = Value.List [ Value.Int chan; Value.Int oseq; payload ]
 
 let decode_out = function

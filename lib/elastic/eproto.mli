@@ -28,8 +28,6 @@ val encode_entry : entry -> Value.t
 val decode_entry : Value.t -> entry
 (** @raise Value.Protocol_error on anything else. *)
 
-val entry_chan : entry -> int
-
 val encode_out : chan:int -> oseq:int -> Value.t -> Value.t
 val decode_out : Value.t -> int * int * Value.t
 

@@ -4,7 +4,6 @@ let pp_limit ppf = function
   | Window n -> Format.fprintf ppf "window=%d" n
   | Unlimited -> Format.pp_print_string ppf "window=inf"
 
-let limit_to_string l = Format.asprintf "%a" pp_limit l
 let unlimited_depth = 64
 
 let cap = function

@@ -14,7 +14,6 @@
 type limit = Window of int | Unlimited
 
 val pp_limit : Format.formatter -> limit -> unit
-val limit_to_string : limit -> string
 
 val unlimited_depth : int
 (** Client-side pipelining depth that [Unlimited] resolves to (64). *)

@@ -28,8 +28,6 @@ let normalise path =
   in
   List.rev (List.fold_left step [] raw)
 
-let path_of_components comps = "/" ^ String.concat "/" comps
-
 (* Walk to the parent directory of the final component. *)
 let rec descend tbl comps path =
   match comps with

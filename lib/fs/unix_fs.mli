@@ -35,8 +35,6 @@ val normalise : string -> string list
 (** Path to component list; [".."] above the root clamps to the root.
     @raise Error Einval on empty components other than the root. *)
 
-val path_of_components : string list -> string
-
 (** {1 Directories} *)
 
 val mkdir : t -> string -> unit

@@ -606,10 +606,6 @@ let checkpoint ctx data =
 
 let mint ctx = Uid.fresh ctx.k.uid_gen
 
-let last_checkpoint ctx =
-  let e = my_eject ctx in
-  match e.versions with (_, data) :: _ -> Some data | [] -> None
-
 (* Stop an active eject's processes.  [self_fid] protection is not
    needed: cancellation is only delivered at suspension points, and the
    coordinator checks [stopping] before its next receive. *)
@@ -628,31 +624,16 @@ let stop_runtime t e ~drop_mailbox =
       e.state <- Passive
   | Passive | Destroyed -> ()
 
-let deactivate ctx =
-  let e = my_eject ctx in
-  match e.state with
-  | Active rt ->
-      (* Graceful: let queued invocations drain by re-posting them after
-         reactivation — here simply leave them; the coordinator exits and
-         any queued message reactivates the Eject lazily on next send.
-         To keep semantics simple we require the mailbox be drained by
-         the time a well-behaved Eject deactivates. *)
-      rt.stopping <- true;
-      Mailbox.send rt.mailbox Stop;
-      List.iter
-        (fun fid -> Sched.cancel ctx.k.sched fid)
-        rt.worker_fids;
-      e.state <- Passive
-  | Passive | Destroyed -> ()
+(* Deactivation is for idle Ejects: invocations still queued behind the
+   current one stay in the old runtime's mailbox, which nothing reads
+   again, so they are dropped unanswered (their invokers can protect
+   themselves with timeouts).  The next invocation activates a fresh
+   runtime. *)
+let deactivate ctx = stop_runtime ctx.k (my_eject ctx) ~drop_mailbox:false
 
 let destroy ctx =
   let e = my_eject ctx in
-  (match e.state with
-  | Active rt ->
-      rt.stopping <- true;
-      Mailbox.send rt.mailbox Stop;
-      List.iter (fun fid -> Sched.cancel ctx.k.sched fid) rt.worker_fids
-  | Passive | Destroyed -> ());
+  stop_runtime ctx.k e ~drop_mailbox:false;
   if e.state <> Destroyed then begin
     e.state <- Destroyed;
     (* Physically release the slot: the slab recycles it and the UID

@@ -235,8 +235,6 @@ val checkpoint : ctx -> Value.t -> unit
     [crash].  Values may carry UIDs, so capabilities survive recovery
     without ever being exposed as forgeable strings. *)
 
-val last_checkpoint : ctx -> Value.t option
-
 val mint : ctx -> Uid.t
 (** A fresh unforgeable UID that names no Eject — a capability token,
     e.g. a secure channel identifier (§5). *)

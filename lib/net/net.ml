@@ -26,8 +26,8 @@ type t = {
   sched : Sched.t;
   prng : Prng.t;
   mutable nodes : string array;
-  mutable default_latency : latency;
-  mutable local_latency : latency;
+  default_latency : latency;
+  local_latency : latency;
   link_latency : (int * int, latency) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t;
   mutable loss_probability : float;
@@ -83,9 +83,6 @@ let node_count t = Array.length t.nodes
 let node_name t id =
   if id < 0 || id >= Array.length t.nodes then invalid_arg "Net.node_name: unknown node";
   t.nodes.(id)
-
-let set_latency t l = t.default_latency <- l
-let set_local_latency t l = t.local_latency <- l
 
 let link_key a b = if a <= b then (a, b) else (b, a)
 

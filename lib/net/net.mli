@@ -24,8 +24,8 @@ type latency =
   | Exponential of { mean : float }
 
 val create : ?seed:int64 -> sched:Eden_sched.Sched.t -> latency:latency -> unit -> t
-(** [local_latency] (see {!set_local_latency}) defaults to one tenth of
-    the mean of [latency]: staying on-node is cheap but not free. *)
+(** [latency] models inter-node traffic.  Same-node traffic takes a
+    fixed one tenth of its mean: staying on-node is cheap but not free. *)
 
 val sched : t -> Eden_sched.Sched.t
 
@@ -39,12 +39,6 @@ val set_obs : t -> Eden_obs.Obs.t -> unit
 val add_node : t -> string -> node_id
 val node_count : t -> int
 val node_name : t -> node_id -> string
-
-val set_latency : t -> latency -> unit
-(** Default model for inter-node traffic. *)
-
-val set_local_latency : t -> latency -> unit
-(** Model for same-node traffic. *)
 
 val set_link_latency : t -> node_id -> node_id -> latency -> unit
 (** Overrides the default on one (symmetric) link. *)

@@ -74,4 +74,3 @@ let try_recv t =
 let count_live q ~live = Queue.fold (fun n (cell, _) -> if live cell then n + 1 else n) 0 q
 
 let waiting_senders t = count_live t.senders ~live:(fun c -> !c <> None)
-let waiting_receivers t = count_live t.receivers ~live:(fun c -> !c = None)

@@ -27,4 +27,3 @@ val try_recv : 'a t -> 'a option
 (** Succeeds only if a sender is already waiting. *)
 
 val waiting_senders : 'a t -> int
-val waiting_receivers : 'a t -> int

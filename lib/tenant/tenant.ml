@@ -11,16 +11,9 @@ module Push = Eden_transput.Push
 type rights = Read | Write
 type violation = Forged_id | Stolen_channel | Replayed_transfer | Credit_hoard
 
-let violation_label = function
-  | Forged_id -> "forged_id"
-  | Stolen_channel -> "stolen_channel"
-  | Replayed_transfer -> "replayed_transfer"
-  | Credit_hoard -> "credit_hoard"
-
 type defect = Revoke_skips_reclaim
 
 type tenant = {
-  name : string;
   v_forged : Obs.Flow.stage;
   v_stolen : Obs.Flow.stage;
   v_replay : Obs.Flow.stage;
@@ -58,7 +51,6 @@ type t = {
 }
 
 let auth_tag = "eden.auth"
-let tenant_name t = t.name
 let violation_stage t = function
   | Forged_id -> t.v_forged
   | Stolen_channel -> t.v_stolen
@@ -73,7 +65,6 @@ let tenant reg name =
       let stage suffix = Obs.register_stage obs (Printf.sprintf "tenant.%s.%s" name suffix) in
       let t =
         {
-          name;
           v_forged = stage "forged_id";
           v_stolen = stage "stolen_channel";
           v_replay = stage "replayed_transfer";
@@ -204,8 +195,6 @@ let install ?(hoard_quota = 256) ?(seed = 0x7E4A47L) ?defect k =
   Kernel.set_guard k (Some (fun ~dst ~op arg -> guard reg ~dst ~op arg));
   reg
 
-let uninstall reg = Kernel.set_guard reg.k None
-
 (* --- Protection and capabilities ----------------------------------- *)
 
 let protect reg ~owner uid =
@@ -214,8 +203,6 @@ let protect reg ~owner uid =
       invalid_arg "Tenant.protect: already protected by another tenant"
   | Some _ -> ()
   | None -> Uid.Tbl.replace reg.protected uid owner
-
-let protected_ejects reg = Uid.Tbl.fold (fun uid _ acc -> uid :: acc) reg.protected []
 
 let mk_cap reg tenant_ ~rights ~underlying eject =
   let cap =
@@ -277,7 +264,6 @@ let rec revoke reg cap =
 
 let channel cap = Channel.Cap cap.cid
 let token cap = cap.tok
-let cap_rights cap = cap.rights
 let holder cap = cap.cap_tenant
 let is_revoked cap = cap.revoked
 let wrap cap v = Value.List [ Value.Str auth_tag; Value.Uid cap.tok; v ]

@@ -57,7 +57,8 @@ type t
 (** A registry: the only minter of capabilities for one kernel. *)
 
 type tenant
-(** A namespace handle.  Compare by {!tenant_name}. *)
+(** A namespace handle: {!tenant} returns the same one for the same
+    name. *)
 
 type cap
 (** A capability: one interface (protected Eject), one right, one
@@ -66,10 +67,6 @@ type cap
 type rights = Read | Write
 
 type violation = Forged_id | Stolen_channel | Replayed_transfer | Credit_hoard
-
-val violation_label : violation -> string
-(** ["forged_id"], ["stolen_channel"], ["replayed_transfer"],
-    ["credit_hoard"] — the suffix of the per-tenant meter stage. *)
 
 type defect = Revoke_skips_reclaim
 (** Calibration mutant for the exploration suite: {!revoke} still
@@ -88,14 +85,8 @@ val install : ?hoard_quota:int -> ?seed:int64 -> ?defect:defect -> Kernel.t -> t
     each forked shard process the same seed and capabilities minted
     during topology build agree across the cluster. *)
 
-val uninstall : t -> unit
-(** Remove the guard; the registry keeps its state but enforces
-    nothing. *)
-
 val tenant : t -> string -> tenant
 (** Get-or-create the named namespace (and its meter stages). *)
-
-val tenant_name : tenant -> string
 
 (** {1 Protection and capabilities} *)
 
@@ -106,8 +97,6 @@ val protect : t -> owner:tenant -> Uid.t -> unit
     operations — including the elastic runtime's internal eproto
     sync/finish traffic — pass unguarded.  Idempotent; re-protecting
     with a different owner is an error. *)
-
-val protected_ejects : t -> Uid.t list
 
 val grant :
   t -> tenant -> rights:rights -> underlying:Channel.t -> Uid.t -> cap
@@ -135,7 +124,6 @@ val channel : cap -> Channel.t
 (** The public face: [Channel.Cap cid], what requests name. *)
 
 val token : cap -> Uid.t
-val cap_rights : cap -> rights
 val holder : cap -> tenant
 val is_revoked : cap -> bool
 

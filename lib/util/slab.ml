@@ -34,7 +34,6 @@ let create ?(capacity = 16) ~dummy () =
 let live t = t.live
 let capacity t = Array.length t.data
 let slot_of h = h land slot_mask
-let generation_of h = h lsr slot_bits
 
 let grow t =
   let cap = Array.length t.data in

@@ -62,4 +62,3 @@ val iter : (handle -> 'a -> unit) -> 'a t -> unit
 val fold : (handle -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 
 val slot_of : handle -> int
-val generation_of : handle -> int

@@ -164,7 +164,7 @@ let min_tie_count t =
        from the root through tied parents; walk just that region. *)
     let k = t.keys.(t.heap.(0)) in
     let rec count idx =
-      if idx >= t.size || t.keys.(t.heap.(idx)) <> k then 0
+      if idx >= t.size || not (Float.equal t.keys.(t.heap.(idx)) k) then 0
       else 1 + count ((2 * idx) + 1) + count ((2 * idx) + 2)
     in
     count 0
@@ -181,7 +181,7 @@ let delete_nth_min t i =
        remaining ties keep their relative insertion order. *)
     let ties = ref [] in
     let rec collect idx =
-      if idx < t.size && t.keys.(t.heap.(idx)) = k then begin
+      if idx < t.size && Float.equal t.keys.(t.heap.(idx)) k then begin
         ties := idx :: !ties;
         collect ((2 * idx) + 1);
         collect ((2 * idx) + 2)

@@ -43,7 +43,9 @@ val pop_min : 'a t -> 'a
     @raise Invalid_argument when empty. *)
 
 val min_tie_count : 'a t -> int
-(** How many entries are tied at the minimum deadline. *)
+(** How many entries are tied at the minimum deadline.  Deadlines tie
+    when [Float.compare] finds them equal, as the heap orders them: NaN
+    deadlines sort first and tie with each other. *)
 
 val delete_nth_min : 'a t -> int -> (float * 'a) option
 (** [delete_nth_min t i] removes the [i]-th entry (insertion order)

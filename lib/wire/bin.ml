@@ -176,9 +176,11 @@ let rec value c depth =
     (* Same hostile-input discipline as strings: the length is bounded
        by the remaining bytes before any allocation, so a forged header
        (negative lengths arrive as huge unsigned ones) is rejected for
-       the cost of the bounded diagnostic alone.  Decoding is the one
-       payload copy on the receive side: the fresh root is owned by the
-       decoder's consumer. *)
+       the cost of the bounded diagnostic alone.  Decoding is the second
+       payload copy on the receive side, after [Conn.take] cut the frame
+       payload out of the input buffer; the fresh root is owned by the
+       decoder's consumer.  Decoding straight out of the connection's
+       buffer would drop one copy per hop (a ROADMAP carry-over). *)
     let len = u32 c "chunk length" in
     if len > c.limit - c.pos then
       err "chunk length %d exceeds %d remaining bytes" len (c.limit - c.pos);

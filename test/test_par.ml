@@ -98,128 +98,6 @@ let prop_dqueue_stress =
       let got = List.map Domain.join cons in
       check_stress ~producers ~per_producer got)
 
-(* --- Dchan ----------------------------------------------------------- *)
-
-let test_dchan_basics () =
-  let ch = Dchan.create ~capacity:2 () in
-  Alcotest.(check int) "capacity" 2 (Dchan.capacity ch);
-  Alcotest.(check bool) "send" true (Dchan.send ch 1);
-  Alcotest.(check bool) "send" true (Dchan.send ch 2);
-  Alcotest.(check bool) "try_send full" false (Dchan.try_send ch 3);
-  Alcotest.(check (option int)) "recv fifo" (Some 1) (Dchan.recv ch);
-  Alcotest.(check bool) "room again" true (Dchan.try_send ch 3);
-  Alcotest.(check (option int)) "recv" (Some 2) (Dchan.recv ch);
-  Alcotest.(check (option int)) "recv" (Some 3) (Dchan.try_recv ch);
-  Alcotest.(check (option int)) "empty" None (Dchan.try_recv ch);
-  Alcotest.check_raises "bad capacity"
-    (Invalid_argument "Dchan.create: capacity must be positive") (fun () ->
-      ignore (Dchan.create ~capacity:0 ()))
-
-(* A sender blocked on a full channel must be released (send = false)
-   by [close]; the backlog stays readable. *)
-let test_dchan_close_releases_sender () =
-  let ch = Dchan.create ~capacity:2 () in
-  ignore (Dchan.send ch 1);
-  ignore (Dchan.send ch 2);
-  let sender = Domain.spawn (fun () -> Dchan.send ch 3) in
-  for _ = 1 to 10_000 do
-    Domain.cpu_relax ()
-  done;
-  Dchan.close ch;
-  Alcotest.(check bool) "blocked send refused" false (Domain.join sender);
-  Alcotest.(check (option int)) "backlog" (Some 1) (Dchan.recv ch);
-  Alcotest.(check (option int)) "backlog" (Some 2) (Dchan.recv ch);
-  Alcotest.(check (option int)) "then None" None (Dchan.recv ch)
-
-let prop_dchan_stress =
-  prop "dchan: no loss/duplication under backpressure"
-    QCheck2.Gen.(
-      tup4 (int_range 1 3) (int_range 1 3) (int_range 0 50) (int_range 1 3))
-    (fun (producers, consumers, per_producer, capacity) ->
-      let ch = Dchan.create ~capacity () in
-      let prods =
-        List.init producers (fun p ->
-            Domain.spawn (fun () ->
-                for i = 0 to per_producer - 1 do
-                  ignore (Dchan.send ch (p, i))
-                done))
-      in
-      let cons =
-        List.init consumers (fun _ ->
-            Domain.spawn (fun () ->
-                let rec loop acc =
-                  match Dchan.recv ch with
-                  | Some x -> loop (x :: acc)
-                  | None -> List.rev acc
-                in
-                loop []))
-      in
-      List.iter Domain.join prods;
-      Dchan.close ch;
-      let got = List.map Domain.join cons in
-      check_stress ~producers ~per_producer got)
-
-(* --- Dchan batch operations ------------------------------------------ *)
-
-let test_dchan_send_many_basics () =
-  let ch = Dchan.create ~capacity:4 () in
-  Alcotest.(check int) "all accepted" 3 (Dchan.send_many ch [ 1; 2; 3 ]);
-  Alcotest.(check (list int)) "one batched recv" [ 1; 2; 3 ] (Dchan.recv_many ch ~max:8);
-  Alcotest.(check int) "empty batch is a no-op" 0 (Dchan.send_many ch []);
-  ignore (Dchan.send_many ch [ 4; 5 ]);
-  Alcotest.(check (list int)) "max bounds the batch" [ 4 ] (Dchan.recv_many ch ~max:1);
-  Dchan.close ch;
-  Alcotest.(check (list int)) "backlog drains" [ 5 ] (Dchan.recv_many ch ~max:8);
-  Alcotest.(check (list int)) "closed + drained = []" [] (Dchan.recv_many ch ~max:8);
-  Alcotest.(check int) "send_many refused when closed" 0 (Dchan.send_many ch [ 9 ]);
-  Alcotest.check_raises "bad max"
-    (Invalid_argument "Dchan.recv_many: max must be positive") (fun () ->
-      ignore (Dchan.recv_many ch ~max:0))
-
-(* A batch larger than capacity blocks mid-batch; close releases the
-   sender with a partial count, and the accepted prefix stays
-   readable. *)
-let test_dchan_send_many_close_mid_batch () =
-  let ch = Dchan.create ~capacity:2 () in
-  let sender = Domain.spawn (fun () -> Dchan.send_many ch [ 1; 2; 3; 4; 5 ]) in
-  (* Wait until the sender has filled the channel and is blocked on
-     item 3 before closing — a fixed spin races on a loaded host. *)
-  while Dchan.length ch < 2 do
-    Domain.cpu_relax ()
-  done;
-  Dchan.close ch;
-  Alcotest.(check int) "capacity-bounded prefix accepted" 2 (Domain.join sender);
-  Alcotest.(check (list int)) "prefix readable" [ 1; 2 ] (Dchan.recv_many ch ~max:8)
-
-let prop_dchan_batch_stress =
-  prop "dchan: batched send/recv, no loss/duplication"
-    QCheck2.Gen.(tup4 (int_range 1 3) (int_range 1 3) (int_range 0 12) (int_range 1 4))
-    (fun (producers, consumers, batches, capacity) ->
-      let ch = Dchan.create ~capacity () in
-      let per_producer = batches * 4 in
-      let prods =
-        List.init producers (fun p ->
-            Domain.spawn (fun () ->
-                for b = 0 to batches - 1 do
-                  ignore
-                    (Dchan.send_many ch (List.init 4 (fun i -> (p, (b * 4) + i))))
-                done))
-      in
-      let cons =
-        List.init consumers (fun _ ->
-            Domain.spawn (fun () ->
-                let rec loop acc =
-                  match Dchan.recv_many ch ~max:3 with
-                  | [] -> List.rev acc
-                  | xs -> loop (List.rev_append xs acc)
-                in
-                loop []))
-      in
-      List.iter Domain.join prods;
-      Dchan.close ch;
-      let got = List.map Domain.join cons in
-      check_stress ~producers ~per_producer got)
-
 (* --- Cluster --------------------------------------------------------- *)
 
 let echo_cluster mode =
@@ -409,12 +287,6 @@ let suite =
     ("dqueue close", `Quick, test_dqueue_close);
     ("dqueue close wakes blocked readers", `Quick, test_dqueue_close_wakes_reader);
     prop_dqueue_stress;
-    ("dchan basics", `Quick, test_dchan_basics);
-    ("dchan close releases blocked sender", `Quick, test_dchan_close_releases_sender);
-    prop_dchan_stress;
-    ("dchan send_many/recv_many basics", `Quick, test_dchan_send_many_basics);
-    ("dchan send_many closed mid-batch", `Quick, test_dchan_send_many_close_mid_batch);
-    prop_dchan_batch_stress;
     ("cluster echo (deterministic)", `Quick, test_cluster_echo Cluster.Deterministic);
     ("cluster echo (parallel)", `Quick, test_cluster_echo Cluster.Parallel);
     ("cluster error propagation (deterministic)", `Quick, test_cluster_error Cluster.Deterministic);

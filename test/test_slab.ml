@@ -128,6 +128,95 @@ let prop_theap_remove_physical =
       && drain h
          = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (List.rev !kept))
 
+(* The tie operations behind [Sched]'s timer chooser.  Keys order as
+   [Float.compare] orders them, so NaN sorts below every number: a NaN
+   key is the minimum, and NaN keys tie with each other. *)
+let key = Alcotest.testable (fun ppf -> Format.fprintf ppf "%g") Float.equal
+
+let theap_of entries =
+  let h = Theap.create ~dummy:"" () in
+  List.iter (fun (k, v) -> ignore (Theap.insert h k v)) entries;
+  h
+
+let test_theap_min_tie_count () =
+  Alcotest.(check int) "empty" 0 (Theap.min_tie_count (theap_of []));
+  let h = theap_of [ (2., "x"); (1., "a"); (1., "b"); (3., "y"); (1., "c") ] in
+  Alcotest.(check int) "three tied at the min" 3 (Theap.min_tie_count h);
+  ignore (Theap.delete_min h);
+  Alcotest.(check int) "two after one pop" 2 (Theap.min_tie_count h);
+  let h = theap_of [ (1., "a"); (nan, "p"); (0., "z"); (nan, "q"); (nan, "r") ] in
+  Alcotest.(check int) "three tied at a NaN min" 3 (Theap.min_tie_count h);
+  ignore (Theap.delete_min h);
+  Alcotest.(check int) "two NaN after one pop" 2 (Theap.min_tie_count h)
+
+let test_theap_delete_nth_min () =
+  let mk () = theap_of [ (1., "a"); (2., "x"); (1., "b"); (1., "c") ] in
+  let a = mk () and b = mk () in
+  (match (Theap.delete_nth_min a 0, Theap.delete_min b) with
+  | Some (k, v), Some (k', v') ->
+      Alcotest.check key "index 0: same key as delete_min" k' k;
+      Alcotest.(check string) "index 0: same value" v' v;
+      Alcotest.(check (list (pair (float 0.) string))) "same remaining order" (drain b) (drain a)
+  | _ -> Alcotest.fail "unexpected empty");
+  let pick i expect rest =
+    let h = mk () in
+    match Theap.delete_nth_min h i with
+    | Some (1., v) ->
+        Alcotest.(check string) (Printf.sprintf "tie %d" i) expect v;
+        Alcotest.(check (list (pair (float 0.) string)))
+          "others keep insertion order" rest (drain h)
+    | _ -> Alcotest.fail "wrong tie extracted"
+  in
+  pick 1 "b" [ (1., "a"); (1., "c"); (2., "x") ];
+  pick 2 "c" [ (1., "a"); (1., "b"); (2., "x") ];
+  Alcotest.(check bool) "empty heap" true (Theap.delete_nth_min (theap_of []) 0 = None);
+  Alcotest.check_raises "index beyond tie count"
+    (Invalid_argument "Theap.delete_nth_min: index beyond tie count") (fun () ->
+      ignore (Theap.delete_nth_min (mk ()) 3));
+  Alcotest.check_raises "negative index" (Invalid_argument "Theap.delete_nth_min: negative index")
+    (fun () -> ignore (Theap.delete_nth_min (mk ()) (-1)));
+  let h = theap_of [ (nan, "p"); (0., "z"); (nan, "q"); (nan, "r") ] in
+  (match Theap.delete_nth_min h 1 with
+  | Some (k, v) ->
+      Alcotest.check key "NaN tie's key" nan k;
+      Alcotest.(check string) "second NaN tie" "q" v
+  | None -> Alcotest.fail "unexpected empty");
+  match Theap.delete_nth_min h 1 with
+  | Some (_, v) -> Alcotest.(check string) "then the third" "r" v
+  | None -> Alcotest.fail "unexpected empty"
+
+(* Any sequence of tie-indexed deletions agrees with a model kept in
+   (key, insertion) order: each step's tie count, the entry it takes,
+   and the order the survivors drain in. *)
+let prop_theap_delete_nth_stability =
+  prop "theap: delete_nth_min preserves stability"
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 40) (oneofl [ nan; 0.; 1.; 2. ])) (small_list small_nat))
+    (fun (keys, picks) ->
+      let h = Theap.create ~dummy:(-1) () in
+      List.iteri (fun i k -> ignore (Theap.insert h k i)) keys;
+      let model =
+        ref (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (List.mapi (fun i k -> (k, i)) keys))
+      in
+      List.for_all
+        (fun pick ->
+          let ties =
+            match !model with
+            | [] -> []
+            | (k, _) :: _ -> List.filter (fun (k', _) -> Float.equal k k') !model
+          in
+          let m = List.length ties in
+          Theap.min_tie_count h = m
+          && (m = 0
+             ||
+             let k, v = List.nth ties (pick mod m) in
+             model := List.filter (fun (_, v') -> v' <> v) !model;
+             match Theap.delete_nth_min h (pick mod m) with
+             | Some (k', v') -> Float.equal k k' && v = v'
+             | None -> false))
+        picks
+      && compare (drain h) !model = 0)
+
 let prop_cqueue_matches_queue =
   prop "cqueue: push/pop/take_nth matches reference queue"
     QCheck2.Gen.(list_size (int_range 1 150) (pair (int_bound 2) small_nat))
@@ -223,6 +312,9 @@ let suite =
     prop_slab_iteration;
     prop_theap_drains_sorted;
     prop_theap_remove_physical;
+    ("theap: min_tie_count, NaN included", `Quick, test_theap_min_tie_count);
+    ("theap: delete_nth_min, NaN included", `Quick, test_theap_delete_nth_min);
+    prop_theap_delete_nth_stability;
     prop_cqueue_matches_queue;
     prop_estore_no_alias;
   ]

@@ -200,198 +200,6 @@ let prop_ring_model =
       Ring.to_list r = List.of_seq (Queue.to_seq model))
 
 (* ------------------------------------------------------------------ *)
-(* Fqueue                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_fqueue_basic () =
-  let q = Fqueue.empty |> Fqueue.push 1 |> Fqueue.push 2 |> Fqueue.push 3 in
-  check Alcotest.int "length" 3 (Fqueue.length q);
-  (match Fqueue.pop q with
-  | Some (1, q') -> check Alcotest.(list int) "rest" [ 2; 3 ] (Fqueue.to_list q')
-  | _ -> Alcotest.fail "expected 1");
-  check Alcotest.(option int) "peek" (Some 1) (Fqueue.peek q)
-
-let test_fqueue_empty () =
-  Alcotest.(check bool) "is_empty" true (Fqueue.is_empty Fqueue.empty);
-  check Alcotest.(option int) "peek none" None (Fqueue.peek Fqueue.empty);
-  Alcotest.(check bool) "pop none" true (Fqueue.pop Fqueue.empty = None)
-
-let test_fqueue_persistence () =
-  let q1 = Fqueue.of_list [ 1; 2 ] in
-  let q2 = Fqueue.push 3 q1 in
-  check Alcotest.(list int) "q1 unchanged" [ 1; 2 ] (Fqueue.to_list q1);
-  check Alcotest.(list int) "q2 extended" [ 1; 2; 3 ] (Fqueue.to_list q2)
-
-let prop_fqueue_fifo =
-  prop "fqueue preserves list order" QCheck2.Gen.(small_list int) (fun xs ->
-      Fqueue.to_list (Fqueue.of_list xs) = xs
-      && Fqueue.to_list (List.fold_left (fun q x -> Fqueue.push x q) Fqueue.empty xs) = xs)
-
-let prop_fqueue_fold =
-  prop "fold visits in order" QCheck2.Gen.(small_list int) (fun xs ->
-      Fqueue.fold (fun acc x -> x :: acc) [] (Fqueue.of_list xs) = List.rev xs)
-
-(* ------------------------------------------------------------------ *)
-(* Heap                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Iheap = Heap.Make (Int)
-
-let test_heap_sorts () =
-  let h = Iheap.of_list [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ] in
-  check
-    Alcotest.(list (pair int string))
-    "sorted"
-    [ (1, "a"); (2, "b"); (3, "c"); (4, "d"); (5, "e") ]
-    (Iheap.to_sorted_list h)
-
-let test_heap_stable_ties () =
-  (* Events at the same instant must pop in insertion order. *)
-  let h = Iheap.empty |> Iheap.insert 7 "first" |> Iheap.insert 7 "second" |> Iheap.insert 7 "third" in
-  check
-    Alcotest.(list (pair int string))
-    "fifo among ties"
-    [ (7, "first"); (7, "second"); (7, "third") ]
-    (Iheap.to_sorted_list h)
-
-let test_heap_empty () =
-  Alcotest.(check bool) "find_min none" true (Iheap.find_min Iheap.empty = None);
-  Alcotest.(check bool) "delete_min none" true (Iheap.delete_min Iheap.empty = None);
-  check Alcotest.int "size 0" 0 (Iheap.size Iheap.empty)
-
-let test_heap_min_tie_count () =
-  check Alcotest.int "empty" 0 (Iheap.min_tie_count Iheap.empty);
-  let h = Iheap.of_list [ (2, "x"); (1, "a"); (1, "b"); (3, "y"); (1, "c") ] in
-  check Alcotest.int "three tied at the min" 3 (Iheap.min_tie_count h);
-  match Iheap.delete_min h with
-  | Some (_, _, h') -> check Alcotest.int "two after one pop" 2 (Iheap.min_tie_count h')
-  | None -> Alcotest.fail "heap not empty"
-
-let test_heap_delete_nth_min () =
-  let mk () = Iheap.of_list [ (1, "a"); (2, "x"); (1, "b"); (1, "c") ] in
-  (* index 0 behaves exactly like delete_min *)
-  (match (Iheap.delete_nth_min (mk ()) 0, Iheap.delete_min (mk ())) with
-  | Some (k, v, r0), Some (k', v', r1) ->
-      check Alcotest.int "same key" k' k;
-      check Alcotest.string "same value" v' v;
-      Alcotest.(check bool)
-        "same remaining order" true
-        (Iheap.to_sorted_list r0 = Iheap.to_sorted_list r1)
-  | _ -> Alcotest.fail "unexpected empty");
-  (* extracting a middle tie preserves insertion order of the rest *)
-  (match Iheap.delete_nth_min (mk ()) 1 with
-  | Some (1, "b", rest) ->
-      check
-        Alcotest.(list (pair int string))
-        "others keep insertion order"
-        [ (1, "a"); (1, "c"); (2, "x") ]
-        (Iheap.to_sorted_list rest)
-  | _ -> Alcotest.fail "wrong tie extracted");
-  (match Iheap.delete_nth_min (mk ()) 2 with
-  | Some (1, "c", rest) ->
-      check
-        Alcotest.(list (pair int string))
-        "last tie extracted"
-        [ (1, "a"); (1, "b"); (2, "x") ]
-        (Iheap.to_sorted_list rest)
-  | _ -> Alcotest.fail "wrong tie extracted");
-  Alcotest.(check bool) "empty heap" true (Iheap.delete_nth_min Iheap.empty 0 = None);
-  match Iheap.delete_nth_min (mk ()) 3 with
-  | (_ : (int * string * string Iheap.t) option) ->
-      Alcotest.fail "index beyond tie count accepted"
-  | exception Invalid_argument _ -> ()
-
-let prop_heap_delete_nth_stability =
-  (* Any sequence of tie-indexed deletions observes exactly the stable
-     insertion order of the surviving ties. *)
-  prop "delete_nth_min preserves stability"
-    QCheck2.Gen.(pair (int_range 2 8) (small_list (int_bound 2)))
-    (fun (ties, idxs) ->
-      let h = ref Iheap.empty in
-      for i = 0 to ties - 1 do
-        h := Iheap.insert 1 i !h
-      done;
-      let order = ref [] in
-      List.iter
-        (fun idx ->
-          match Iheap.min_tie_count !h with
-          | 0 -> ()
-          | m -> (
-              match Iheap.delete_nth_min !h (idx mod m) with
-              | Some (_, v, rest) ->
-                  order := v :: !order;
-                  h := rest
-              | None -> ()))
-        idxs;
-      (* The survivors must drain in increasing insertion order. *)
-      let rest = List.map snd (Iheap.to_sorted_list !h) in
-      List.sort compare rest = rest
-      && List.length rest + List.length !order = ties)
-
-let prop_heap_sorted =
-  prop "heap sort agrees with List.sort" QCheck2.Gen.(small_list (int_bound 100)) (fun xs ->
-      let kvs = List.map (fun x -> (x, ())) xs in
-      List.map fst (Iheap.to_sorted_list (Iheap.of_list kvs)) = List.sort compare xs)
-
-let prop_heap_size =
-  prop "size tracks inserts/deletes" QCheck2.Gen.(small_list (int_bound 50)) (fun xs ->
-      let h = Iheap.of_list (List.map (fun x -> (x, x)) xs) in
-      let rec drain h n =
-        match Iheap.delete_min h with
-        | None -> n = 0
-        | Some (_, _, h') -> Iheap.size h' = n - 1 && drain h' (n - 1)
-      in
-      Iheap.size h = List.length xs && drain h (List.length xs))
-
-(* ------------------------------------------------------------------ *)
-(* Stats                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let feq = Alcotest.float 1e-9
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  check Alcotest.int "count" 4 (Stats.count s);
-  check feq "mean" 2.5 (Stats.mean s);
-  check feq "min" 1.0 (Stats.min_value s);
-  check feq "max" 4.0 (Stats.max_value s);
-  check feq "variance" 1.25 (Stats.variance s);
-  check feq "total" 10.0 (Stats.total s)
-
-let test_stats_percentile () =
-  let s = Stats.create () in
-  for i = 1 to 100 do
-    Stats.add s (float_of_int i)
-  done;
-  check feq "p50" 50.0 (Stats.percentile s 0.5);
-  check feq "p01" 1.0 (Stats.percentile s 0.01);
-  check feq "p100" 100.0 (Stats.percentile s 1.0)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  check feq "mean of empty" 0.0 (Stats.mean s);
-  Alcotest.check_raises "min of empty" (Invalid_argument "Stats.min_value: empty") (fun () ->
-      ignore (Stats.min_value s))
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  List.iter (Stats.add a) [ 1.0; 2.0 ];
-  List.iter (Stats.add b) [ 3.0; 4.0 ];
-  let m = Stats.merge a b in
-  check Alcotest.int "merged count" 4 (Stats.count m);
-  check feq "merged mean" 2.5 (Stats.mean m)
-
-let prop_stats_mean =
-  prop "mean matches direct computation"
-    QCheck2.Gen.(list_size (int_range 1 50) (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      let direct = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-      Float.abs (Stats.mean s -. direct) < 1e-6)
-
-(* ------------------------------------------------------------------ *)
 (* Table                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -491,19 +299,6 @@ let suite =
     ("ring wraparound", `Quick, test_ring_wraparound);
     ("ring peek/clear", `Quick, test_ring_peek_clear);
     ("ring errors", `Quick, test_ring_errors);
-    ("fqueue basic", `Quick, test_fqueue_basic);
-    ("fqueue empty", `Quick, test_fqueue_empty);
-    ("fqueue persistence", `Quick, test_fqueue_persistence);
-    ("heap sorts", `Quick, test_heap_sorts);
-    ("heap stable ties", `Quick, test_heap_stable_ties);
-    ("heap empty", `Quick, test_heap_empty);
-    ("heap min_tie_count", `Quick, test_heap_min_tie_count);
-    ("heap delete_nth_min", `Quick, test_heap_delete_nth_min);
-    prop_heap_delete_nth_stability;
-    ("stats basic", `Quick, test_stats_basic);
-    ("stats percentile", `Quick, test_stats_percentile);
-    ("stats empty", `Quick, test_stats_empty);
-    ("stats merge", `Quick, test_stats_merge);
     ("table render", `Quick, test_table_render);
     ("table row width", `Quick, test_table_row_width);
     ("table cells", `Quick, test_table_cells);
@@ -516,11 +311,6 @@ let suite =
     ("text words", `Quick, test_words);
     ("text padding", `Quick, test_padding);
     prop_ring_model;
-    prop_fqueue_fifo;
-    prop_fqueue_fold;
-    prop_heap_sorted;
-    prop_heap_size;
-    prop_stats_mean;
     prop_lines_roundtrip;
     prop_chunks_concat;
   ]
