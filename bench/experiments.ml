@@ -5,6 +5,7 @@
 
 open Eden_kernel
 module T = Eden_transput
+module Topo = Eden_par.Topo
 module Table = Eden_util.Table
 module Cat = Eden_filters.Catalog
 module Report = Eden_filters.Report
@@ -106,7 +107,7 @@ let run_pipeline ?(n_items = 64) ?(capacity = 0) ?(batch = 1) ?(latency = 1.0) d
   let before = Kernel.Meter.snapshot k in
   let t0 = Eden_sched.Sched.now (Kernel.sched k) in
   let p =
-    T.Pipeline.build k ~capacity ~batch discipline ~gen:(list_gen (vstrs (doc n_items)))
+    Topo.pipeline k ~capacity ~batch discipline ~gen:(list_gen (vstrs (doc n_items)))
       ~filters
       ~consume:(fun _ -> incr consumed)
   in
@@ -383,7 +384,7 @@ let table2 () =
       if !consumed mod burst = 0 then Eden_sched.Sched.sleep idle
     in
     let p =
-      T.Pipeline.build k ~capacity T.Pipeline.Read_only
+      Topo.pipeline k ~capacity T.Pipeline.Read_only
         ~gen:(list_gen (vstrs (doc n_items)))
         ~filters:[ slow_filter ] ~consume
     in
@@ -816,7 +817,7 @@ let ablation () =
             ()
         in
         let p =
-          T.Pipeline.build k ~nodes:(Kernel.nodes k) ~capacity:4 discipline
+          Topo.pipeline k ~nodes:(Kernel.nodes k) ~capacity:4 discipline
             ~gen:(list_gen (vstrs (doc n_items)))
             ~filters:(List.init n_filters (fun _ -> Cat.trim_trailing))
             ~consume:ignore
@@ -895,7 +896,7 @@ let r1 () =
         ()
     in
     let p =
-      T.Pipeline.resumable k ~nodes:(Kernel.nodes k) ~batch ~policy ~seed:(Int64.add seed 7L)
+      Topo.resumable k ~nodes:(Kernel.nodes k) ~batch ~policy ~seed:(Int64.add seed 7L)
         T.Pipeline.Read_only ~gen ~filters
     in
     let sup = Supervisor.create k ~policy:(Supervisor.policy ~interval:5.0 ()) () in
@@ -997,7 +998,7 @@ let r1 () =
     Net.set_loss_probability (Kernel.net k) loss;
     let consumed = ref 0 in
     let p =
-      T.Pipeline.build k ~nodes:(Kernel.nodes k) ~batch T.Pipeline.Read_only
+      Topo.pipeline k ~nodes:(Kernel.nodes k) ~batch T.Pipeline.Read_only
         ~gen:(list_gen (List.init n_items (fun i -> Value.Int i)))
         ~filters:(List.init 3 (fun _ -> T.Transform.identity))
         ~consume:(fun _ -> incr consumed)
@@ -1064,7 +1065,7 @@ let smoke () =
   let consumed = ref 0 in
   let before = Kernel.Meter.snapshot k in
   let p =
-    T.Pipeline.build k T.Pipeline.Read_only
+    Topo.pipeline k T.Pipeline.Read_only
       ~gen:(list_gen (vstrs (doc n_items)))
       ~filters:(List.init n_filters (fun _ -> Cat.trim_trailing))
       ~consume:(fun _ -> incr consumed)
@@ -1242,7 +1243,7 @@ let b1 ?(quick = false) () =
     let consumed = ref 0 in
     let before = Kernel.Meter.snapshot k in
     let p =
-      T.Pipeline.build k ~capacity:16 ?flowctl T.Pipeline.Read_only
+      Topo.pipeline k ~capacity:16 ?flowctl T.Pipeline.Read_only
         ~gen:(list_gen (List.init n_items (fun i -> Value.Int i)))
         ~filters:(List.init n_filters (fun _ -> T.Transform.identity))
         ~consume:(fun _ -> incr consumed)

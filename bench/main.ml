@@ -9,6 +9,7 @@ open Bechamel
 open Toolkit
 open Eden_kernel
 module T = Eden_transput
+module Topo = Eden_par.Topo
 
 (* --- Bechamel wall-clock half of T5 --------------------------------- *)
 
@@ -45,7 +46,7 @@ let bench_discipline discipline () =
             Some x
       in
       let p =
-        T.Pipeline.build k discipline ~gen
+        Topo.pipeline k discipline ~gen
           ~filters:[ T.Transform.identity; T.Transform.identity ]
           ~consume:ignore
       in

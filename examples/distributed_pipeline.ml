@@ -10,6 +10,7 @@
 
 open Eden_kernel
 module T = Eden_transput
+module Topo = Eden_par.Topo
 module Cat = Eden_filters.Catalog
 
 let document = List.init 24 (fun i -> Printf.sprintf "record %02d payload" i)
@@ -33,7 +34,7 @@ let run ~label ~machines ~spread =
   let before = Kernel.Meter.snapshot k in
   let nodes = if spread then Kernel.nodes k else [ List.hd (Kernel.nodes k) ] in
   let p =
-    T.Pipeline.build k ~nodes ~capacity:4 T.Pipeline.Read_only ~gen
+    Topo.pipeline k ~nodes ~capacity:4 T.Pipeline.Read_only ~gen
       ~filters:[ Cat.trim_trailing; Cat.upcase; Cat.number_lines () ]
       ~consume:(fun _ -> incr received)
   in

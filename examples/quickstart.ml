@@ -5,6 +5,7 @@
 
 open Eden_kernel
 module T = Eden_transput
+module Topo = Eden_par.Topo
 module Cat = Eden_filters.Catalog
 
 let document =
@@ -36,7 +37,7 @@ let run_once discipline =
 
   let before = Kernel.Meter.snapshot kernel in
   let pipeline =
-    T.Pipeline.build kernel discipline ~gen
+    Topo.pipeline kernel discipline ~gen
       ~filters:[ Cat.strip_comments (); Cat.number_lines () ]
       ~consume
   in

@@ -1,11 +1,11 @@
-(** Assembling and running whole pipelines, plus the static cost model.
+(** A running pipeline's handle, its stall diagnosis, and the static
+    cost model.
 
-    Given a generator, a list of transforms and a consumer, [build]
-    erects the corresponding Ejects under any of the three disciplines;
-    [start] pokes the pumping stages; [await] blocks the calling driver
-    fiber until the sink has seen end of stream.  [resumable] erects
-    the crash-resumable pipeline with the same wiring, and
-    [supervise], [crash_at] and [await_timeout] drive chaos runs.
+    {!Eden_par.Topo.pipeline} and {!Eden_par.Topo.resumable} build a
+    chain on one kernel and return its [t]: [start] pokes the pumping
+    stages; [await] blocks the calling driver fiber until the sink has
+    seen end of stream; [supervise], [crash_at] and [await_timeout]
+    drive chaos runs.
 
     [predict] is the paper's §4 arithmetic — the claim the benchmarks
     check the metered counts against. *)
@@ -21,7 +21,7 @@ val all_disciplines : discipline list
 
 type t = {
   kernel : Kernel.t;
-  discipline : discipline;
+  pumps : Uid.t list;  (** Stages with no passive end, in declaration order. *)
   source : Uid.t;
   filters : Uid.t list;
   pipes : Uid.t list;  (** Empty except under [Conventional]. *)
@@ -35,46 +35,9 @@ type t = {
   meter : Eden_resil.Retry.meter;  (** Every resumable stage's retries. *)
 }
 
-val build :
-  Kernel.t ->
-  ?nodes:Eden_net.Net.node_id list ->
-  ?capacity:int ->
-  ?batch:int ->
-  ?flowctl:Eden_flowctl.Flowctl.t ->
-  discipline ->
-  gen:Stage.gen ->
-  filters:Transform.t list ->
-  consume:Stage.consume ->
-  t
-(** [nodes] places consecutive stages round-robin (default: everything
-    on the kernel's first node).  [capacity] is each stage's
-    anticipation buffer, [batch] the per-invocation item count.
-    [flowctl] supersedes [batch] on every active connection with a
-    credit-windowed (and optionally adaptive) configuration — see
-    {!Stage}; passive endpoints need none. *)
-
-val resumable :
-  Kernel.t ->
-  ?nodes:Eden_net.Net.node_id list ->
-  ?capacity:int ->
-  ?batch:int ->
-  ?flowctl:Eden_flowctl.Flowctl.t ->
-  ?policy:Eden_resil.Retry.policy ->
-  seed:int64 ->
-  discipline ->
-  gen:Resumable.gen ->
-  filters:Resumable.spec list ->
-  t
-(** The crash-resumable pipeline of {!Resumable} stages, placed and
-    wired like [build]; read the sink's stream back with [output].
-    [flowctl] (default [Fixed batch]) sizes every stage's exchanges,
-    each adaptive stage with its own controller.  Stage [i]'s retry
-    jitter is seeded with [seed + i] (source 0, sink [n + 1]). *)
-
 val start : t -> unit
-(** Pokes the pumping stages: the sink under [Read_only], the source
-    under [Write_only], and source, filters and sink under
-    [Conventional]. *)
+(** Pokes the [pumps]: the sink under [Read_only], the source under
+    [Write_only], and source, filters and sink under [Conventional]. *)
 
 val await : t -> unit
 (** Blocks until done; fiber context only. *)

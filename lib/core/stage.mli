@@ -46,8 +46,8 @@ type consume = Value.t -> unit
     in/out, protocol batches, occupancy, and virtual-time stall on its
     blocking reads and writes; wait times also land in the
     ["stage.<label>.wait"] histogram of the kernel's collector.
-    Omitted, a stage is entirely unmetered.  {!Pipeline.build}
-    registers one flow per stage automatically. *)
+    Omitted, a stage is entirely unmetered.  {!Eden_par.Topo}'s
+    builder registers one flow per stage automatically. *)
 
 (** {1 Read-only discipline} *)
 

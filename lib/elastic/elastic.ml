@@ -784,6 +784,7 @@ let detect_crashes _ctx ctrl =
       forward_async ctrl rep)
     hit
 
+(* [adopt_q] is newest first; adoption goes in give-up order. *)
 let process_adoptions ctx ctrl =
   let q = ctrl.adopt_q in
   ctrl.adopt_q <- [];
@@ -792,7 +793,7 @@ let process_adoptions ctx ctrl =
       match List.find_opt (fun r -> Uid.equal r.r_uid uid) ctrl.reps with
       | Some rep -> adopt_rep ctx ctrl rep
       | None -> ())
-    q
+    (List.rev q)
 
 let finalize ctx ctrl =
   if ctrl.eos && not ctrl.finished then begin
@@ -930,7 +931,7 @@ let create k ?node ?defect ?supervise ?on_output ~classify ~spec p =
   | Some policy ->
       let sup =
         Supervisor.create k ?node ~name:"elastic-supervisor" ~policy
-          ~on_give_up:(fun _label uid -> ctrl.adopt_q <- ctrl.adopt_q @ [ uid ])
+          ~on_give_up:(fun _label uid -> ctrl.adopt_q <- uid :: ctrl.adopt_q)
           ()
       in
       ctrl.sup <- Some sup

@@ -169,7 +169,7 @@ val set_guard : t -> guard option -> unit
 val set_quiesced : t -> Uid.t -> bool -> unit
 (** Mark an Eject as deliberately idle — draining, fenced or parked by
     an elastic reconfiguration.  Stall detectors
-    ({!Eden_core.Pipeline.stall_report}) skip fibers owned by quiesced
+    ({!Eden_transput.Pipeline.stall_report}) skip fibers owned by quiesced
     Ejects, so a stage that is {e supposed} to sit blocked while its
     channels are handed elsewhere does not read as a hang.  Cleared by
     {!crash}: a crashed stage is no longer deliberately anything.

@@ -1,7 +1,10 @@
 module Kernel = Eden_kernel.Kernel
 module Value = Eden_kernel.Value
 module Obs = Eden_obs.Obs
+module Ivar = Eden_sched.Ivar
+module Retry = Eden_resil.Retry
 module T = Eden_transput
+module R = Eden_transput.Resumable
 module Cat = Eden_filters.Catalog
 module Report = Eden_filters.Report
 module Chunkline = Eden_filters.Chunkline
@@ -19,8 +22,17 @@ type doc =
   | Lines_then_drop of int
   | Branch_lines of { branch : int; items : int }
   | Ints of { branch : int; items : int }
+  | Gen of T.Stage.gen
+  | Indexed of R.gen
 
-type filter = Trim | Upcase | Grep_v of string | Identity | Burn of int
+type filter =
+  | Trim
+  | Upcase
+  | Grep_v of string
+  | Identity
+  | Burn of int
+  | Fn of T.Transform.t
+  | Step of R.spec
 
 type role =
   | Source of doc
@@ -102,15 +114,11 @@ let pushes role ch =
 
 let pulls = function Filter _ | Progress _ | Sink | Window -> true | _ -> false
 let has_intake = function Filter _ | Progress _ | Sink | Window | Pipe -> true | _ -> false
-let items_of = function
-  | Lines n | Lines_then_drop n -> n
-  | Branch_lines { items; _ } | Ints { items; _ } -> items
 
-let check mode ~domains t =
+let check ~wire ~domains t =
   size "domains" domains;
   let n = Array.length t.stages in
   size "stages" n;
-  let wire = match mode with Cluster.Wire _ -> true | _ -> false in
   Array.iter
     (fun s ->
       if s.shard < 0 || s.shard >= domains then
@@ -118,7 +126,11 @@ let check mode ~domains t =
       size (s.name ^ " batch") s.batch;
       if s.capacity < 0 then fail (Bad_size { what = s.name ^ " capacity"; value = s.capacity });
       match s.role with
-      | Source d | Reporting_source d -> size (s.name ^ " items") (items_of d)
+      | Source d | Reporting_source d -> (
+          match d with
+          | Lines items | Lines_then_drop items | Branch_lines { items; _ } | Ints { items; _ } ->
+              size (s.name ^ " items") items
+          | Gen _ | Indexed _ -> ())
       | Progress every -> size (s.name ^ " progress interval") every
       | (Sink | Window) when wire && s.shard <> 0 ->
           let why = "collects output: under Wire it lives on shard 0" in
@@ -236,6 +248,12 @@ let list_gen vs =
         Some v
 
 let gen plane = function
+  | Gen g -> g
+  | Indexed g ->
+      let next = ref 0 in
+      fun () ->
+        incr next;
+        g (!next - 1)
   | Ints { branch; items } ->
       let next = ref 0 in
       fun () ->
@@ -250,7 +268,7 @@ let gen plane = function
         | Lines n -> lines n
         | Lines_then_drop n -> lines n @ [ "drop this line" ]
         | Branch_lines { branch; items } -> branch_lines ~branch items
-        | Ints _ -> assert false
+        | Ints _ | Gen _ | Indexed _ -> assert false
       in
       match plane with
       | Boxed -> list_gen (List.map (fun s -> Value.Str s) text)
@@ -274,6 +292,8 @@ let transform plane f =
   | Grep_v p, Chunked _ -> Cat.chunked_grep_v p
   | Identity, _ -> T.Transform.identity
   | Burn rounds, _ -> T.Transform.map (fun v -> Value.Int (burn rounds (Value.to_int v)))
+  | Fn f, _ -> f
+  | Step { R.init; step; flush }, _ -> T.Transform.stateful ~init ~step ~flush
 
 (* Progress reporting held to the same text on both planes: the boxed
    side counts items (one line each), the chunked side counts lines as
@@ -369,92 +389,141 @@ let split_window ~pulled labels lines =
 
 let channel_of = function Output -> T.Channel.output | Report -> T.Channel.report
 
-let run mode ?seed ~domains t =
-  let p = check mode ~domains t in
-  let c = Cluster.create ?seed mode ~shards:domains () in
+(* Pumps — stages with no passive end — in declaration order. *)
+let pumps p =
+  List.filter
+    (fun i ->
+      List.for_all (fun (_, push) -> not push) p.ins.(i)
+      && Option.fold ~none:true ~some:snd p.out.(i))
+    (List.init (Array.length p.ins) Fun.id)
+
+let metered = function Source _ | Filter _ | Pipe | Sink -> true | _ -> false
+let indexed = function Indexed g -> g | _ -> invalid_arg "Topo: a resumable source is Indexed"
+let step = function Step s -> s | _ -> invalid_arg "Topo: a resumable filter is a Step"
+
+(* Every stage of a checked [t], made in [p.order].  Stage [i] lives on
+   [kernel shard] at [node ()] (asked once per stage, in build order) and
+   names a neighbour [(shard, uid)] through [reach op ~from]: a proxy
+   across shards, or the UID itself on one kernel.  [sink i] is sink [i]'s
+   consumer and end-of-stream hook.  With [retry], sources, filters, pipes
+   and sinks are resumable, stage [i] retrying through [retry i], and
+   unmetered; otherwise every stage built from [T.Stage] registers one
+   flow meter.  Returns the UIDs and windows by declaration index, and
+   the labelled flows in declaration order. *)
+let build ?retry t p ~kernel ~node ~reach ~sink =
   let n = Array.length t.stages in
-  let uids = Array.make n None in
-  let collectors = Array.make n None and windows = Array.make n None in
+  let uids = Array.make n None and windows = Array.make n None in
   let uid i = Option.get uids.(i) in
+  let flows =
+    Array.map
+      (fun s ->
+        if Option.is_none retry && metered s.role then
+          Some (s.name, Obs.register_stage (Kernel.obs (kernel s.shard)) s.name)
+        else None)
+      t.stages
+  in
   let flowctl = t.flowctl in
-  let build i =
+  let make i =
     let s = t.stages.(i) in
-    let k = Cluster.kernel c s.shard in
+    let k = kernel s.shard and node = node () and flow = Option.map snd flows.(i) in
     let name = s.name and capacity = s.capacity and batch = s.batch in
-    let proxy op j =
-      Cluster.proxy c ~shard:s.shard ~ops:[ op ] ~target:(t.stages.(j).shard, uid j)
-    in
+    let proxy op j = reach op ~from:s.shard (t.stages.(j).shard, uid j) in
     let pull_from (e, _) = proxy T.Proto.transfer_op e.src in
     let push_to (e, _) = proxy T.Proto.deposit_op e.dst in
     let into (e, _) =
       if t.stages.(e.dst).role = Window then T.Channel.report else T.Channel.output
     in
-    let flow () = Some (Obs.register_stage (Kernel.obs k) name) in
     let pulled = match p.ins.(i) with (_, false) :: _ -> true | _ -> false in
     let up () = List.hd p.ins.(i) and out () = Option.get p.out.(i) in
     let upstream_channel () = channel_of (fst (up ())).channel in
-    let collector () =
-      let col = { buf = Buffer.create 1024; chunks = 0; boxed = 0; eos_n = 0 } in
-      collectors.(i) <- Some col;
-      (collect col, fun () -> col.eos_n <- col.eos_n + 1)
-    in
     let window d =
       windows.(i) <- Some (d, pulled);
       d.Dev.uid
     in
     match s.role with
-    | Source d when Option.fold ~none:false ~some:snd p.out.(i) ->
-        T.Stage.source_wo k ~name ~batch ?flowctl ?flow:(flow ()) ~downstream:(push_to (out ()))
-          ~downstream_channel:(into (out ())) (gen t.plane d)
-    | Source d -> T.Stage.source_ro k ~name ~capacity ?flow:(flow ()) (gen t.plane d)
-    | Reporting_source d -> Report.source_ro k ~name ~capacity ~label:name (gen t.plane d)
-    | Filter f when pulled && snd (out ()) ->
+    | Source d when Option.fold ~none:false ~some:snd p.out.(i) -> (
+        let downstream = push_to (out ()) in
+        match retry with
+        | Some r -> R.source_wo k ?node ?flowctl ~retry:(r i) ~downstream (indexed d)
+        | None ->
+            T.Stage.source_wo k ?node ~name ~batch ?flowctl ?flow ~downstream
+              ~downstream_channel:(into (out ())) (gen t.plane d))
+    | Source d when Option.is_some retry -> R.source_ro k ?node ~capacity (indexed d)
+    | Source d -> T.Stage.source_ro k ?node ~name ~capacity ?flow (gen t.plane d)
+    | Reporting_source d -> Report.source_ro k ?node ~name ~capacity ~label:name (gen t.plane d)
+    | Filter f when pulled && snd (out ()) -> (
         let upstream = pull_from (up ()) in
         let downstream = push_to (out ()) in
-        T.Stage.filter_active k ~name ~batch ?flowctl ?flow:(flow ()) ~upstream ~downstream
-          (transform t.plane f)
-    | Filter f when pulled ->
-        T.Stage.filter_ro k ~name ~capacity ~batch ?flowctl ?flow:(flow ())
-          ~upstream:(pull_from (up ()))
-          ~upstream_channel:(upstream_channel ()) (transform t.plane f)
-    | Filter f ->
-        T.Stage.filter_wo k ~name ~capacity ~batch ?flowctl ?flow:(flow ())
-          ~downstream:(push_to (out ()))
-          ~downstream_channel:(into (out ())) (transform t.plane f)
+        match retry with
+        | Some r ->
+            R.filter_active k ?node ~name ?flowctl ~retry:(r i) ~upstream ~downstream (step f)
+        | None ->
+            T.Stage.filter_active k ?node ~name ~batch ?flowctl ?flow ~upstream ~downstream
+              (transform t.plane f))
+    | Filter f when pulled -> (
+        let upstream = pull_from (up ()) in
+        match retry with
+        | Some r -> R.filter_ro k ?node ~name ~capacity ?flowctl ~retry:(r i) ~upstream (step f)
+        | None ->
+            T.Stage.filter_ro k ?node ~name ~capacity ~batch ?flowctl ?flow ~upstream
+              ~upstream_channel:(upstream_channel ()) (transform t.plane f))
+    | Filter f -> (
+        let downstream = push_to (out ()) in
+        match retry with
+        | Some r -> R.filter_wo k ?node ~name ?flowctl ~retry:(r i) ~downstream (step f)
+        | None ->
+            T.Stage.filter_wo k ?node ~name ~capacity ~batch ?flowctl ?flow ~downstream
+              ~downstream_channel:(into (out ())) (transform t.plane f))
     | Progress every when pulled ->
-        Report.filter_ro k ~name ~capacity ~batch ~upstream:(pull_from (up ()))
+        Report.filter_ro k ?node ~name ~capacity ~batch ~upstream:(pull_from (up ()))
           ~upstream_channel:(upstream_channel ()) (progress t.plane ~every ~label:name)
     | Progress every ->
         let r = Option.get p.report.(i) in
         let downstream = push_to (out ()) in
         let report_to = push_to r in
-        Report.filter_wo k ~name ~capacity ~batch ~downstream ~downstream_channel:(into (out ()))
-          ~report_to ~report_channel:(into r) (progress t.plane ~every ~label:name)
-    | Pipe -> T.Stage.pipe k ~name ~capacity ?flow:(flow ()) ()
-    | Sink when pulled ->
-        let consume, on_done = collector () in
-        T.Stage.sink_ro k ~name ~batch ?flowctl ?flow:(flow ()) ~upstream:(pull_from (up ()))
-          ~upstream_channel:(upstream_channel ()) ~on_done consume
+        Report.filter_wo k ?node ~name ~capacity ~batch ~downstream
+          ~downstream_channel:(into (out ())) ~report_to ~report_channel:(into r)
+          (progress t.plane ~every ~label:name)
+    | Pipe when Option.is_some retry -> R.pipe k ?node ~name ~capacity ()
+    | Pipe -> T.Stage.pipe k ?node ~name ~capacity ?flow ()
+    | Sink when pulled -> (
+        let consume, on_done = sink i in
+        let upstream = pull_from (up ()) in
+        match retry with
+        | Some r -> R.sink_ro k ?node ?flowctl ~retry:(r i) ~upstream ~on_done ()
+        | None ->
+            T.Stage.sink_ro k ?node ~name ~batch ?flowctl ?flow ~upstream
+              ~upstream_channel:(upstream_channel ()) ~on_done consume)
+    | Sink when Option.is_some retry -> R.sink_wo k ?node ~on_done:(snd (sink i)) ()
     | Sink ->
-        let consume, on_done = collector () in
-        T.Stage.sink_wo k ~name ~capacity ?flow:(flow ()) ~on_done consume
+        let consume, on_done = sink i in
+        T.Stage.sink_wo k ?node ~name ~capacity ?flow ~on_done consume
     | Window when pulled ->
         let watch =
           List.map
             (fun ((e, _) as up) -> (t.stages.(e.src).name, pull_from up, channel_of e.channel))
             p.ins.(i)
         in
-        window (Dev.report_window_ro k ~name ~batch ~watch ())
-    | Window -> window (Dev.report_window_wo k ~name ~writers:(List.length p.ins.(i)) ())
+        window (Dev.report_window_ro k ?node ~name ~batch ~watch ())
+    | Window -> window (Dev.report_window_wo k ?node ~name ~writers:(List.length p.ins.(i)) ())
   in
-  Array.iter (fun i -> uids.(i) <- Some (build i)) p.order;
-  (* Pumps — stages with no passive end — start in declaration order. *)
-  Array.iteri
-    (fun i s ->
-      let active_in = List.for_all (fun (_, push) -> not push) p.ins.(i) in
-      if active_in && Option.fold ~none:true ~some:snd p.out.(i) then
-        Kernel.poke (Cluster.kernel c s.shard) (uid i))
-    t.stages;
+  Array.iter (fun i -> uids.(i) <- Some (make i)) p.order;
+  (Array.map Option.get uids, List.filter_map Fun.id (Array.to_list flows), windows)
+
+let run mode ?seed ~domains t =
+  let p = check ~wire:(match mode with Cluster.Wire _ -> true | _ -> false) ~domains t in
+  let c = Cluster.create ?seed mode ~shards:domains () in
+  let collectors = Array.make (Array.length t.stages) None in
+  let sink i =
+    let col = { buf = Buffer.create 1024; chunks = 0; boxed = 0; eos_n = 0 } in
+    collectors.(i) <- Some col;
+    (collect col, fun () -> col.eos_n <- col.eos_n + 1)
+  in
+  let reach op ~from target = Cluster.proxy c ~shard:from ~ops:[ op ] ~target in
+  let uids, _, windows =
+    build t p ~kernel:(Cluster.kernel c) ~node:(fun () -> None) ~reach ~sink
+  in
+  List.iter (fun i -> Kernel.poke (Cluster.kernel c t.stages.(i).shard) uids.(i)) (pumps p);
   Cluster.run c;
   let sinks = ref [] and reports = ref [] and chunk_items = ref 0 and boxed_items = ref 0 in
   let eos = ref 0 and clean = ref true in
@@ -531,38 +600,106 @@ let finish ?flowctl b plane =
 
 let alternating j = if j mod 2 = 1 then Trim else Upcase
 
+(* A chain, declared in display order: the source, the filters, under
+   [Conventional] a pipe before each filter and one before the sink, then
+   the sink.  The source and filter [j] land on [place ~domains j], pipes
+   and the sink on shard 0; every stage gets [capacity] and [batch]. *)
+let chain ?flowctl ~capacity ~batch ~domains ~filter_name plane discipline doc filters =
+  let n = List.length filters in
+  let stage ?(shard = 0) name role = { name; role; shard; capacity; batch } in
+  let pipes =
+    if discipline <> Conventional then []
+    else List.init (n + 1) (fun j -> stage (Printf.sprintf "pipe-%d" (j + 1)) Pipe)
+  in
+  let filter j f = stage ~shard:(place ~domains (j + 1)) (filter_name (j + 1)) (Filter f) in
+  let stages =
+    Array.of_list
+      ((stage ~shard:(place ~domains 0) "source" (Source doc) :: List.mapi filter filters)
+      @ pipes @ [ stage "sink" Sink ])
+  in
+  let edge src dst = { src; dst; discipline; channel = Output } in
+  (* Stage [j]'s stream feeds stage [j + 1], or the sink after the last
+     filter, through pipe [j + 1] when there are pipes. *)
+  let hop j =
+    let dst = if j = n then Array.length stages - 1 else j + 1 in
+    if pipes = [] then [ edge j dst ] else [ edge j (n + 1 + j); edge (n + 1 + j) dst ]
+  in
+  {
+    stages;
+    edges = List.concat_map hop (List.init (n + 1) Fun.id);
+    plane;
+    flowctl = (match flowctl with Some f -> Some f | None -> plane_flowctl plane);
+  }
+
 let f2 ?(plane = Boxed) ?(filter = alternating) ?(batch = 1) ?(capacity = 3) ~domains ~filters
     ~items () =
   if filters < 0 then fail (Bad_size { what = "filters"; value = filters });
-  let b = builder () in
-  let prev =
-    ref (add b ~capacity ~batch ~shard:(place ~domains 0) "source" (Source (Lines items)))
-  in
-  for j = 1 to filters do
-    let f =
-      add b ~capacity ~batch ~shard:(place ~domains j) (Printf.sprintf "F%d" j) (Filter (filter j))
-    in
-    link b Read_only !prev f;
-    prev := f
-  done;
-  link b Read_only !prev (add b ~batch ~shard:0 "sink" Sink);
-  finish b plane
+  chain ~capacity ~batch ~domains ~filter_name:(Printf.sprintf "F%d") plane Read_only
+    (Lines items) (List.init filters (fun j -> filter (j + 1)))
 
 let f1 ?(plane = Boxed) ?(capacity = 4) ~domains ~filters ~items () =
   if filters < 0 then fail (Bad_size { what = "filters"; value = filters });
-  let b = builder () in
-  let pipe j = add b ~capacity ~shard:0 (Printf.sprintf "pipe%d" j) Pipe in
-  let src = add b ~shard:(place ~domains 0) "source" (Source (Lines items)) in
-  let prev = ref (pipe 0) in
-  link b Conventional src !prev;
-  for j = 1 to filters do
-    let f = add b ~shard:(place ~domains j) (Printf.sprintf "F%d" j) (Filter (alternating j)) in
-    link b Conventional !prev f;
-    prev := pipe j;
-    link b Conventional f !prev
-  done;
-  link b Conventional !prev (add b ~shard:0 "sink" Sink);
-  finish b plane
+  chain ~capacity ~batch:1 ~domains ~filter_name:(Printf.sprintf "F%d") plane Conventional
+    (Lines items) (List.init filters (fun j -> alternating (j + 1)))
+
+(* A chain on one kernel: checked and built as it is declared, its stages
+   placed round-robin over [nodes] in build order, each naming its
+   neighbours by UID.  Outside read-only, every intake and pipe holds at
+   least one item. *)
+let on_kernel kernel ~nodes ~capacity ~batch ?flowctl ?retry ~consume ~on_done ~meter discipline
+    doc filters =
+  let capacity = if discipline = Read_only then capacity else max 1 capacity in
+  let t =
+    chain ?flowctl ~capacity ~batch ~domains:1 ~filter_name:(Printf.sprintf "filter-%d") Boxed
+      discipline doc filters
+  in
+  let p = check ~wire:false ~domains:1 t in
+  let nodes = Array.of_list (match nodes with [] -> [ List.hd (Kernel.nodes kernel) ] | ns -> ns) in
+  let placed = ref (-1) in
+  let node () =
+    incr placed;
+    Some nodes.(!placed mod Array.length nodes)
+  in
+  let done_ = Ivar.create () in
+  let uids, flows, _ =
+    build ?retry t p ~kernel:(fun _ -> kernel) ~node
+      ~reach:(fun _ ~from:_ (_, uid) -> uid)
+      ~sink:(fun _ -> (consume, on_done done_))
+  in
+  let all = List.mapi (fun i s -> (s, uids.(i))) (Array.to_list t.stages) in
+  let having p = List.filter_map (fun (s, u) -> if p s then Some u else None) all in
+  {
+    T.Pipeline.kernel;
+    pumps = List.map (Array.get uids) (pumps p);
+    source = uids.(0);
+    filters = having (fun s -> match s.role with Filter _ -> true | _ -> false);
+    pipes = having is_pipe;
+    sink = uids.(Array.length uids - 1);
+    stages = List.map (fun (s, u) -> (s.name, u)) all;
+    done_;
+    flows;
+    meter;
+  }
+
+let pipeline kernel ?(nodes = []) ?(capacity = 0) ?(batch = 1) ?flowctl discipline ~gen ~filters
+    ~consume =
+  on_kernel kernel ~nodes ~capacity ~batch ?flowctl ~consume ~on_done:Ivar.fill
+    ~meter:(Retry.create_meter ()) discipline (Gen gen)
+    (List.map (fun f -> Fn f) filters)
+
+let resumable kernel ?(nodes = []) ?(capacity = 0) ?(batch = 1) ?flowctl ?policy ~seed discipline
+    ~gen ~filters =
+  let meter = Retry.create_meter () in
+  (* A batch below 1 is refused as [Invalid] when the chain is checked. *)
+  let flowctl = match flowctl with Some f -> f | None -> Flowctl.fixed (max 1 batch) in
+  (* Each stage's retry jitter derives from [seed] and its declaration
+     index, so a whole chaos run is a deterministic function of its seeds. *)
+  let retry i = Retry.client ?policy ~meter (Int64.add seed (Int64.of_int i)) in
+  (* A sink restarted after completion reports it again. *)
+  on_kernel kernel ~nodes ~capacity ~batch ~flowctl ~retry ~consume:ignore
+    ~on_done:(fun done_ () -> ignore (Ivar.try_fill done_ ()))
+    ~meter discipline (Indexed gen)
+    (List.map (fun s -> Step s) filters)
 
 (* Source, reporting F1, F2 (grep -v "drop"), F3 (upcase) on the chain
    shards; the [tail] stages on shard 0. *)

@@ -1,4 +1,4 @@
-(** Topology as data: one checked description, one runner.
+(** Topology as data: one checked description, one builder.
 
     Black's figures differ only in which primitive each edge uses —
     [Transfer] on a read-only edge, [Deposit] on a write-only edge, both
@@ -12,7 +12,8 @@
     equivalence suites hold byte-identical to it.
 
     The paper's shapes are constructors ({!f1} … {!window}); any other
-    topology is one more value, not one more runner. *)
+    topology is one more value, not one more runner.  The same builder
+    lays out the single-kernel chains ({!pipeline}, {!resumable}). *)
 
 (** {1 The value} *)
 
@@ -32,6 +33,10 @@ type doc =
           also varies with [branch], so chunk boundaries differ per branch *)
   | Ints of { branch : int; items : int }
       (** [Value.Int] items, distinct across branches, on either plane *)
+  | Gen of Eden_transput.Stage.gen  (** any generator: the plane does not apply *)
+  | Indexed of Eden_transput.Resumable.gen
+      (** a pure indexed generator: a {!resumable} chain's source, read
+          in index order elsewhere *)
 
 (** A stage's transform, picked per plane from {!Eden_filters.Catalog}. *)
 type filter =
@@ -40,6 +45,10 @@ type filter =
   | Grep_v of string  (** drop lines containing the pattern *)
   | Identity
   | Burn of int  (** a pure integer spin of this many rounds per [Int] item *)
+  | Fn of Eden_transput.Transform.t  (** any transform: the plane does not apply *)
+  | Step of Eden_transput.Resumable.spec
+      (** checkpointable state: a {!resumable} chain's filter, run as
+          {!Eden_transput.Transform.stateful} elsewhere *)
 
 type role =
   | Source of doc
@@ -141,8 +150,7 @@ type outcome = {
   op_counts : (string * int) list;
   flows : (string * int * int) list;
       (** (label, items in, items out) for every stage built from
-          {!Eden_transput.Stage} — each registers one flow meter, as
-          {!Eden_transput.Pipeline.build} does *)
+          {!Eden_transput.Stage}: each registers one flow meter *)
   histograms : (string * Eden_obs.Obs.Histogram.t) list;
       (** merged across shards; timing-dependent, not part of any
           equivalence contract *)
@@ -176,8 +184,8 @@ val chunked : ?cut:int -> ?chunk_bytes:int -> unit -> plane
 
 val f1 : ?plane:plane -> ?capacity:int -> domains:int -> filters:int -> items:int -> unit -> t
 (** Figure 1 conventional pipeline: active source, filters (alternating
-    trim/upcase) and sink connected through passive pipes (capacity 4)
-    on shard 0, so every hop crosses the fabric twice. *)
+    trim/upcase) and sink connected through passive pipes ["pipe-1"] …
+    (capacity 4) on shard 0, so every hop crosses the fabric twice. *)
 
 val f2 :
   ?plane:plane ->
@@ -251,3 +259,50 @@ val window :
     (dormant producers, windows and sinks pull); [`Wo] Figure 3's
     (producers deposit into passive windows).
     @raise Invalid on a non-positive [window] or [producers]. *)
+
+(** {1 Chains on one kernel}
+
+    A chain declared as {!f1} and {!f2} are (source, filters
+    ["filter-i"], pipes ["pipe-i"] when conventional, sink), checked,
+    and built by {!run}'s builder in its order: read-only from the
+    source, write-only from the sink, conventional from the first pipe.
+    Stages sit round-robin over [nodes] in that order (default: the
+    kernel's first node) and name their neighbours by UID.  [capacity]
+    is each stage's anticipation buffer (outside read-only, intakes and
+    pipes hold at least one item), [batch] the per-invocation item
+    count; [flowctl] supersedes [batch] (see {!Eden_transput.Stage}).
+    @raise Invalid before any Eject exists on a non-positive [batch]
+    or, read-only, a negative [capacity]. *)
+
+val pipeline :
+  Eden_kernel.Kernel.t ->
+  ?nodes:Eden_net.Net.node_id list ->
+  ?capacity:int ->
+  ?batch:int ->
+  ?flowctl:Eden_flowctl.Flowctl.t ->
+  discipline ->
+  gen:Eden_transput.Stage.gen ->
+  filters:Eden_transput.Transform.t list ->
+  consume:Eden_transput.Stage.consume ->
+  Eden_transput.Pipeline.t
+(** Plain stages, one flow meter each (["source"], ["filter-i"],
+    ["pipe-i"], ["sink"]), registered in display order. *)
+
+val resumable :
+  Eden_kernel.Kernel.t ->
+  ?nodes:Eden_net.Net.node_id list ->
+  ?capacity:int ->
+  ?batch:int ->
+  ?flowctl:Eden_flowctl.Flowctl.t ->
+  ?policy:Eden_resil.Retry.policy ->
+  seed:int64 ->
+  discipline ->
+  gen:Eden_transput.Resumable.gen ->
+  filters:Eden_transput.Resumable.spec list ->
+  Eden_transput.Pipeline.t
+(** The crash-resumable chain of {!Eden_transput.Resumable} stages; read
+    the sink's stream back with {!Eden_transput.Pipeline.output}.
+    [flowctl] (default [Fixed batch]) sizes every stage's exchanges,
+    each adaptive stage with its own controller.  Stage [i] in
+    declaration order seeds its retry jitter with [seed + i] (source 0,
+    sink last).  No stage registers a flow meter. *)

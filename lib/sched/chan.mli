@@ -1,9 +1,7 @@
-(** Bounded blocking channel — intra-Eject IPC.
-
-    This is the buffer that the paper's [Stdio] veneer shares between
-    the filter's worker process (which [put]s via conventional [Write]
-    calls) and the coordinator process that services Read invocations
-    (which [get]s).  [put] blocks when full, [get] when empty. *)
+(** Bounded blocking channel — intra-Eject IPC between two fibers of
+    one Eject, with no kernel message.  Bench T5 prices it against an
+    invocation; the [Stdio] veneer's shared buffer is a {!Eden_transput.Port}
+    instead.  [put] blocks when full, [get] when empty. *)
 
 type 'a t
 

@@ -4,6 +4,7 @@ module Value = Eden_kernel.Value
 module Sched = Eden_sched.Sched
 module Ivar = Eden_sched.Ivar
 module T = Eden_transput
+module Topo = Eden_par.Topo
 module Fs = Eden_fs.Unix_fs
 module Fse = Eden_fs.Fs_eject
 module Cat = Eden_filters.Catalog
@@ -343,7 +344,7 @@ let run_conventional env _ctx (source, middle, sink) =
   let filters = List.map transform_of_filter middle in
   let acc = ref [] in
   let consume v = acc := Value.to_str v :: !acc in
-  let p = T.Pipeline.build env.kernel T.Pipeline.Conventional ~gen ~filters ~consume in
+  let p = Topo.pipeline env.kernel T.Pipeline.Conventional ~gen ~filters ~consume in
   T.Pipeline.run p;
   let lines = List.rev !acc in
   match sink.name, sink.args with

@@ -17,6 +17,7 @@ module Backoff = Eden_resil.Backoff
 module Resumable = Eden_transput.Resumable
 module Supervisor = Eden_resil.Supervisor
 module Pipeline = Eden_transput.Pipeline
+module Topo = Eden_par.Topo
 module Cat = Eden_filters.Catalog
 module Chunkline = Eden_filters.Chunkline
 module Line = Eden_filters.Line
@@ -403,7 +404,7 @@ let test_resil_replay_balance () =
     Retry.policy ~timeout:50.0 ~max_attempts:10 ~backoff:(Backoff.make ~base:1.0 ~cap:10.0 ()) ()
   in
   let p =
-    Pipeline.resumable k ~nodes:(Kernel.nodes k) ~batch:2 ~policy ~seed:99L Pipeline.Read_only
+    Topo.resumable k ~nodes:(Kernel.nodes k) ~batch:2 ~policy ~seed:99L Pipeline.Read_only
       ~gen ~filters:[ Resumable.pure_map upchunk ]
   in
   let sup = Supervisor.create k ~policy:(Supervisor.policy ~interval:4.0 ()) () in

@@ -8,6 +8,7 @@
 
 open Eden_kernel
 module T = Eden_transput
+module Topo = Eden_par.Topo
 module Obs = Eden_obs.Obs
 module Cat = Eden_filters.Catalog
 module Report = Eden_filters.Report
@@ -46,7 +47,7 @@ let fingerprint k =
 let pipeline_fingerprint discipline seed =
   let k = mk_kernel seed in
   let p =
-    T.Pipeline.build k ~capacity:2 ~batch:2 discipline
+    Topo.pipeline k ~capacity:2 ~batch:2 discipline
       ~gen:(list_gen (vstrs (doc 24 @ [ "drop this line" ])))
       ~filters:[ Cat.trim_trailing; Cat.grep_v "drop"; Cat.upcase ]
       ~consume:ignore

@@ -5,6 +5,7 @@ module Line = Eden_filters.Line
 module Report = Eden_filters.Report
 open Eden_kernel
 module T = Eden_transput
+module Topo = Eden_par.Topo
 
 let check = Alcotest.check
 let prop name ?(count = 100) gen f =
@@ -114,7 +115,7 @@ let prop_catalog_composes_in_pipeline =
       let k = Kernel.create () in
       let acc = ref [] in
       let p =
-        T.Pipeline.build k T.Pipeline.Read_only
+        Topo.pipeline k T.Pipeline.Read_only
           ~gen:
             (let rest = ref lines in
              fun () ->

@@ -6,6 +6,7 @@
 
 open Eden_kernel
 open Eden_transput
+module Topo = Eden_par.Topo
 open Eden_flowctl
 
 let check = Alcotest.check
@@ -449,7 +450,7 @@ let run_equiv_case c ~flowctl =
   let consume, got = collector () in
   let eos_count = ref 0 in
   let p =
-    Pipeline.build k ~capacity:c.capacity ?flowctl c.discipline
+    Topo.pipeline k ~capacity:c.capacity ?flowctl c.discipline
       ~gen:(list_gen (List.map (fun s -> Value.Str s) c.payload))
       ~filters:(List.map (fun i -> snd (List.nth filter_pool i)) c.filter_idx)
       ~consume

@@ -4,6 +4,7 @@ open Eden_kernel
 module Obs = Eden_obs.Obs
 module Ring = Eden_util.Ring
 module T = Eden_transput
+module Topo = Eden_par.Topo
 
 let check = Alcotest.check
 
@@ -226,7 +227,7 @@ let run_spanned_pipeline ~n_filters ~n_items =
   Obs.enable_spans (Kernel.obs k);
   let consumed = ref 0 in
   let p =
-    T.Pipeline.build k T.Pipeline.Read_only
+    Topo.pipeline k T.Pipeline.Read_only
       ~gen:(list_gen (List.init n_items (fun i -> Value.Int i)))
       ~filters:(List.init n_filters (fun _ -> T.Transform.identity))
       ~consume:(fun _ -> incr consumed)

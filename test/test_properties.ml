@@ -4,6 +4,7 @@
 
 open Eden_kernel
 open Eden_transput
+module Topo = Eden_par.Topo
 module Dev = Eden_devices.Devices
 
 let prop name ?(count = 40) gen f =
@@ -32,7 +33,7 @@ let prop_identity_all_disciplines =
       let k = Kernel.create () in
       let acc = ref [] in
       let p =
-        Pipeline.build k ~capacity ~batch discipline ~gen:(list_gen lines)
+        Topo.pipeline k ~capacity ~batch discipline ~gen:(list_gen lines)
           ~filters:(List.init n_filters (fun _ -> Transform.identity))
           ~consume:(fun v -> acc := Value.to_str v :: !acc)
       in
@@ -97,7 +98,7 @@ let prop_entity_prediction_exact =
       let discipline = List.nth Pipeline.all_disciplines disc_i in
       let k = Kernel.create () in
       let p =
-        Pipeline.build k discipline
+        Topo.pipeline k discipline
           ~gen:(list_gen [ "x" ])
           ~filters:(List.init n_filters (fun _ -> Transform.identity))
           ~consume:ignore

@@ -6,6 +6,7 @@ module Sched = Eden_sched.Sched
 module Net = Eden_net.Net
 module Prng = Eden_util.Prng
 module Pipeline = Eden_transput.Pipeline
+module Topo = Eden_par.Topo
 module Transform = Eden_transput.Transform
 module Pull = Eden_transput.Pull
 module Backoff = Eden_resil.Backoff
@@ -109,7 +110,7 @@ let run_chaos ?(loss = 0.0) ?(crashes = fun _ -> []) ?(supervised = true) ?(n = 
       ()
   in
   let p =
-    Pipeline.resumable k ~nodes:(Kernel.nodes k) ~batch ?flowctl ~policy ~seed:99L discipline
+    Topo.resumable k ~nodes:(Kernel.nodes k) ~batch ?flowctl ~policy ~seed:99L discipline
       ~gen:(gen n) ~filters:specs
   in
   let sup = Supervisor.create k ~policy:(Supervisor.policy ~interval:4.0 ()) () in
@@ -194,7 +195,7 @@ let test_duality_with_resilience () =
   let n = 12 in
   let run d =
     let k = Kernel.create ~seed:7L () in
-    let p = Pipeline.resumable k ~batch:1 ~seed:3L d ~gen:(gen n) ~filters:specs in
+    let p = Topo.resumable k ~batch:1 ~seed:3L d ~gen:(gen n) ~filters:specs in
     Kernel.run_driver k (fun _ctx ->
         Pipeline.start p;
         Pipeline.await p);
@@ -213,7 +214,7 @@ let test_duality_with_resilience () =
 let test_supervisor_gives_up_on_crash_loop () =
   let k = Kernel.create ~seed:13L () in
   let p =
-    Pipeline.resumable k ~batch:2 ~seed:21L Pipeline.Read_only ~gen:(gen 100) ~filters:specs
+    Topo.resumable k ~batch:2 ~seed:21L Pipeline.Read_only ~gen:(gen 100) ~filters:specs
   in
   let sup =
     Supervisor.create k
@@ -331,7 +332,7 @@ let test_stall_detector_attributes_stage () =
   let nodes = Kernel.nodes k in
   let i = ref 0 in
   let p =
-    Pipeline.build k ~nodes Pipeline.Read_only
+    Topo.pipeline k ~nodes Pipeline.Read_only
       ~gen:(fun () ->
         incr i;
         if !i <= 50 then Some (Value.Int !i) else None)

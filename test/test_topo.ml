@@ -15,6 +15,10 @@
 module Topo = Eden_par.Topo
 module Cluster = Eden_par.Cluster
 module Kernel = Eden_kernel.Kernel
+module Value = Eden_kernel.Value
+module Pipeline = Eden_transput.Pipeline
+module Transform = Eden_transput.Transform
+module Resumable = Eden_transput.Resumable
 
 let check = Alcotest.check
 let md5 s = Digest.to_hex (Digest.string s)
@@ -447,6 +451,96 @@ let test_output_plus_report_is_legal () =
     Alcotest.(list (pair string (list string)))
     "reports" [ ("rep", [ "rep: 2 items"; "rep: 4 items"; "rep: done, 4 items" ]) ] o.reports
 
+(* --- Chains on one kernel -------------------------------------------- *)
+
+let lines = List.init 21 (Printf.sprintf "line %02d")
+
+let list_gen vs =
+  let rest = ref vs in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | v :: tl ->
+        rest := tl;
+        Some v
+
+(* A bad size is refused while the chain is checked, before any Eject
+   exists; write-only and conventional chains clamp capacity to 1. *)
+let test_one_kernel_bad_sizes () =
+  let build ?capacity ?batch d k =
+    Topo.pipeline k ?capacity ?batch d
+      ~gen:(list_gen (List.map (fun l -> Value.Str l) lines))
+      ~filters:[ Transform.identity; Transform.identity ] ~consume:ignore
+  in
+  let refused name build =
+    let k = Kernel.create () in
+    match build k with
+    | _ -> Alcotest.failf "%s: built" name
+    | exception Topo.Invalid (Topo.Bad_size _) ->
+        check Alcotest.int (name ^ ": no Eject") 0 (Kernel.live_ejects k)
+  in
+  List.iter
+    (fun d -> refused ("batch 0, " ^ Pipeline.discipline_name d) (build ~batch:0 d))
+    Pipeline.all_disciplines;
+  refused "capacity -1, read-only" (build ~capacity:(-1) Pipeline.Read_only);
+  refused "resumable, batch 0" (fun k ->
+      Topo.resumable k ~batch:0 ~seed:1L Pipeline.Read_only ~gen:(fun _ -> None) ~filters:[]);
+  List.iter
+    (fun d ->
+      let k = Kernel.create () in
+      let p = build ~capacity:(-1) d k in
+      Kernel.run_driver k (fun _ -> Pipeline.run p);
+      check Alcotest.bool
+        (Pipeline.discipline_name d ^ " clamps capacity -1 to 1")
+        true
+        (Eden_sched.Ivar.is_filled p.Pipeline.done_))
+    [ Pipeline.Write_only; Pipeline.Conventional ]
+
+(* The roles a resumable chain is made of, run as plain stages across
+   shards, give the stream a fault-free resumable chain checkpoints on
+   one kernel. *)
+let test_resumable_roles_run_plain () =
+  let gen i = Option.map (fun l -> Value.Str l) (List.nth_opt lines i) in
+  let upcase = Resumable.pure_map (fun v -> Value.Str (String.uppercase_ascii (Value.to_str v))) in
+  (* Joins lines in pairs; the odd one out comes from [flush]. *)
+  let pairs =
+    {
+      Resumable.init = Value.Unit;
+      step =
+        (fun held v ->
+          match held with
+          | Value.Unit -> (v, [])
+          | h -> (Value.Unit, [ Value.Str (Value.to_str h ^ " + " ^ Value.to_str v) ]));
+      flush = (function Value.Unit -> [] | h -> [ h ]);
+    }
+  in
+  List.iter
+    (fun d ->
+      let name = Pipeline.discipline_name d in
+      let k = Kernel.create ~nodes:[ "a"; "b"; "c" ] () in
+      let p =
+        Topo.resumable k ~nodes:(Kernel.nodes k) ~seed:5L d ~gen ~filters:[ upcase; pairs ]
+      in
+      Kernel.run_driver k (fun _ -> Pipeline.run p);
+      let out = Option.get (Pipeline.output p) in
+      check Alcotest.int (name ^ ": 10 pairs and a tail") 11 (List.length out);
+      let want = String.concat "" (List.map (fun v -> Value.to_str v ^ "\n") out) in
+      let at shard name role = { Topo.name; role; shard; capacity = 1; batch = 1 } in
+      let t =
+        topo
+          [
+            at 1 "source" (Topo.Source (Topo.Indexed gen));
+            at 2 "upcase" (Topo.Filter (Topo.Step upcase));
+            at 1 "pairs" (Topo.Filter (Topo.Step pairs));
+            at 0 "sink" Topo.Sink;
+          ]
+          [ edge d 0 1; edge d 1 2; edge d 2 3 ]
+      in
+      let o = Topo.run det ~domains:3 t in
+      check Alcotest.bool (name ^ ": eos clean") true o.eos_clean;
+      check Alcotest.string name want (List.assoc "sink" o.sinks))
+    [ Pipeline.Read_only; Pipeline.Write_only ]
+
 let suite =
   [
     Alcotest.test_case "fingerprint: nine shapes reproduce their twins" `Quick test_fingerprints;
@@ -458,4 +552,8 @@ let suite =
     Alcotest.test_case "rejects unbuildable stages" `Quick test_unjoinable;
     Alcotest.test_case "output sink + report window is legal" `Quick
       test_output_plus_report_is_legal;
+    Alcotest.test_case "one-kernel chains refuse bad sizes before building" `Quick
+      test_one_kernel_bad_sizes;
+    Alcotest.test_case "resumable roles run plain under Topo.run" `Quick
+      test_resumable_roles_run_plain;
   ]

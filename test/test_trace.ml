@@ -2,6 +2,7 @@
    invocation, one instant per lifecycle event. *)
 
 open Eden_kernel
+module Topo = Eden_par.Topo
 module Obs = Eden_obs.Obs
 
 let check = Alcotest.check
@@ -126,7 +127,7 @@ let test_pipeline_op_mix () =
           rest := tl;
           Some x
     in
-    let p = Pipeline.build k discipline ~gen ~filters:[ Transform.identity ] ~consume:ignore in
+    let p = Topo.pipeline k discipline ~gen ~filters:[ Transform.identity ] ~consume:ignore in
     Kernel.run_driver k (fun _ -> Pipeline.run p);
     List.sort_uniq String.compare (ops k)
   in

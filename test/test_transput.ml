@@ -4,6 +4,7 @@
 
 open Eden_kernel
 open Eden_transput
+module Topo = Eden_par.Topo
 
 let check = Alcotest.check
 let prop name ?(count = 60) gen f =
@@ -315,7 +316,7 @@ let run_pipeline ?(n_items = 8) ?(capacity = 0) ?(batch = 1) kernel_args discipl
   let items = List.init n_items (fun i -> Value.Str (Printf.sprintf "item-%02d%s" i (if i mod 3 = 0 then "b" else ""))) in
   let consume, got = collector () in
   let before = Kernel.Meter.snapshot k in
-  let p = Pipeline.build k ~capacity ~batch discipline ~gen:(list_gen items) ~filters ~consume in
+  let p = Topo.pipeline k ~capacity ~batch discipline ~gen:(list_gen items) ~filters ~consume in
   Kernel.run_driver k (fun _ctx -> Pipeline.run p);
   let d = Kernel.Meter.diff (Kernel.Meter.snapshot k) before in
   (p, got (), d, items)
@@ -445,7 +446,7 @@ let test_pipeline_across_nodes () =
   let items = vstrs [ "p"; "q"; "r" ] in
   let consume, got = collector () in
   let p =
-    Pipeline.build k ~nodes:(Kernel.nodes k) Pipeline.Read_only ~gen:(list_gen items)
+    Topo.pipeline k ~nodes:(Kernel.nodes k) Pipeline.Read_only ~gen:(list_gen items)
       ~filters:[ upcase_tr ] ~consume
   in
   Kernel.run_driver k (fun _ -> Pipeline.run p);
@@ -582,7 +583,7 @@ let prop_pipeline_roundtrip =
       let items = vstrs lines in
       let consume, got = collector () in
       let p =
-        Pipeline.build k Pipeline.Read_only ~gen:(list_gen items)
+        Topo.pipeline k Pipeline.Read_only ~gen:(list_gen items)
           ~filters:(List.init n_filters (fun _ -> Transform.identity))
           ~consume
       in
@@ -598,7 +599,7 @@ let prop_cost_model_matches_meter =
       let consume, _ = collector () in
       let before = Kernel.Meter.snapshot k in
       let p =
-        Pipeline.build k Pipeline.Read_only ~gen:(list_gen items)
+        Topo.pipeline k Pipeline.Read_only ~gen:(list_gen items)
           ~filters:(List.init n_filters (fun _ -> Transform.identity))
           ~consume
       in
