@@ -32,20 +32,11 @@ let terminal_wo k ?node ?(name = "terminal") ?(rate = 0.0) ?(capacity = 1) () =
   let render, lines = fresh_screen () in
   let done_ = Ivar.create () in
   let uid =
-    T.Stage.custom k ?node ~name (fun ctx ~passive:_ ->
-        let intake = T.Intake.create () in
-        let r = T.Intake.add_channel intake ~capacity T.Channel.output in
-        Kernel.spawn_worker ctx ~name:(name ^ "/render") (fun () ->
-            let rec go () =
-              match T.Intake.read r with
-              | Some v ->
-                  if rate > 0.0 then Sched.sleep rate;
-                  render (Value.to_str v);
-                  go ()
-              | None -> Ivar.fill done_ ()
-            in
-            go ());
-        T.Intake.handlers intake)
+    T.Stage.sink_wo k ?node ~name ~capacity
+      ~on_done:(fun () -> Ivar.fill done_ ())
+      (fun v ->
+        if rate > 0.0 then Sched.sleep rate;
+        render (Value.to_str v))
   in
   { uid; lines; done_ }
 

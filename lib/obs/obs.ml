@@ -7,7 +7,7 @@
    module are plain ints and strings; the kernel owns the mapping from
    span ids to invocations and from fiber ids to Ejects. *)
 
-module Ring = Eden_util.Ring
+module Cqueue = Eden_util.Cqueue
 module Slab = Eden_util.Slab
 
 (* ------------------------------------------------------------------ *)
@@ -205,7 +205,8 @@ end
 type t = {
   mutable spans_on : bool;
   live : Span.t Slab.t; (* open spans; handle = span id *)
-  closed : Span.t Ring.t; (* completed spans, oldest first *)
+  closed : Span.t Cqueue.t; (* completed spans, oldest first *)
+  span_capacity : int; (* most spans [closed] keeps *)
   mutable dropped : int; (* completed spans evicted from [closed] *)
   hists : (string, Histogram.t) Hashtbl.t;
   (* Stage meters, flat, in registration order. *)
@@ -228,10 +229,12 @@ let dummy_span =
 let dummy_stage = Flow.make ""
 
 let create ?(span_capacity = 8192) () =
+  if span_capacity <= 0 then invalid_arg "Obs.create: span_capacity must be positive";
   {
     spans_on = false;
     live = Slab.create ~capacity:64 ~dummy:dummy_span ();
-    closed = Ring.create ~capacity:span_capacity;
+    closed = Cqueue.create ~capacity:span_capacity ();
+    span_capacity;
     dropped = 0;
     hists = Hashtbl.create 16;
     stage_arr = [||];
@@ -241,6 +244,14 @@ let create ?(span_capacity = 8192) () =
 let enable_spans t = t.spans_on <- true
 let disable_spans t = t.spans_on <- false
 let spans_enabled t = t.spans_on
+
+(* A full store evicts its oldest span to keep [s]. *)
+let keep t s =
+  if Cqueue.length t.closed = t.span_capacity then begin
+    ignore (Cqueue.pop t.closed);
+    t.dropped <- t.dropped + 1
+  end;
+  Cqueue.push t.closed s
 
 let span_begin t ?parent ?(attrs = []) ~name ~cat ~at () =
   let id = Slab.alloc t.live dummy_span in
@@ -256,23 +267,22 @@ let span_end t id ~at ~ok =
   | Some s ->
       s.Span.stop <- at;
       s.Span.ok <- ok;
-      if Option.is_some (Ring.push_force t.closed s) then t.dropped <- t.dropped + 1
+      keep t s
 
 let instant t ?parent ?(attrs = []) ~name ~cat ~at () =
   if t.spans_on then begin
     let id = Slab.alloc t.live dummy_span in
     ignore (Slab.free t.live id);
-    let s = { Span.id; parent; name; cat; start = at; stop = at; ok = true; attrs } in
-    if Option.is_some (Ring.push_force t.closed s) then t.dropped <- t.dropped + 1
+    keep t { Span.id; parent; name; cat; start = at; stop = at; ok = true; attrs }
   end
 
-let spans t = Ring.to_list t.closed
+let spans t = List.init (Cqueue.length t.closed) (Cqueue.get t.closed)
 let open_spans t = Slab.fold (fun _ s acc -> s :: acc) t.live []
-let span_count t = Ring.length t.closed
+let span_count t = Cqueue.length t.closed
 let dropped_spans t = t.dropped
 
 let clear_spans t =
-  Ring.clear t.closed;
+  Cqueue.clear t.closed;
   (* Free every open span; a later [span_end] on one simply misses. *)
   let open_handles = Slab.fold (fun h _ acc -> h :: acc) t.live [] in
   List.iter (fun h -> ignore (Slab.free t.live h)) open_handles;

@@ -119,7 +119,8 @@ type t
 
 val create : ?span_capacity:int -> unit -> t
 (** Completed spans are kept in a ring of [span_capacity] (default
-    8192); older spans are evicted and counted in [dropped_spans]. *)
+    8192); older spans are evicted and counted in [dropped_spans].
+    @raise Invalid_argument if [span_capacity <= 0]. *)
 
 val enable_spans : t -> unit
 val disable_spans : t -> unit

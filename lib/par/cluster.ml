@@ -38,28 +38,30 @@ type shard = {
   index : int;
   kernel : Kernel.t;
   inbox : msg Dqueue.t;
-  (* Both tables below are touched only by the shard's own domain:
-     [forward] runs in a fiber of this shard, [inject] in its pump
-     loop. *)
+  (* The next three fields are touched only by the shard's own domain:
+     [forward] and the fibers serving requests run on this shard,
+     [inject] in its pump loop.  [sent] counts the Requests and Replies
+     the shard has sent other shards. *)
   pending : (int, Kernel.reply Ivar.t) Hashtbl.t;
   mutable next_req : int;
+  mutable sent : int;
   mutable ctx : Kernel.ctx option;
 }
 
-(* Stats a leaf process reports back over its socket at shutdown —
-   everything the in-process accessors would have read from the shard's
-   kernel directly, plus the data frames it sent its leaf-to-leaf links
-   (the hub never sees them) and its first fiber failure.  Histograms
-   are deliberately absent: wall-clock timing makes them
+(* What one shard did in a run: its meter, op counts, flows, final
+   virtual time, the Requests and Replies it sent, and its first fiber
+   failure.  [result_of] reads it from the shard's own kernel, and a
+   wire leaf sends exactly this record in its [Stats] frame.
+   Histograms are deliberately absent: wall-clock timing makes them
    transport-dependent, so wire-mode histograms cover the hub shard
    only. *)
-type remote_stats = {
-  r_meter : Kernel.Meter.snapshot;
-  r_ops : (string * int) list;
-  r_flows : (string * int * int) list;
-  r_makespan : float;
-  r_link_frames : int;
-  r_failure : string option;
+type result = {
+  meter : Kernel.Meter.snapshot;
+  ops : (string * int) list;
+  flows : (string * int * int) list;
+  makespan : float;
+  sent : int;
+  failure : string option;
 }
 
 (* This process's end of one socket in wire mode: the hub's to a leaf, a
@@ -86,7 +88,7 @@ type hub = {
   told : bool array;
   told_sent : int array array;
   told_taken : int array array;
-  remote : remote_stats option array;
+  reports : result option array; (* each leaf's, once its Stats arrives *)
   mutable stopping : bool; (* Shutdown sent *)
 }
 
@@ -107,7 +109,6 @@ type t = {
   shards : shard array;
   in_flight : int Atomic.t;
   idle : int Atomic.t;
-  carried : int Atomic.t;
   mutable ran : bool;
   (* Deterministic-mode shard-order policy; [None] is the fixed
      round-robin baseline. *)
@@ -115,8 +116,9 @@ type t = {
   (* Pairs of leaf shards some proxy connects, [(lo, hi)]: in wire mode
      each gets its own socket. *)
   mutable links : (int * int) list;
-  (* How [forward] reaches other shards: in-process inboxes, or — in
-     wire mode, after the fork — this process's end of the sockets. *)
+  (* How [forward] and [serve_request] reach other shards: in-process
+     inboxes, or — in wire mode, after the fork — this process's end of
+     the sockets. *)
   mutable fabric : fabric;
 }
 
@@ -143,6 +145,7 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
           inbox = Dqueue.create ~label:(Printf.sprintf "shard-%d" index) ();
           pending = Hashtbl.create 16;
           next_req = 0;
+          sent = 0;
           ctx = None;
         })
   in
@@ -152,7 +155,6 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
       shards;
       in_flight = Atomic.make 0;
       idle = Atomic.make 0;
-      carried = Atomic.make 0;
       ran = false;
       det_pick = None;
       links = [];
@@ -172,16 +174,33 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
 
 let driver t i f = Kernel.spawn_driver t.shards.(i).kernel ~name:"par-driver" f
 
-let post t ~dst m =
+let post t (sh : shard) ~dst m =
   (* in_flight covers the message from before it is visible to the
      receiver until after the receiver has left the idle count — the
      invariant the termination check relies on. *)
   Atomic.incr t.in_flight;
-  Atomic.incr t.carried;
+  sh.sent <- sh.sent + 1;
   if not (Dqueue.push t.shards.(dst).inbox m) then begin
     Atomic.decr t.in_flight;
     invalid_arg "Cluster: message posted after shutdown"
   end
+
+let result_of (sh : shard) =
+  let k = sh.kernel in
+  {
+    meter = Kernel.Meter.snapshot k;
+    ops = Kernel.op_counts k;
+    flows =
+      List.map
+        (fun (s : Obs.Flow.stage) -> (s.label, s.items_in, s.items_out))
+        (Obs.stages (Kernel.obs k));
+    makespan = Sched.now (Kernel.sched k);
+    sent = sh.sent;
+    failure =
+      (match Sched.check_failures (Kernel.sched k) with
+      | () -> None
+      | exception Failure m -> Some m);
+  }
 
 (* --- Wire framing ---------------------------------------------------- *)
 
@@ -205,11 +224,6 @@ let parse_reply payload : Kernel.reply =
   | Value.List [ Value.Bool true; v ] -> Ok v
   | Value.List [ Value.Bool false; Value.Str m ] -> Error m
   | v -> perr "malformed reply payload %s" (Value.preview v)
-
-let flows_of_kernel k =
-  List.map
-    (fun (s : Obs.Flow.stage) -> (s.label, s.items_in, s.items_out))
-    (Obs.stages (Kernel.obs k))
 
 let meter_to_value (m : Kernel.Meter.snapshot) =
   let n = m.net in
@@ -247,51 +261,43 @@ let meter_of_value v : Kernel.Meter.snapshot =
       }
   | v -> perr "malformed meter %s" (Value.preview v)
 
-let stats_payload sh ~link_frames ~failure =
-  let m = Kernel.Meter.snapshot sh.kernel in
-  let ops =
-    Value.List
-      (List.map
-         (fun (op, n) -> Value.pair (Value.Str op) (Value.Int n))
-         (Kernel.op_counts sh.kernel))
-  in
-  let flows =
-    Value.List
-      (List.map
-         (fun (label, i, o) ->
-           Value.List [ Value.Str label; Value.Int i; Value.Int o ])
-         (flows_of_kernel sh.kernel))
-  in
+(* A [Stats] frame's payload: a [result], field by field. *)
+let stats_payload r =
   Bin.encode
     (Value.List
        [
-         meter_to_value m; ops; flows;
-         Value.Float (Sched.now (Kernel.sched sh.kernel));
-         Value.Int link_frames;
-         Value.List (Option.to_list (Option.map (fun m -> Value.Str m) failure));
+         meter_to_value r.meter;
+         Value.List (List.map (fun (op, n) -> Value.pair (Value.Str op) (Value.Int n)) r.ops);
+         Value.List
+           (List.map
+              (fun (label, i, o) -> Value.List [ Value.Str label; Value.Int i; Value.Int o ])
+              r.flows);
+         Value.Float r.makespan;
+         Value.Int r.sent;
+         Value.List (Option.to_list (Option.map (fun m -> Value.Str m) r.failure));
        ])
 
 let parse_stats payload =
   match Bin.decode payload with
   | Value.List
-      [ meter; Value.List ops; Value.List flows; Value.Float mk; Value.Int links; failure ] ->
+      [ meter; Value.List ops; Value.List flows; Value.Float makespan; Value.Int sent; failure ] ->
       {
-        r_meter = meter_of_value meter;
-        r_ops =
+        meter = meter_of_value meter;
+        ops =
           List.map
             (function
               | Value.List [ Value.Str op; Value.Int n ] -> (op, n)
               | v -> perr "malformed op count %s" (Value.preview v))
             ops;
-        r_flows =
+        flows =
           List.map
             (function
               | Value.List [ Value.Str l; Value.Int i; Value.Int o ] -> (l, i, o)
               | v -> perr "malformed flow %s" (Value.preview v))
             flows;
-        r_makespan = mk;
-        r_link_frames = links;
-        r_failure =
+        makespan;
+        sent;
+        failure =
           (match failure with
           | Value.List [] -> None
           | Value.List [ Value.Str m ] -> Some m
@@ -311,17 +317,19 @@ let queue_data p ~kind ~src ~seq ps =
   p.sent <- p.sent + 1
 
 (* Queue a Request or Reply for shard [dst] on this process's own socket
-   to it.  Frames the hub sends pass fault injection first: that is the
-   only faultable egress, so a replay's per-frame loss script lines up
-   with the frames the hub sends.  Sealing happens only when the frame
-   is actually queued — a fault-dropped frame must not advance the MAC
-   send counter the receiver never sees. *)
-let send t sh ~kind ~dst ~seq v =
+   to it.  The shard counts it as sent first, so a frame the hub's fault
+   injection drops still counts in [cross_messages].  Frames the hub
+   sends pass fault injection: that is the only faultable egress, so a
+   replay's per-frame loss script lines up with the frames the hub
+   sends.  Sealing happens only when the frame is actually queued — a
+   fault-dropped frame must not advance the MAC send counter the
+   receiver never sees. *)
+let send t (sh : shard) ~kind ~dst ~seq v =
+  sh.sent <- sh.sent + 1;
   let ps = Bin.parts v in
   (match t.fabric with
   | Inproc -> assert false
   | Hub h -> (
-      Atomic.incr t.carried;
       let p = h.hpeers.(dst - 1) in
       let deliver () = queue_data p ~kind ~src:0 ~seq ps in
       match h.hfaults with
@@ -347,8 +355,7 @@ let forward t sh tshard tuid ~op arg =
   Hashtbl.replace sh.pending req_id slot;
   (match t.fabric with
   | Inproc ->
-      post t ~dst:tshard
-        (Request { req_id; from_shard = sh.index; target = tuid; op; arg })
+      post t sh ~dst:tshard (Request { req_id; from_shard = sh.index; target = tuid; op; arg })
   | Hub _ | Leaf _ ->
       send t sh ~kind:Frame.Request ~dst:tshard ~seq:req_id (request_body ~target:tuid ~op arg));
   match Ivar.read slot with
@@ -384,23 +391,28 @@ let proxy t ~shard ~ops ~target:(tshard, tuid) =
           ops)
   end
 
+(* Serve a Request from shard [from]: a fresh fiber invokes the target
+   through the context the shard captured at creation and answers by
+   the fabric [forward] uses, an inbox or the socket to [from]. *)
+let serve_request t sh ~from ~req_id target ~op arg =
+  ignore
+    (Sched.spawn (Kernel.sched sh.kernel) ~name:"par-serve" (fun () ->
+         let reply = Kernel.invoke (Option.get sh.ctx) target ~op arg in
+         match t.fabric with
+         | Inproc -> post t sh ~dst:from (Reply { req_id; reply })
+         | Hub _ | Leaf _ -> send t sh ~kind:Frame.Reply ~dst:from ~seq:req_id (reply_body reply)))
+
+let fill_reply sh ~req_id reply =
+  match Hashtbl.find_opt sh.pending req_id with
+  | Some slot ->
+      Hashtbl.remove sh.pending req_id;
+      Ivar.fill slot reply
+  | None -> perr "shard %d: reply for unknown request %d" sh.index req_id
+
 let inject t sh = function
   | Request { req_id; from_shard; target; op; arg } ->
-      let ctx =
-        match sh.ctx with
-        | Some c -> c
-        | None -> assert false
-      in
-      ignore
-        (Sched.spawn (Kernel.sched sh.kernel) ~name:"par-inject" (fun () ->
-             let reply = Kernel.invoke ctx target ~op arg in
-             post t ~dst:from_shard (Reply { req_id; reply })))
-  | Reply { req_id; reply } -> (
-      match Hashtbl.find_opt sh.pending req_id with
-      | Some slot ->
-          Hashtbl.remove sh.pending req_id;
-          Ivar.fill slot reply
-      | None -> assert false)
+      serve_request t sh ~from:from_shard ~req_id target ~op arg
+  | Reply { req_id; reply } -> fill_reply sh ~req_id reply
 
 let close_all t = Array.iter (fun sh -> Dqueue.close sh.inbox) t.shards
 
@@ -497,31 +509,20 @@ let pump sched ~flush =
     if Sched.runnable sched > 0 then flush ()
   done
 
-(* A data frame from [p]: a Request becomes a fiber that invokes its
-   target and sends the Reply back to [p]'s shard; a Reply fills its
-   slot.  Each socket joins exactly two shards and no process forwards
-   frames, so a frame that names any other pair is a protocol error. *)
+(* A data frame from [p], served as [inject] serves a message.  Each
+   socket joins exactly two shards and no process forwards frames, so a
+   frame that names any other pair is a protocol error. *)
 let take_data t sh p f =
   let hdr = f.Frame.hdr in
   if hdr.dst <> sh.index || hdr.src <> p.shard then
     perr "shard %d: %s frame from shard %d to shard %d on its socket to shard %d" sh.index
       (Frame.kind_name hdr.kind) hdr.src hdr.dst p.shard;
   p.taken <- p.taken + 1;
-  if sh.index = 0 then Atomic.incr t.carried;
   match hdr.kind with
   | Frame.Request ->
       let target, op, arg = parse_request f.Frame.payload in
-      let ctx = match sh.ctx with Some c -> c | None -> assert false in
-      ignore
-        (Sched.spawn (Kernel.sched sh.kernel) ~name:"wire-inject" (fun () ->
-             let reply = Kernel.invoke ctx target ~op arg in
-             send t sh ~kind:Frame.Reply ~dst:p.shard ~seq:hdr.seq (reply_body reply)))
-  | _ -> (
-      match Hashtbl.find_opt sh.pending hdr.seq with
-      | Some slot ->
-          Hashtbl.remove sh.pending hdr.seq;
-          Ivar.fill slot (parse_reply f.Frame.payload)
-      | None -> perr "shard %d: reply for unknown request %d" sh.index hdr.seq)
+      serve_request t sh ~from:p.shard ~req_id:hdr.seq target ~op arg
+  | _ -> fill_reply sh ~req_id:hdr.seq (parse_reply f.Frame.payload)
 
 (* The one wait loop of a wire process, hub or leaf.  Run the scheduler
    to quiescence, give [before_block] its turn, flush every socket and,
@@ -622,17 +623,8 @@ let leaf_loop t sh l =
     | Frame.Request | Frame.Reply -> take_data t sh p f
     | Frame.Shutdown when p.shard = 0 ->
         l.shutdown <- true;
-        let failure =
-          match Sched.check_failures (Kernel.sched sh.kernel) with
-          | () -> None
-          | exception Failure m -> Some m
-        in
-        let link_frames =
-          List.fold_left (fun a p -> if p.shard = 0 then a else a + p.sent) 0 peers
-        in
         Conn.send ?session:hub.session hub.conn
-          (Frame.make ~kind:Frame.Stats ~src:sh.index ~dst:0
-             (stats_payload sh ~link_frames ~failure))
+          (Frame.make ~kind:Frame.Stats ~src:sh.index ~dst:0 (stats_payload (result_of sh)))
     | k -> perr "leaf %d: unexpected %s frame from shard %d" sh.index (Frame.kind_name k) p.shard
   in
   let closed p = if p.shard = 0 then perr "leaf %d: the hub closed its socket" sh.index in
@@ -684,11 +676,11 @@ let hub_loop t h =
     match f.Frame.hdr.kind with
     | Frame.Request | Frame.Reply -> take_data t sh0 p f
     | Frame.Idle -> take_idle h ~n p f.Frame.payload
-    | Frame.Stats when h.stopping && h.remote.(p.shard) = None ->
-        h.remote.(p.shard) <- Some (parse_stats f.Frame.payload)
+    | Frame.Stats when h.stopping && h.reports.(p.shard) = None ->
+        h.reports.(p.shard) <- Some (parse_stats f.Frame.payload)
     | k -> perr "hub: unexpected %s frame from shard %d" (Frame.kind_name k) p.shard
   in
-  let closed p = if h.remote.(p.shard) = None then raise (Leaf_closed p.shard) in
+  let closed p = if h.reports.(p.shard) = None then raise (Leaf_closed p.shard) in
   let peers = Array.to_list h.hpeers in
   let serve stop = serve sh0 peers ~timeout:30.0 ~stop ~before_block:ignore ~handle ~closed in
   serve (fun () -> balanced t h);
@@ -697,7 +689,7 @@ let hub_loop t h =
     (fun p ->
       Conn.send ?session:p.session p.conn (Frame.make ~kind:Frame.Shutdown ~src:0 ~dst:p.shard ""))
     peers;
-  serve (fun () -> List.for_all (fun p -> h.remote.(p.shard) <> None) peers)
+  serve (fun () -> List.for_all (fun p -> h.reports.(p.shard) <> None) peers)
 
 let status_text = function
   | Unix.WEXITED c -> Printf.sprintf "exited %d" c
@@ -816,7 +808,7 @@ let wire_run t cfg =
           told = Array.make n false;
           told_sent = Array.make_matrix n n 0;
           told_taken = Array.make_matrix n n 0;
-          remote = Array.make n None;
+          reports = Array.make n None;
           stopping = false;
         }
       in
@@ -854,6 +846,12 @@ let wire_run t cfg =
           status
   end
 
+(* The record a forked leaf reported for its shard in its Stats frame;
+   [None] for a shard whose kernel runs in this process, and for a leaf
+   that never reported.  A leaf kernel's copy here is a stale pre-fork
+   snapshot. *)
+let report t sh = match t.fabric with Hub h -> h.reports.(sh.index) | Inproc | Leaf _ -> None
+
 let run t =
   if t.ran then invalid_arg "Cluster.run: already run";
   t.ran <- true;
@@ -865,106 +863,54 @@ let run t =
       in
       Array.iter Domain.join domains
   | Wire cfg -> wire_run t cfg);
-  match t.fabric with
-  | Hub h ->
-      (* Only the hub shard's fibers live in this process; each leaf
-         sent its first fiber failure with its Stats. *)
-      Sched.check_failures (Kernel.sched t.shards.(0).kernel);
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Some { r_failure = Some m; _ } ->
-              failwith (Printf.sprintf "Cluster: wire leaf %d: %s" i m)
-          | _ -> ())
-        h.remote
-  | Inproc | Leaf _ ->
-      Array.iter (fun sh -> Sched.check_failures (Kernel.sched sh.kernel)) t.shards
+  (* A leaf's first fiber failure came with its Stats. *)
+  Array.iter
+    (fun sh ->
+      match report t sh with
+      | None -> Sched.check_failures (Kernel.sched sh.kernel)
+      | Some r ->
+          Option.iter (fun m -> failwith (Printf.sprintf "Cluster: wire leaf %d: %s" sh.index m))
+            r.failure)
+    t.shards
 
 (* --- Aggregated accessors -------------------------------------------- *)
 
-(* In wire mode (after [run]) the parent's copies of leaf kernels are
-   stale pre-fork snapshots; aggregate shard 0 with the stats each leaf
-   reported at shutdown instead. *)
+let results t =
+  Array.map (fun sh -> match report t sh with Some r -> r | None -> result_of sh) t.shards
 
-let remote_list t =
-  match t.fabric with
-  | Hub h ->
-      Some
-        (List.filter_map Fun.id
-           (Array.to_list (Array.sub h.remote 1 (Array.length t.shards - 1))))
-  | Inproc | Leaf _ -> None
-
-let cross_messages t =
-  let links =
-    match remote_list t with
-    | Some remotes -> List.fold_left (fun a r -> a + r.r_link_frames) 0 remotes
-    | None -> 0
-  in
-  Atomic.get t.carried + links
+let cross_messages t = Array.fold_left (fun a (r : result) -> a + r.sent) 0 (results t)
 
 let meter t =
-  match remote_list t with
-  | Some remotes ->
-      List.fold_left
-        (fun acc r -> Kernel.Meter.add acc r.r_meter)
-        (Kernel.Meter.snapshot t.shards.(0).kernel)
-        remotes
-  | None ->
-      Array.fold_left
-        (fun acc sh -> Kernel.Meter.add acc (Kernel.Meter.snapshot sh.kernel))
-        Kernel.Meter.zero t.shards
+  Array.fold_left (fun acc r -> Kernel.Meter.add acc r.meter) Kernel.Meter.zero (results t)
 
 let op_counts t =
   let tbl = Hashtbl.create 16 in
   let add (op, n) =
     Hashtbl.replace tbl op (n + Option.value ~default:0 (Hashtbl.find_opt tbl op))
   in
-  (match remote_list t with
-  | Some remotes ->
-      List.iter add (Kernel.op_counts t.shards.(0).kernel);
-      List.iter (fun r -> List.iter add r.r_ops) remotes
-  | None -> Array.iter (fun sh -> List.iter add (Kernel.op_counts sh.kernel)) t.shards);
+  Array.iter (fun r -> List.iter add r.ops) (results t);
   Hashtbl.fold (fun op n acc -> (op, n) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let flows t =
-  let all =
-    match remote_list t with
-    | Some remotes ->
-        flows_of_kernel t.shards.(0).kernel
-        @ List.concat_map (fun r -> r.r_flows) remotes
-    | None ->
-        Array.fold_left
-          (fun acc sh -> flows_of_kernel sh.kernel @ acc)
-          [] t.shards
-  in
-  List.sort compare all
+let flows t = List.sort compare (List.concat_map (fun r -> r.flows) (Array.to_list (results t)))
+
+let makespans t = Array.map (fun r -> r.makespan) (results t)
 
 let histograms t =
   let tbl = Hashtbl.create 16 in
-  let fold k =
+  let fold sh =
     List.iter
       (fun (name, h) ->
         match Hashtbl.find_opt tbl name with
         | None -> Hashtbl.add tbl name h
         | Some into -> Obs.Histogram.merge ~into h)
-      (Obs.histograms (Kernel.obs k))
+      (Obs.histograms (Kernel.obs sh.kernel))
   in
-  (match remote_list t with
-  | Some _ ->
+  (match t.fabric with
+  | Hub _ ->
       (* Wall-clock timing makes leaf histograms transport-dependent;
          wire mode reports the hub shard only. *)
-      fold t.shards.(0).kernel
-  | None -> Array.iter (fun sh -> fold sh.kernel) t.shards);
+      fold t.shards.(0)
+  | Inproc | Leaf _ -> Array.iter fold t.shards);
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let makespans t =
-  match remote_list t with
-  | Some _ -> (
-      let h = match t.fabric with Hub h -> h | _ -> assert false in
-      Array.init (Array.length t.shards) (fun i ->
-          if i = 0 then Sched.now (Kernel.sched t.shards.(0).kernel)
-          else match h.remote.(i) with Some r -> r.r_makespan | None -> 0.0))
-  | None ->
-      Array.map (fun sh -> Sched.now (Kernel.sched sh.kernel)) t.shards

@@ -139,26 +139,33 @@ val run : t -> unit
     a leaf about to block, so equal counts mean no frame crosses the cut
     of those reports in either direction: the cut is a global state in
     which every process is idle and nothing is in flight.  Frames eaten
-    by fault injection were never sent, so a faulted run still
-    terminates (the requesting fiber stays blocked, exactly like
-    simulated loss without retransmission). *)
+    by fault injection never reach a socket and are in no socket's
+    count, so a faulted run still terminates (the requesting fiber
+    stays blocked, exactly like simulated loss without
+    retransmission). *)
+
+(** {1 Results}
+
+    Every accessor below but {!histograms} folds one per-shard record
+    of the same fields in every mode: meter, op counts, flows, makespan
+    and the messages the shard sent.  A shard whose kernel lives in the
+    calling process reads its record from that kernel when an accessor
+    asks.  In [Wire] mode (after {!run}) each leaf process sends the
+    same record over its socket at shutdown, and the accessors read that
+    instead: the parent's copies of leaf kernels are stale pre-fork
+    snapshots and are not consulted. *)
 
 val meter : t -> Eden_kernel.Kernel.Meter.snapshot
-(** Counter-wise sum over all shards.  In [Wire] mode (after {!run})
-    this sums the hub shard with the stats every leaf process reported
-    over its socket at shutdown — the parent's copies of leaf kernels
-    are stale pre-fork snapshots and are not consulted. *)
+(** Counter-wise sum over all shards. *)
 
 val op_counts : t -> (string * int) list
 (** Per-operation invocation counts summed over all shards, sorted by
     name.  Proxy forwarding re-issues the operation on the target
     shard, so a cross-shard invocation counts twice (once per side) in
-    every mode — equivalence tests compare like with like.  Wire mode
-    aggregates leaf-reported stats, like {!meter}. *)
+    every mode — equivalence tests compare like with like. *)
 
 val flows : t -> (string * int * int) list
-(** Per-stage [(label, items_in, items_out)] over all shards, sorted.
-    Wire mode aggregates leaf-reported stats. *)
+(** Per-stage [(label, items_in, items_out)] over all shards, sorted. *)
 
 val histograms : t -> (string * Eden_obs.Obs.Histogram.t) list
 (** Merged histograms by name, sorted.  Wire mode reports the hub shard
@@ -166,12 +173,10 @@ val histograms : t -> (string * Eden_obs.Obs.Histogram.t) list
     so they are not part of the equivalence surface. *)
 
 val makespans : t -> float array
-(** Final virtual time per shard.  Wire mode: hub read locally, leaves
-    from their reported stats. *)
+(** Final virtual time per shard. *)
 
 val cross_messages : t -> int
-(** Messages that crossed a shard boundary (requests + replies).  In
-    [Wire] mode: the data frames the hub sent (fault-dropped ones
-    included) and took, plus the frames each leaf sent on its
-    leaf-to-leaf links, which it reports at shutdown — each frame
-    exactly once. *)
+(** Messages that crossed a shard boundary (requests + replies): the sum
+    of the messages each shard sent, each counted once by its sender.
+    In [Wire] mode these are data frames, counted before the hub's fault
+    injection, so a frame the hub drops still counts. *)

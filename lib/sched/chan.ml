@@ -1,41 +1,43 @@
-type 'a t = { ring : 'a Eden_util.Ring.t; readers : Waitq.t; writers : Waitq.t }
+module Cqueue = Eden_util.Cqueue
+
+type 'a t = { buf : 'a Cqueue.t; capacity : int; readers : Waitq.t; writers : Waitq.t }
 
 let create ~capacity =
+  if capacity <= 0 then invalid_arg "Chan.create: capacity must be positive";
   {
-    ring = Eden_util.Ring.create ~capacity;
+    buf = Cqueue.create ~capacity ();
+    capacity;
     readers = Waitq.create "chan.get";
     writers = Waitq.create "chan.put";
   }
 
+let length t = Cqueue.length t.buf
+let capacity t = t.capacity
+let is_empty t = Cqueue.is_empty t.buf
+let is_full t = Cqueue.length t.buf >= t.capacity
+
+let try_put t x =
+  let ok = not (is_full t) in
+  if ok then begin
+    Cqueue.push t.buf x;
+    ignore (Waitq.wake_one t.readers)
+  end;
+  ok
+
 let rec put t x =
-  if Eden_util.Ring.push t.ring x then ignore (Waitq.wake_one t.readers)
-  else begin
+  if not (try_put t x) then begin
     Waitq.park t.writers;
     put t x
   end
 
-let try_put t x =
-  let ok = Eden_util.Ring.push t.ring x in
-  if ok then ignore (Waitq.wake_one t.readers);
-  ok
+let try_get t =
+  let r = Cqueue.pop t.buf in
+  if Option.is_some r then ignore (Waitq.wake_one t.writers);
+  r
 
 let rec get t =
-  match Eden_util.Ring.pop t.ring with
-  | Some x ->
-      ignore (Waitq.wake_one t.writers);
-      x
+  match try_get t with
+  | Some x -> x
   | None ->
       Waitq.park t.readers;
       get t
-
-let try_get t =
-  match Eden_util.Ring.pop t.ring with
-  | Some x ->
-      ignore (Waitq.wake_one t.writers);
-      Some x
-  | None -> None
-
-let length t = Eden_util.Ring.length t.ring
-let capacity t = Eden_util.Ring.capacity t.ring
-let is_empty t = Eden_util.Ring.is_empty t.ring
-let is_full t = Eden_util.Ring.is_full t.ring

@@ -2,9 +2,11 @@
 
     A flat replacement for [Stdlib.Queue] on hot paths: one contiguous
     array, no per-element cons cells, amortised O(1) push/pop.  The
-    scheduler's run queue and Eject mailboxes sit on this, so a node
-    with many runnable fibers costs the GC one array instead of a
-    linked spine per enqueue. *)
+    scheduler's run queue and [Window]'s retained items sit on this, so
+    a node with many runnable fibers costs the GC one array instead of
+    a linked spine per enqueue.  [Chan]'s bounded buffer and Obs's span
+    store hold one at the capacity they were created with, so it never
+    grows. *)
 
 type 'a t
 

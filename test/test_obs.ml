@@ -2,7 +2,6 @@
 
 open Eden_kernel
 module Obs = Eden_obs.Obs
-module Ring = Eden_util.Ring
 module T = Eden_transput
 module Topo = Eden_par.Topo
 
@@ -155,18 +154,6 @@ let test_histogram_rejects_bad_config () =
     (Invalid_argument "Obs.Histogram.create: growth must be > 1") (fun () ->
       ignore (Obs.Histogram.create ~growth:1.0 ()))
 
-(* --- Ring.push_force -------------------------------------------------- *)
-
-let test_ring_push_force () =
-  let r = Ring.create ~capacity:3 in
-  check (Alcotest.option Alcotest.int) "no eviction" None (Ring.push_force r 1);
-  check (Alcotest.option Alcotest.int) "no eviction" None (Ring.push_force r 2);
-  check (Alcotest.option Alcotest.int) "no eviction" None (Ring.push_force r 3);
-  check (Alcotest.option Alcotest.int) "evicts oldest" (Some 1) (Ring.push_force r 4);
-  check (Alcotest.option Alcotest.int) "evicts oldest" (Some 2) (Ring.push_force r 5);
-  check (Alcotest.list Alcotest.int) "newest 3 retained, in order" [ 3; 4; 5 ]
-    (Ring.to_list r)
-
 (* --- Spans ------------------------------------------------------------ *)
 
 let test_span_begin_end () =
@@ -203,7 +190,10 @@ let test_span_ring_overflow () =
     (List.map (fun s -> s.Obs.Span.name) (Obs.spans obs));
   Obs.clear_spans obs;
   check Alcotest.int "cleared" 0 (Obs.span_count obs);
-  check Alcotest.int "dropped reset" 0 (Obs.dropped_spans obs)
+  check Alcotest.int "dropped reset" 0 (Obs.dropped_spans obs);
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Obs.create: span_capacity must be positive") (fun () ->
+      ignore (Obs.create ~span_capacity:0 ()))
 
 let test_spans_disabled_are_free () =
   let obs = Obs.create () in
@@ -337,7 +327,6 @@ let suite =
     ("histogram: single value is exact", `Quick, test_histogram_single_value);
     ("histogram: percentiles bounded+monotone", `Quick, test_histogram_percentiles_bounded_and_monotone);
     ("histogram: rejects bad config", `Quick, test_histogram_rejects_bad_config);
-    ("ring: push_force evicts oldest", `Quick, test_ring_push_force);
     ("span: begin/end and parent edge", `Quick, test_span_begin_end);
     ("span: ring overflow counts drops", `Quick, test_span_ring_overflow);
     ("span: disabled collector records nothing", `Quick, test_spans_disabled_are_free);

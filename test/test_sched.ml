@@ -548,6 +548,8 @@ let test_chan_backpressure () =
   check Alcotest.(list int) "all delivered in order" [ 1; 2; 3; 4; 5 ] (List.rev !consumed)
 
 let test_chan_try_ops () =
+  Alcotest.check_raises "capacity 0" (Invalid_argument "Chan.create: capacity must be positive")
+    (fun () -> ignore (Chan.create ~capacity:0));
   let ch = Chan.create ~capacity:1 in
   Alcotest.(check bool) "try_put ok" true (Chan.try_put ch 1);
   Alcotest.(check bool) "try_put full" false (Chan.try_put ch 2);

@@ -135,71 +135,6 @@ let test_prng_exponential_positive () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Ring                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring_fifo () =
-  let r = Ring.create ~capacity:3 in
-  Alcotest.(check bool) "push a" true (Ring.push r "a");
-  Alcotest.(check bool) "push b" true (Ring.push r "b");
-  check Alcotest.(option string) "pop a" (Some "a") (Ring.pop r);
-  Alcotest.(check bool) "push c" true (Ring.push r "c");
-  Alcotest.(check bool) "push d" true (Ring.push r "d");
-  Alcotest.(check bool) "full rejects" false (Ring.push r "e");
-  check Alcotest.(list string) "order" [ "b"; "c"; "d" ] (Ring.to_list r)
-
-let test_ring_wraparound () =
-  let r = Ring.create ~capacity:2 in
-  for i = 1 to 10 do
-    Ring.push_exn r i;
-    check Alcotest.int "pop returns i" i (Ring.pop_exn r)
-  done;
-  Alcotest.(check bool) "empty at end" true (Ring.is_empty r)
-
-let test_ring_peek_clear () =
-  let r = Ring.create ~capacity:4 in
-  check Alcotest.(option int) "peek empty" None (Ring.peek r);
-  Ring.push_exn r 1;
-  Ring.push_exn r 2;
-  check Alcotest.(option int) "peek oldest" (Some 1) (Ring.peek r);
-  check Alcotest.int "peek does not remove" 2 (Ring.length r);
-  Ring.clear r;
-  Alcotest.(check bool) "cleared" true (Ring.is_empty r);
-  check Alcotest.(option int) "pop after clear" None (Ring.pop r)
-
-let test_ring_errors () =
-  Alcotest.check_raises "capacity 0" (Invalid_argument "Ring.create: capacity must be positive")
-    (fun () -> ignore (Ring.create ~capacity:0));
-  let r = Ring.create ~capacity:1 in
-  Alcotest.check_raises "pop empty" (Failure "Ring.pop_exn: empty") (fun () ->
-      ignore (Ring.pop_exn r));
-  Ring.push_exn r 0;
-  Alcotest.check_raises "push full" (Failure "Ring.push_exn: full") (fun () -> Ring.push_exn r 1)
-
-let prop_ring_model =
-  (* Ring behaves like a bounded FIFO queue model. *)
-  prop "ring = bounded queue model"
-    QCheck2.Gen.(pair (int_range 1 8) (small_list (int_bound 1)))
-    (fun (cap, ops) ->
-      let r = Ring.create ~capacity:cap in
-      let model = Queue.create () in
-      List.iteri
-        (fun i op ->
-          if op = 0 then begin
-            let accepted = Ring.push r i in
-            let model_accepts = Queue.length model < cap in
-            if accepted <> model_accepts then QCheck2.Test.fail_report "push disagreement";
-            if accepted then Queue.push i model
-          end
-          else begin
-            let got = Ring.pop r in
-            let expect = Queue.take_opt model in
-            if got <> expect then QCheck2.Test.fail_report "pop disagreement"
-          end)
-        ops;
-      Ring.to_list r = List.of_seq (Queue.to_seq model))
-
-(* ------------------------------------------------------------------ *)
 (* Table                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -295,10 +230,6 @@ let suite =
     ("prng invalid args", `Quick, test_prng_invalid);
     ("prng shuffle permutes", `Quick, test_prng_shuffle_permutes);
     ("prng exponential positive", `Quick, test_prng_exponential_positive);
-    ("ring fifo", `Quick, test_ring_fifo);
-    ("ring wraparound", `Quick, test_ring_wraparound);
-    ("ring peek/clear", `Quick, test_ring_peek_clear);
-    ("ring errors", `Quick, test_ring_errors);
     ("table render", `Quick, test_table_render);
     ("table row width", `Quick, test_table_row_width);
     ("table cells", `Quick, test_table_cells);
@@ -310,7 +241,6 @@ let suite =
     ("text expand_tabs", `Quick, test_expand_tabs);
     ("text words", `Quick, test_words);
     ("text padding", `Quick, test_padding);
-    prop_ring_model;
     prop_lines_roundtrip;
     prop_chunks_concat;
   ]

@@ -590,16 +590,30 @@ let authenticated tr =
     Cluster.Wire
       { Cluster.wire_transport = tr; wire_faults = None; wire_auth = Some (community ()) } )
 
+(* Every meter counter a leaf's Stats frame carries but the two drop
+   buckets, which [dropped] sums. *)
+let meter_counters (m : Kernel.Meter.snapshot) =
+  let n = m.net in
+  [
+    ("invocations", m.invocations); ("replies", m.replies); ("activations", m.activations);
+    ("Ejects created", m.ejects_created); ("Ejects live", m.ejects_live);
+    ("crashes", m.crashes); ("timeouts", m.timeouts); ("net sent", n.Net.sent);
+    ("net delivered", n.delivered); ("net dropped", n.dropped); ("net bytes", n.bytes);
+  ]
+
 (* Each wire run against the deterministic oracle: byte-identical sink
-   streams, equal op counts, invocations and cross-shard messages. *)
+   streams, equal op counts, meter counters, per-stage flows and
+   cross-shard messages.  Makespans depend on timing and stay out. *)
 let matches_oracle tag (oracle : Topo.outcome) (o : Topo.outcome) =
   check Alcotest.bool (tag ^ ": eos clean") true o.eos_clean;
   check
     Alcotest.(list (pair string string))
     (tag ^ ": byte-identical streams") oracle.sinks o.sinks;
   check Alcotest.(list (pair string int)) (tag ^ ": op counts") oracle.op_counts o.op_counts;
-  check Alcotest.int (tag ^ ": invocations") oracle.meter.Kernel.Meter.invocations
-    o.meter.Kernel.Meter.invocations;
+  List.iter2
+    (fun (name, want) (_, got) -> check Alcotest.int (tag ^ ": " ^ name) want got)
+    (meter_counters oracle.meter) (meter_counters o.meter);
+  check Alcotest.(list (triple string int int)) (tag ^ ": flows") oracle.flows o.flows;
   check Alcotest.int (tag ^ ": cross messages") oracle.cross_messages o.cross_messages
 
 let equivalence_fanin ~domains modes =
@@ -963,6 +977,31 @@ let test_faults_hub_egress_only () =
     (Faults.remaining faults);
   check Alcotest.int "every offered frame delivered" m (Faults.meter faults).Net.delivered
 
+(* The hub counts a data frame as sent before its fault injector sees
+   it: a 2-shard run whose one Request the script loses still
+   terminates, with that frame counted once and charged to loss. *)
+let test_faults_dropped_frame_counts () =
+  let faults = Faults.of_script [ Faults.Lose ] in
+  let c =
+    Cluster.create
+      (Cluster.Wire
+         {
+           Cluster.wire_transport = Transport.Unix_socket;
+           wire_faults = Some faults;
+           wire_auth = None;
+         })
+      ~shards:2 ()
+  in
+  let echo =
+    Kernel.create_eject (Cluster.kernel c 1) ~type_name:"echo" (fun _ ~passive:_ ->
+        [ ("Echo", fun v -> v) ])
+  in
+  let to_echo = Cluster.proxy c ~shard:0 ~ops:[ "Echo" ] ~target:(1, echo) in
+  Cluster.driver c 0 (fun ctx -> ignore (Kernel.invoke ctx to_echo ~op:"Echo" (Value.Int 1)));
+  Cluster.run c;
+  check Alcotest.int "the lost Request crossed once" 1 (Cluster.cross_messages c);
+  check Alcotest.int "charged to loss" 1 (Faults.meter faults).Net.dropped_loss
+
 (* Every leaf-to-leaf link of a 5-shard run has its own token: a frame
    sealed on one link fails the MAC on every other link and on every
    hub socket. *)
@@ -1045,6 +1084,8 @@ let suite =
       `Quick test_dead_leaf_cleanup;
     Alcotest.test_case "faults: only frames the hub sends consume the script" `Quick
       test_faults_hub_egress_only;
+    Alcotest.test_case "faults: a frame the hub drops still counts as sent" `Quick
+      test_faults_dropped_frame_counts;
     Alcotest.test_case "link tokens: a frame sealed for one link is refused on the others"
       `Quick test_link_tokens_distinct;
     Alcotest.test_case "wire run: no process listens" `Quick test_wire_no_listener;
