@@ -46,13 +46,21 @@ type shard = {
   mutable next_req : int;
   mutable sent : int;
   mutable ctx : Kernel.ctx option;
+  (* In the wire process that serves the shard ([serve] sets them): its
+     sockets, its [select] wake-ups and the Idle frames it sent. *)
+  mutable conns : Conn.t list;
+  mutable wakeups : int;
+  mutable idles : int;
 }
 
+type wire_counts = { wakeups : int; reads : int; writes : int; idles : int }
+
 (* What one shard did in a run: its meter, op counts, flows, final
-   virtual time, the Requests and Replies it sent, and its first fiber
-   failure.  [result_of] reads it from the shard's own kernel, and a
-   wire leaf sends exactly this record in its [Stats] frame.
-   Histograms are deliberately absent: wall-clock timing makes them
+   virtual time, the Requests and Replies it sent, its first fiber
+   failure and the traffic of the wire process that served it.
+   [result_of] reads it from the shard's own kernel, and a wire leaf
+   sends exactly this record in its [Stats] frame.  Histograms are
+   deliberately absent: wall-clock timing makes them
    transport-dependent, so wire-mode histograms cover the hub shard
    only. *)
 type result = {
@@ -62,6 +70,7 @@ type result = {
   makespan : float;
   sent : int;
   failure : string option;
+  wire : wire_counts;
 }
 
 (* This process's end of one socket in wire mode: the hub's to a leaf, a
@@ -78,17 +87,21 @@ type peer = {
 }
 
 (* Hub (shard 0, the parent process): one socket to every leaf, and the
-   counts each leaf gave in its latest Idle — [told_sent.(i).(j)] and
+   counts each leaf gave in its latest report — [told_sent.(i).(j)] and
    [told_taken.(i).(j)] are what leaf [i] had sent to and taken from
    shard [j].  The termination rule reads them with the hub's own
-   counters (see [balanced]). *)
+   counters (see [balanced]).  A report answers a probe: a wave is the
+   probe the hub sends every leaf under one 32-bit epoch, open until
+   each leaf has answered it. *)
 type hub = {
   hpeers : peer array; (* leaves 1 .. n-1, in order *)
   hfaults : Faults.t option;
-  told : bool array;
+  answered : int array; (* epoch of each leaf's latest report; -1 before its first *)
   told_sent : int array array;
   told_taken : int array array;
   reports : result option array; (* each leaf's, once its Stats arrives *)
+  mutable epoch : int; (* the latest wave's *)
+  mutable awaiting : int; (* leaves yet to answer it; 0: no wave open *)
   mutable stopping : bool; (* Shutdown sent *)
 }
 
@@ -96,7 +109,7 @@ type hub = {
    other leaf's index. *)
 type leaf = {
   lpeers : peer option array;
-  mutable last_idle : string; (* payload of the latest Idle sent *)
+  mutable probe : int; (* epoch of the probe to answer at the next block; -1: none *)
   mutable shutdown : bool;
 }
 
@@ -147,6 +160,9 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
           next_req = 0;
           sent = 0;
           ctx = None;
+          conns = [];
+          wakeups = 0;
+          idles = 0;
         })
   in
   let t =
@@ -200,6 +216,13 @@ let result_of (sh : shard) =
       (match Sched.check_failures (Kernel.sched k) with
       | () -> None
       | exception Failure m -> Some m);
+    wire =
+      {
+        wakeups = sh.wakeups;
+        reads = List.fold_left (fun a c -> a + Conn.reads c) 0 sh.conns;
+        writes = List.fold_left (fun a c -> a + Conn.writes c) 0 sh.conns;
+        idles = sh.idles;
+      };
   }
 
 (* --- Wire framing ---------------------------------------------------- *)
@@ -275,12 +298,18 @@ let stats_payload r =
          Value.Float r.makespan;
          Value.Int r.sent;
          Value.List (Option.to_list (Option.map (fun m -> Value.Str m) r.failure));
+         Value.List
+           [ Value.Int r.wire.wakeups; Value.Int r.wire.reads; Value.Int r.wire.writes;
+             Value.Int r.wire.idles ];
        ])
 
 let parse_stats payload =
   match Bin.decode payload with
   | Value.List
-      [ meter; Value.List ops; Value.List flows; Value.Float makespan; Value.Int sent; failure ] ->
+      [
+        meter; Value.List ops; Value.List flows; Value.Float makespan; Value.Int sent; failure;
+        Value.List [ Value.Int wakeups; Value.Int reads; Value.Int writes; Value.Int idles ];
+      ] ->
       {
         meter = meter_of_value meter;
         ops =
@@ -302,6 +331,7 @@ let parse_stats payload =
           | Value.List [] -> None
           | Value.List [ Value.Str m ] -> Some m
           | v -> perr "malformed failure %s" (Value.preview v));
+        wire = { wakeups; reads; writes; idles };
       }
   | v -> perr "malformed stats %s" (Value.preview v)
 
@@ -502,8 +532,8 @@ let det_loop t =
    slice that leaves output queued while other fibers can still run
    sends it at once — the rest of the turn may be long (a filter working
    through a 64 KiB chunk), and a Deposit reply should not wait for it.
-   What the last slice queues waits for [serve]'s flush, so a turn's
-   Request to the hub shares one write with the Idle that follows it. *)
+   What the last slice queues waits for [serve]'s flush, so the frames a
+   turn ends with share one write. *)
 let pump sched ~flush =
   while Sched.step sched do
     if Sched.runnable sched > 0 then flush ()
@@ -533,9 +563,13 @@ let take_data t sh p f =
    frame a wake-up brings in goes to [handle] before the scheduler runs
    again.  A peer that closes at a frame boundary goes to [closed] and
    leaves the wait set; a close inside a frame is a [Protocol_error]
-   ([Conn.fill]). *)
-let serve sh peers ~timeout ~stop ~before_block ~handle ~closed =
+   ([Conn.fill]).  [wait quiet] bounds each [select] (negative: no
+   bound), where [quiet] is the time the process has spent in [select]
+   since a socket last woke it; a [select] that times out passes the
+   new [quiet] to [silent]. *)
+let serve sh peers ~wait ~silent ~stop ~before_block ~handle ~closed =
   let sched = Kernel.sched sh.kernel in
+  sh.conns <- List.map (fun p -> p.conn) peers;
   let by_fd = Hashtbl.create 8 in
   List.iter (fun p -> Hashtbl.replace by_fd (Conn.fd p.conn) p) peers;
   let reading = ref (List.map (fun p -> Conn.fd p.conn) peers) in
@@ -549,7 +583,7 @@ let serve sh peers ~timeout ~stop ~before_block ~handle ~closed =
         drain p
     | None -> ()
   in
-  let rec loop () =
+  let rec loop quiet =
     pump sched ~flush:flush_all;
     before_block ();
     flush_all ();
@@ -559,11 +593,14 @@ let serve sh peers ~timeout ~stop ~before_block ~handle ~closed =
           (fun p -> if Conn.pending p.conn > 0 then Some (Conn.fd p.conn) else None)
           peers
       in
-      (match Unix.select !reading writing [] timeout with
+      let timeout = wait quiet in
+      let ready = Unix.select !reading writing [] timeout in
+      sh.wakeups <- sh.wakeups + 1;
+      match ready with
       | [], [], _ ->
-          failwith
-            (Printf.sprintf "Cluster: wire shard %d saw no traffic for %.0fs — leaf stalled?"
-               sh.index timeout)
+          let quiet = quiet +. timeout in
+          silent quiet;
+          loop quiet
       | ready, writable, _ ->
           List.iter (fun fd -> Conn.flush (Hashtbl.find by_fd fd).conn) writable;
           List.iter
@@ -574,15 +611,15 @@ let serve sh peers ~timeout ~stop ~before_block ~handle ~closed =
               | exception End_of_file ->
                   reading := List.filter (fun r -> r <> fd) !reading;
                   closed p)
-            ready);
-      loop ()
+            ready;
+          loop 0.0
     end
   in
-  loop ()
+  loop 0.0
 
-(* An Idle frame's payload: for each of the leaf's sockets, the shard at
-   the other end (u8), then the data frames sent to it and taken from it
-   (i64 each). *)
+(* An Idle frame's payload from a leaf: for each of its sockets, the
+   shard at the other end (u8), then the data frames sent to it and
+   taken from it (i64 each).  The hub's probe has an empty payload. *)
 let idle_entry = 17
 
 let idle_payload peers =
@@ -597,30 +634,29 @@ let idle_payload peers =
   Bytes.unsafe_to_string b
 
 (* Leaf process: serve until the hub's Shutdown, answer it with a Stats
-   frame, and return once that is written.  About to block with counts
-   that changed since its last Idle, a leaf queues a new Idle on its hub
-   socket, where it shares a write with whatever else is queued there.
-   A link whose peer closed at a frame boundary has shut down: that peer
-   got its Shutdown first. *)
+   frame, and return once that is written.  A leaf reports only when
+   probed: the hub's Idle arms it with the wave's epoch, and the next
+   time it is about to block it queues one Idle with that epoch and its
+   counts on its hub socket.  A link whose peer closed at a frame
+   boundary has shut down: that peer got its Shutdown first. *)
 let leaf_loop t sh l =
   (* The hub socket last: a flush writes the link frames that other
-     leaves wait for before the Idle that only feeds termination. *)
+     leaves wait for before the report that only feeds termination. *)
   let hub = Option.get l.lpeers.(0) in
   let peers = List.filter_map Fun.id (Array.to_list l.lpeers) in
   let peers = List.filter (fun p -> p.shard <> 0) peers @ [ hub ] in
   let before_block () =
-    if not l.shutdown then begin
-      let report = idle_payload peers in
-      if not (String.equal report l.last_idle) then begin
-        Conn.send ?session:hub.session hub.conn
-          (Frame.make ~kind:Frame.Idle ~src:sh.index ~dst:0 report);
-        l.last_idle <- report
-      end
+    if l.probe >= 0 && not l.shutdown then begin
+      Conn.send ?session:hub.session hub.conn
+        (Frame.make ~kind:Frame.Idle ~src:sh.index ~dst:0 ~seq:l.probe (idle_payload peers));
+      sh.idles <- sh.idles + 1;
+      l.probe <- -1
     end
   in
   let handle p f =
     match f.Frame.hdr.kind with
     | Frame.Request | Frame.Reply -> take_data t sh p f
+    | Frame.Idle when p.shard = 0 && f.Frame.payload = "" -> l.probe <- f.Frame.hdr.seq
     | Frame.Shutdown when p.shard = 0 ->
         l.shutdown <- true;
         Conn.send ?session:hub.session hub.conn
@@ -628,7 +664,9 @@ let leaf_loop t sh l =
     | k -> perr "leaf %d: unexpected %s frame from shard %d" sh.index (Frame.kind_name k) p.shard
   in
   let closed p = if p.shard = 0 then perr "leaf %d: the hub closed its socket" sh.index in
-  serve sh peers ~timeout:(-1.0)
+  serve sh peers
+    ~wait:(fun _ -> -1.0)
+    ~silent:ignore
     ~stop:(fun () -> l.shutdown && List.for_all (fun p -> Conn.pending p.conn = 0) peers)
     ~before_block ~handle ~closed
 
@@ -636,15 +674,16 @@ let leaf_loop t sh l =
    frame it has read handled — and every directed socket balances: its
    sender's count of data frames sent equals its receiver's count taken.
    The hub reads its own counters for its sockets and each leaf's latest
-   Idle for the rest.  Each socket is FIFO and every Idle reports a
-   leaf about to block, so equal counts mean no frame crosses the cut of
-   those reports in either direction: a consistent global state in which
-   every process is idle and nothing is in flight (DESIGN.md §13). *)
+   report for the rest.  Each socket is FIFO and every report comes from
+   a leaf about to block, so equal counts mean no frame crosses the cut
+   of those reports in either direction: a consistent global state in
+   which every process is idle and nothing is in flight (DESIGN.md §13).
+   The reports need not come from one wave. *)
 let balanced t h =
   Array.for_all
     (fun p ->
       let i = p.shard in
-      h.told.(i) && p.sent = h.told_taken.(i).(0) && h.told_sent.(i).(0) = p.taken)
+      h.answered.(i) >= 0 && p.sent = h.told_taken.(i).(0) && h.told_sent.(i).(0) = p.taken)
     h.hpeers
   && List.for_all
        (fun (a, b) ->
@@ -652,37 +691,81 @@ let balanced t h =
          && h.told_sent.(b).(a) = h.told_taken.(a).(b))
        t.links
 
-let take_idle h ~n p payload =
+(* A leaf's answer to the open wave.  A report for any other epoch, or
+   a second one for this, is a protocol error: a leaf reports only when
+   probed, once per probe. *)
+let take_idle h ~n p f =
+  let i = p.shard and payload = f.Frame.payload in
+  if f.Frame.hdr.seq <> h.epoch || h.answered.(i) = h.epoch then
+    perr "hub: shard %d reports for epoch %d, not the open wave's" i f.Frame.hdr.seq;
   let len = String.length payload in
-  if len mod idle_entry <> 0 then perr "hub: %d-byte idle from shard %d" len p.shard;
+  if len mod idle_entry <> 0 then perr "hub: %d-byte idle from shard %d" len i;
   for k = 0 to (len / idle_entry) - 1 do
     let at = k * idle_entry in
     let j = String.get_uint8 payload at in
-    if j >= n || j = p.shard then perr "hub: idle from shard %d counts shard %d" p.shard j;
-    h.told_sent.(p.shard).(j) <- Int64.to_int (String.get_int64_be payload (at + 1));
-    h.told_taken.(p.shard).(j) <- Int64.to_int (String.get_int64_be payload (at + 9))
+    if j >= n || j = i then perr "hub: idle from shard %d counts shard %d" i j;
+    h.told_sent.(i).(j) <- Int64.to_int (String.get_int64_be payload (at + 1));
+    h.told_taken.(i).(j) <- Int64.to_int (String.get_int64_be payload (at + 9))
   done;
-  h.told.(p.shard) <- true
+  h.answered.(i) <- h.epoch;
+  h.awaiting <- h.awaiting - 1
+
+(* While a Request of the hub's own awaits its reply the run cannot have
+   terminated, so the hub probes then only after this long without a
+   frame: long enough that a reply in flight does not cost a wave, short
+   enough to end a run whose Request will never be answered (dropped by
+   the fault injector, its handler raised, or a wait-for cycle). *)
+let probe_silence = 0.010
+
+(* Silence, summed over the hub's waits since a socket last woke it,
+   that fails the run. *)
+let stall_silence = 30.0
 
 exception Leaf_closed of int
 
 (* Hub: serve until the cluster terminates, then send every leaf
    Shutdown and serve until each has answered with its Stats.  A leaf
-   that closes its socket before its Stats has died. *)
+   that closes its socket before its Stats has died.  About to block,
+   the hub starts a wave when none is open, the latest reports do not
+   balance and nothing it sent awaits a reply; with a Request of its
+   own outstanding it starts one after [probe_silence] instead. *)
 let hub_loop t h =
   let n = Array.length t.shards in
   let sh0 = t.shards.(0) in
+  let peers = Array.to_list h.hpeers in
+  let may_probe () = h.awaiting = 0 && (not h.stopping) && not (balanced t h) in
+  let probe () =
+    h.epoch <- (h.epoch + 1) land 0xFFFF_FFFF;
+    h.awaiting <- Array.length h.hpeers;
+    List.iter
+      (fun p ->
+        Conn.send ?session:p.session p.conn
+          (Frame.make ~kind:Frame.Idle ~src:0 ~dst:p.shard ~seq:h.epoch ""))
+      peers;
+    sh0.idles <- sh0.idles + h.awaiting
+  in
+  let before_block () = if Hashtbl.length sh0.pending = 0 && may_probe () then probe () in
+  let wait quiet =
+    let left = stall_silence -. quiet in
+    if may_probe () then Float.min probe_silence left else left
+  in
+  let silent quiet =
+    if quiet >= stall_silence then
+      failwith
+        (Printf.sprintf "Cluster: wire shard %d saw no traffic for %.0fs — leaf stalled?"
+           sh0.index stall_silence);
+    if may_probe () then probe ()
+  in
   let handle p f =
     match f.Frame.hdr.kind with
     | Frame.Request | Frame.Reply -> take_data t sh0 p f
-    | Frame.Idle -> take_idle h ~n p f.Frame.payload
+    | Frame.Idle -> take_idle h ~n p f
     | Frame.Stats when h.stopping && h.reports.(p.shard) = None ->
         h.reports.(p.shard) <- Some (parse_stats f.Frame.payload)
     | k -> perr "hub: unexpected %s frame from shard %d" (Frame.kind_name k) p.shard
   in
   let closed p = if h.reports.(p.shard) = None then raise (Leaf_closed p.shard) in
-  let peers = Array.to_list h.hpeers in
-  let serve stop = serve sh0 peers ~timeout:30.0 ~stop ~before_block:ignore ~handle ~closed in
+  let serve stop = serve sh0 peers ~wait ~silent ~stop ~before_block ~handle ~closed in
   serve (fun () -> balanced t h);
   h.stopping <- true;
   List.iter
@@ -790,7 +873,7 @@ let wire_run t cfg =
             try
               let lpeers = Array.make n None in
               List.iter (fun p -> lpeers.(p.shard) <- Some p) (own i ~drop:Unix.close);
-              let l = { lpeers; last_idle = ""; shutdown = false } in
+              let l = { lpeers; probe = -1; shutdown = false } in
               t.fabric <- Leaf l;
               leaf_loop t t.shards.(i) l;
               (* _exit: skip at_exit handlers (test-runner reporting,
@@ -805,10 +888,12 @@ let wire_run t cfg =
         {
           hpeers = Array.of_list (own 0 ~drop:(fun fd -> close_held [ fd ]));
           hfaults = cfg.wire_faults;
-          told = Array.make n false;
+          answered = Array.make n (-1);
           told_sent = Array.make_matrix n n 0;
           told_taken = Array.make_matrix n n 0;
           reports = Array.make n None;
+          epoch = -1;
+          awaiting = 0;
           stopping = false;
         }
       in
@@ -879,6 +964,22 @@ let results t =
   Array.map (fun sh -> match report t sh with Some r -> r | None -> result_of sh) t.shards
 
 let cross_messages t = Array.fold_left (fun a (r : result) -> a + r.sent) 0 (results t)
+
+let wire_counts ?shard t =
+  let rs = results t in
+  match shard with
+  | Some i -> rs.(i).wire
+  | None ->
+      Array.fold_left
+        (fun a r ->
+          {
+            wakeups = a.wakeups + r.wire.wakeups;
+            reads = a.reads + r.wire.reads;
+            writes = a.writes + r.wire.writes;
+            idles = a.idles + r.wire.idles;
+          })
+        { wakeups = 0; reads = 0; writes = 0; idles = 0 }
+        rs
 
 let meter t =
   Array.fold_left (fun acc r -> Kernel.Meter.add acc r.meter) Kernel.Meter.zero (results t)

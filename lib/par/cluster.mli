@@ -130,25 +130,34 @@ val run : t -> unit
     and its exit status, after the hub has closed every socket and
     reaped every leaf.  May be called once.
 
-    Wire termination: a leaf about to block whose counts changed since
-    its last report sends the hub an [Idle] with, for each of its
+    Wire termination: a leaf reports only when probed.  About to block,
+    the hub sends every leaf a probe — an [Idle] whose [seq] is the
+    wave's epoch — when no wave is open, the latest reports do not
+    balance yet and no Request of its own awaits a reply; with such a
+    Request outstanding it probes only after 10 ms in which no frame
+    arrived.  A probed leaf answers the next time it is about to block,
+    once, with an [Idle] carrying the epoch and, for each of its
     sockets, the data frames it has sent and taken.  The hub stops when
     it is idle itself and every directed socket balances — its sender's
     count equals its receiver's, read from the latest reports and the
     hub's own counters.  Each socket is FIFO and every report comes from
     a leaf about to block, so equal counts mean no frame crosses the cut
     of those reports in either direction: the cut is a global state in
-    which every process is idle and nothing is in flight.  Frames eaten
-    by fault injection never reach a socket and are in no socket's
-    count, so a faulted run still terminates (the requesting fiber
-    stays blocked, exactly like simulated loss without
-    retransmission). *)
+    which every process is idle and nothing is in flight.  Once that
+    holds, the next wave balances: the hub probes at once, or after the
+    10 ms when its Request will never be answered, and every leaf,
+    blocked on its hub socket, wakes for the probe and answers.  Frames
+    eaten by fault injection never reach a socket and are in no
+    socket's count, so a faulted run still terminates (the requesting
+    fiber stays blocked, exactly like simulated loss without
+    retransmission).  The run fails when the hub has waited 30 s with
+    no frame. *)
 
 (** {1 Results}
 
     Every accessor below but {!histograms} folds one per-shard record
-    of the same fields in every mode: meter, op counts, flows, makespan
-    and the messages the shard sent.  A shard whose kernel lives in the
+    of the same fields in every mode: meter, op counts, flows, makespan,
+    the messages the shard sent and its wire counters.  A shard whose kernel lives in the
     calling process reads its record from that kernel when an accessor
     asks.  In [Wire] mode (after {!run}) each leaf process sends the
     same record over its socket at shutdown, and the accessors read that
@@ -180,3 +189,16 @@ val cross_messages : t -> int
     of the messages each shard sent, each counted once by its sender.
     In [Wire] mode these are data frames, counted before the hub's fault
     injection, so a frame the hub drops still counts. *)
+
+type wire_counts = {
+  wakeups : int;  (** returns from [select] *)
+  reads : int;  (** [read] calls on the process's sockets *)
+  writes : int;  (** [write] calls on them, refused ones included *)
+  idles : int;  (** [Idle] frames sent: a leaf's reports, the hub's probes *)
+}
+(** The traffic of the process that served a shard in [Wire] mode; a
+    shard served in process counts 0.  A leaf's counts stop when it
+    answers the hub's [Shutdown]. *)
+
+val wire_counts : ?shard:int -> t -> wire_counts
+(** Summed over the shards, or shard [shard]'s own. *)

@@ -35,7 +35,6 @@ let pop t =
   end
 
 let pop_exn t = match pop t with Some x -> x | None -> invalid_arg "Cqueue.pop_exn: empty"
-let peek t = if t.len = 0 then None else t.data.(t.head)
 
 let clear t =
   let cap = Array.length t.data in

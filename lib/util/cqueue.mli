@@ -16,7 +16,6 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
-val peek : 'a t -> 'a option
 val clear : 'a t -> unit
 
 val iter : ('a -> unit) -> 'a t -> unit

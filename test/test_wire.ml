@@ -1033,6 +1033,155 @@ let test_link_tokens_distinct () =
             Auth.open_ (Auth.session c ~token:tok) sealed))
     sockets
 
+(* --- Termination on the wire -------------------------------------------- *)
+
+(* The F2 read-only chain over [lines] lines, one line per Transfer: a
+   lazy source on shard 1, trim/upcase/rot13 on shards 2, 1 and 2, and a
+   pumping sink on the hub, so every hop crosses a socket.  Returns the
+   lines the sink read and the cluster. *)
+let f2_lines mode ~lines =
+  let module T = Eden_transput in
+  let module Cat = Eden_filters.Catalog in
+  let legacy = Eden_flowctl.Flowctl.legacy in
+  let c = Cluster.create mode ~shards:3 () in
+  let next = ref 0 in
+  let src =
+    T.Stage.source_ro (Cluster.kernel c 1) ~name:"source" ~capacity:0 (fun () ->
+        if !next >= lines then None
+        else begin
+          incr next;
+          Some (Value.Str (Printf.sprintf "Line %04d of the Stream \t " !next))
+        end)
+  in
+  let _, last =
+    List.fold_left
+      (fun (shard, prev) (name, f) ->
+        let upstream = Cluster.proxy c ~shard ~ops:[ T.Proto.transfer_op ] ~target:prev in
+        let uid =
+          T.Stage.filter_ro (Cluster.kernel c shard) ~name ~capacity:0 ~flowctl:legacy ~upstream f
+        in
+        (3 - shard, (shard, uid)))
+      (2, (1, src))
+      [ ("trim", Cat.trim_trailing); ("upcase", Cat.upcase); ("rot13", Cat.rot13) ]
+  in
+  let k0 = Cluster.kernel c 0 in
+  let out = ref [] in
+  let sink =
+    T.Stage.sink_ro k0 ~name:"sink" ~flowctl:legacy
+      ~upstream:(Cluster.proxy c ~shard:0 ~ops:[ T.Proto.transfer_op ] ~target:last)
+      (fun v -> out := Value.to_str v :: !out)
+  in
+  Kernel.poke k0 sink;
+  Cluster.run c;
+  (List.rev !out, c)
+
+(* Leaves report only when probed, and the hub probes only when it could
+   be finished.  The F2 sink almost always has a Transfer outstanding,
+   so termination costs a wave at the end of the run, not frames per
+   line: the hub wakes about once per line, for its reply. *)
+let test_wire_counters_f2 () =
+  let lines = 2000 in
+  let oracle, det = f2_lines Cluster.Deterministic ~lines in
+  check Alcotest.int "oracle: every line" lines (List.length oracle);
+  let none = Cluster.wire_counts det in
+  check Alcotest.(list int) "in process: every counter 0" [ 0; 0; 0; 0 ]
+    [ none.wakeups; none.reads; none.writes; none.idles ];
+  let got, c = f2_lines (wire Transport.Unix_socket) ~lines in
+  check Alcotest.(list string) "wire stream = oracle" oracle got;
+  let all = Cluster.wire_counts c and hub = Cluster.wire_counts ~shard:0 c in
+  let per_line n = float_of_int n /. float_of_int lines in
+  let reports = all.idles - hub.idles in
+  if per_line reports >= 0.01 then
+    Alcotest.failf "%d leaf reports for %d lines (%.4f per line)" reports lines (per_line reports);
+  if per_line hub.wakeups > 1.5 then
+    Alcotest.failf "%d hub wake-ups for %d lines (%.2f per line)" hub.wakeups lines
+      (per_line hub.wakeups);
+  check Alcotest.bool "the hub reads at least once per reply" true (hub.reads >= lines);
+  List.iter
+    (fun i ->
+      let l = Cluster.wire_counts ~shard:i c in
+      check Alcotest.bool
+        (Printf.sprintf "leaf %d's counts came with its Stats" i)
+        true
+        (l.wakeups > 0 && l.reads > 0 && l.writes > 0 && l.idles >= 1))
+    [ 1; 2 ]
+
+(* A wait-for cycle: the hub's driver calls shard 1's Serial Eject A,
+   which calls shard 2's B, which calls back into A — busy with the
+   first call, so that Request never runs.  Every process then idles
+   with a Request of the hub's own outstanding; the hub probes after a
+   silence, the wave balances, and the run ends with the driver
+   unanswered. *)
+let test_wire_wait_for_cycle () =
+  let run mode =
+    let c = Cluster.create mode ~shards:3 () in
+    let call ctx uid op v =
+      match Kernel.invoke ctx uid ~op v with Ok r -> r | Error e -> failwith e
+    in
+    let to_b = ref None in
+    let a =
+      Kernel.create_eject (Cluster.kernel c 1) ~dispatch:Kernel.Serial ~type_name:"A"
+        (fun ctx ~passive:_ -> [ ("A", fun v -> call ctx (Option.get !to_b) "B" v) ])
+    in
+    let to_a = Cluster.proxy c ~shard:2 ~ops:[ "A" ] ~target:(1, a) in
+    let b =
+      Kernel.create_eject (Cluster.kernel c 2) ~type_name:"B" (fun ctx ~passive:_ ->
+          [ ("B", fun v -> call ctx to_a "A" v) ])
+    in
+    to_b := Some (Cluster.proxy c ~shard:1 ~ops:[ "B" ] ~target:(2, b));
+    let hub_to_a = Cluster.proxy c ~shard:0 ~ops:[ "A" ] ~target:(1, a) in
+    let answered = ref false in
+    Cluster.driver c 0 (fun ctx ->
+        ignore (call ctx hub_to_a "A" Value.Unit);
+        answered := true);
+    let t0 = Unix.gettimeofday () in
+    Cluster.run c;
+    (!answered, Cluster.cross_messages c, Unix.gettimeofday () -. t0)
+  in
+  let answered, cross, _ = run Cluster.Deterministic in
+  check Alcotest.bool "oracle: the driver is never answered" false answered;
+  check Alcotest.int "oracle: three Requests, no Reply" 3 cross;
+  List.iter
+    (fun (name, mode) ->
+      let answered, wcross, took = run mode in
+      check Alcotest.bool (name ^ ": the driver is never answered") false answered;
+      check Alcotest.int (name ^ ": cross messages") cross wcross;
+      if took >= 5.0 then Alcotest.failf "%s: the cycle took %.1fs to end" name took)
+    transports
+
+(* Two leaves talk and the hub has nothing outstanding: it keeps
+   probing while shard 1's driver makes its Echo calls to shard 2, and
+   no wave may balance before the last reply. *)
+let test_wire_leaf_exchange () =
+  let calls = 300 in
+  let run mode =
+    let c = Cluster.create mode ~shards:3 () in
+    let echo =
+      Kernel.create_eject (Cluster.kernel c 2) ~type_name:"echo" (fun _ ~passive:_ ->
+          [ ("Echo", fun v -> v) ])
+    in
+    let to_echo = Cluster.proxy c ~shard:1 ~ops:[ "Echo" ] ~target:(2, echo) in
+    Cluster.driver c 1 (fun ctx ->
+        for i = 1 to calls do
+          match Kernel.invoke ctx to_echo ~op:"Echo" (Value.Int i) with
+          | Ok (Value.Int j) when j = i -> ()
+          | _ -> failwith (Printf.sprintf "echo %d came back wrong" i)
+        done);
+    Cluster.run c;
+    (Cluster.cross_messages c, Cluster.op_counts c)
+  in
+  let cross, ops = run Cluster.Deterministic in
+  check Alcotest.int "oracle: a Request and a Reply per call" (2 * calls) cross;
+  List.iter
+    (fun (name, mode) ->
+      for r = 1 to 2 do
+        let wcross, wops = run mode in
+        let tag = Printf.sprintf "%s run %d" name r in
+        check Alcotest.int (tag ^ ": cross messages") cross wcross;
+        check Alcotest.(list (pair string int)) (tag ^ ": op counts") ops wops
+      done)
+    transports
+
 let suite =
   [
     Alcotest.test_case "bin: trailing bytes rejected" `Quick test_bin_trailing_garbage;
@@ -1089,4 +1238,11 @@ let suite =
     Alcotest.test_case "link tokens: a frame sealed for one link is refused on the others"
       `Quick test_link_tokens_distinct;
     Alcotest.test_case "wire run: no process listens" `Quick test_wire_no_listener;
+    Alcotest.test_case "wire counters: no Idle per F2 line, a hub wake-up per reply" `Quick
+      test_wire_counters_f2;
+    Alcotest.test_case "a wait-for cycle between two leaves ends" `Quick
+      test_wire_wait_for_cycle;
+    Alcotest.test_case
+      "an exchange between two leaves that the hub takes no part in runs to completion" `Quick
+      test_wire_leaf_exchange;
   ]
