@@ -10,11 +10,14 @@
 
    Ownership is explicit: every handle owns one reference per segment
    on that segment's root, and [release] returns them.  The discipline
-   is deliberately stricter than the GC needs (the Bigarray would be
-   collected anyway) because the accounting is the point: a pipeline
-   that leaks references or frees twice has a protocol bug that the
-   simulator should surface, not paper over.  Double release and use
-   after release raise the typed [Fault] rather than corrupt counts.
+   is deliberately stricter than the GC needs because the accounting is
+   the point: a pipeline that leaks references or frees twice has a
+   protocol bug that the simulator should surface, not paper over.
+   Double release and use after release raise the typed [Fault] rather
+   than corrupt counts.  It also recycles memory: when a root's last
+   reference goes, its buffer goes back to a pool that the next root of
+   its size class takes it from, so a steady stream of chunks runs on
+   the same few buffers instead of faulting in fresh pages.
 
    Refcounts and the global gauges are [Atomic]: chunks cross domains
    by reference in the parallel runtime. *)
@@ -46,7 +49,8 @@ exception Fault of fault * string
 let faulty f fmt =
   Printf.ksprintf (fun m -> raise (Fault (f, fault_name f ^ ": " ^ m))) fmt
 
-type root = { buf : buffer; refs : int Atomic.t; id : int }
+(* [size] is the bytes asked for; a recycled [buf] may be longer. *)
+type root = { buf : buffer; size : int; refs : int Atomic.t }
 
 (* A retained view of one root. *)
 type seg = { root : root; off : int; len : int }
@@ -55,29 +59,74 @@ type t = { segs : seg list; total : int; released : bool Atomic.t }
 
 (* --- Global accounting gauges --------------------------------------- *)
 
-let next_id = Atomic.make 1
 let roots_live = Atomic.make 0
 let bytes_live = Atomic.make 0
 let views_live = Atomic.make 0
+let buffers_made = Atomic.make 0
 
 let live_roots () = Atomic.get roots_live
 let live_bytes () = Atomic.get bytes_live
 let live_views () = Atomic.get views_live
+let fresh_buffers () = Atomic.get buffers_made
+
+(* --- Recycled buffers -------------------------------------------------- *)
+
+(* Roots of [2^pool_min_bits] to [2^pool_max_bits] bytes get a buffer
+   of the next power of two, their size class; smaller and larger roots
+   get one of exactly their size.  A class keeps at most [pool_depth]
+   buffers.  Pools are per domain, so no lock is needed even though a
+   chunk may be released on another domain than the one that made it:
+   its buffer then joins the releasing domain's pool. *)
+let pool_min_bits = 12
+let pool_max_bits = 20
+let pool_depth = 8
+
+let pools = Domain.DLS.new_key (fun () -> Array.make (pool_max_bits - pool_min_bits + 1) [])
+
+(* The size class of an [n]-byte buffer, or -1 if it is not pooled. *)
+let size_class n =
+  if n < 1 lsl pool_min_bits || n > 1 lsl pool_max_bits then -1
+  else
+    let rec go k = if 1 lsl (pool_min_bits + k) >= n then k else go (k + 1) in
+    go 0
+
+let make_buffer n =
+  Atomic.incr buffers_made;
+  Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
+
+let recycled_buffer n =
+  match size_class n with
+  | -1 -> make_buffer n
+  | k -> (
+      let pool = Domain.DLS.get pools in
+      match pool.(k) with
+      | buf :: rest ->
+          pool.(k) <- rest;
+          buf
+      | [] -> make_buffer (1 lsl (pool_min_bits + k)))
+
+let recycle buf =
+  match size_class (Bigarray.Array1.dim buf) with
+  | -1 -> ()
+  | k ->
+      let pool = Domain.DLS.get pools in
+      if List.compare_length_with pool.(k) pool_depth < 0 then pool.(k) <- buf :: pool.(k)
 
 (* --- Allocation ------------------------------------------------------ *)
 
 let fresh_root n =
-  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+  let buf = recycled_buffer n in
   Atomic.incr roots_live;
   ignore (Atomic.fetch_and_add bytes_live n);
-  { buf; refs = Atomic.make 0; id = Atomic.fetch_and_add next_id 1 }
+  { buf; size = n; refs = Atomic.make 0 }
 
 let retain root = Atomic.incr root.refs
 
 let release_root root =
   if Atomic.fetch_and_add root.refs (-1) = 1 then begin
     Atomic.decr roots_live;
-    ignore (Atomic.fetch_and_add bytes_live (-Bigarray.Array1.dim root.buf))
+    ignore (Atomic.fetch_and_add bytes_live (-root.size));
+    recycle root.buf
   end
 
 let view segs total =
@@ -94,7 +143,7 @@ let alloc n =
   if n = 0 then empty ()
   else begin
     let root = fresh_root n in
-    Bigarray.Array1.fill root.buf '\000';
+    Bigarray.Array1.fill (Bigarray.Array1.sub root.buf 0 n) '\000';
     view [ { root; off = 0; len = n } ] n
   end
 

@@ -8,10 +8,17 @@
     Ownership is explicit and checked.  Every handle owns one
     reference per segment; {!release} returns them.  Releasing a
     handle twice, or touching it after release, raises the typed
-    {!Fault} — the accounting exists to surface pipeline protocol
-    bugs, not to manage memory (the GC does that regardless).  The
-    global gauges {!live_roots}/{!live_bytes}/{!live_views} let tests
-    assert that a whole run balanced its references back to zero.
+    {!Fault}.  The global gauges {!live_roots}/{!live_bytes}/
+    {!live_views} let tests assert that a whole run balanced its
+    references back to zero.
+
+    The accounting also recycles memory.  When a root loses its last
+    reference, its buffer goes back to a per-domain pool, and the next
+    root of the same power-of-two size class (4 KiB to 1 MiB) takes it
+    instead of a fresh allocation; {!fresh_buffers} counts the buffers
+    that had to be allocated.  A buffer is reused only once no handle
+    can reach it, so a slice handed out by {!fold_slices} is valid only
+    until its handle is released.
 
     Refcounts and gauges are atomic: chunks cross domains by reference
     in the parallel runtime. *)
@@ -26,13 +33,14 @@ exception Fault of fault * string
 
 val fault_name : fault -> string
 
-(** {1 Allocation — each makes one fresh root (one payload copy)}
+(** {1 Allocation — each makes one new root (one payload copy)}
 
+    The root's buffer is a recycled one when its size class has one.
     Except at length 0: a zero-length chunk has no segment and no
     root, like {!empty}, so it leaves every gauge as it found it. *)
 
 val alloc : int -> t
-(** Zero-filled chunk of [n] bytes. *)
+(** Zero-filled chunk of [n] bytes, recycled buffer or not. *)
 
 val of_string : string -> t
 val of_substring : string -> pos:int -> len:int -> t
@@ -59,7 +67,10 @@ val to_string : t -> string
 
 val fold_slices : t -> init:'a -> f:('a -> buffer -> pos:int -> len:int -> 'a) -> 'a
 (** Visit the underlying slices in stream order without copying — the
-    writev path at the syscall boundary. *)
+    writev path at the syscall boundary.  A slice is [buffer[pos,
+    pos+len)] and is valid only until the handle is released: the
+    buffer may then be recycled into another chunk, and it may be
+    longer than the root's bytes. *)
 
 val index_from : t -> int -> char -> int option
 (** Position of the first occurrence of the byte at or after [pos],
@@ -78,8 +89,17 @@ val concat : t list -> t
 (** {1 Accounting gauges (process-wide)} *)
 
 val live_roots : unit -> int
+
 val live_bytes : unit -> int
+(** Bytes the live roots were made for, not the size of their
+    buffers. *)
+
 val live_views : unit -> int
+
+val fresh_buffers : unit -> int
+(** Root buffers allocated so far because no recycled one fitted; it
+    never decreases.  A stream that runs on recycled memory stops
+    moving it. *)
 
 (** {1 Rendering} *)
 

@@ -230,10 +230,13 @@ let result_of (sh : shard) =
 let perr fmt =
   Printf.ksprintf (fun m -> raise (Value.Protocol_error ("cluster: " ^ m))) fmt
 
+(* Every frame kind is decoded where it lies in the input buffer. *)
+let decode (f : Conn.view) = Bin.decode_sub f.buf ~pos:f.pos ~len:f.len
+
 let request_body ~target ~op arg = Value.List [ Value.Uid target; Value.Str op; arg ]
 
-let parse_request payload =
-  match Bin.decode payload with
+let parse_request f =
+  match decode f with
   | Value.List [ Value.Uid target; Value.Str op; arg ] -> (target, op, arg)
   | v -> perr "malformed request payload %s" (Value.preview v)
 
@@ -242,8 +245,8 @@ let reply_body (reply : Kernel.reply) =
   | Ok v -> Value.List [ Value.Bool true; v ]
   | Error m -> Value.List [ Value.Bool false; Value.Str m ]
 
-let parse_reply payload : Kernel.reply =
-  match Bin.decode payload with
+let parse_reply f : Kernel.reply =
+  match decode f with
   | Value.List [ Value.Bool true; v ] -> Ok v
   | Value.List [ Value.Bool false; Value.Str m ] -> Error m
   | v -> perr "malformed reply payload %s" (Value.preview v)
@@ -303,8 +306,8 @@ let stats_payload r =
              Value.Int r.wire.idles ];
        ])
 
-let parse_stats payload =
-  match Bin.decode payload with
+let parse_stats f =
+  match decode f with
   | Value.List
       [
         meter; Value.List ops; Value.List flows; Value.Float makespan; Value.Int sent; failure;
@@ -336,9 +339,10 @@ let parse_stats payload =
   | v -> perr "malformed stats %s" (Value.preview v)
 
 (* The wire copies a value's chunk payloads into the frame and the
-   receiver decodes a copy of its own, so the sender's handles end once
-   the bytes are queued (or the frame is dropped) — as a handle handed
-   over in process ends at its consumer. *)
+   receiver decodes them from its input buffer into roots of its own,
+   so the sender's handles end once the bytes are queued (or the frame
+   is dropped) — as a handle handed over in process ends at its
+   consumer. *)
 let release_payloads ps =
   List.iter (function Bin.Payload c -> Chunk.release c | Bin.Flat _ -> ()) ps
 
@@ -542,17 +546,17 @@ let pump sched ~flush =
 (* A data frame from [p], served as [inject] serves a message.  Each
    socket joins exactly two shards and no process forwards frames, so a
    frame that names any other pair is a protocol error. *)
-let take_data t sh p f =
-  let hdr = f.Frame.hdr in
+let take_data t sh p (f : Conn.view) =
+  let hdr = f.hdr in
   if hdr.dst <> sh.index || hdr.src <> p.shard then
     perr "shard %d: %s frame from shard %d to shard %d on its socket to shard %d" sh.index
       (Frame.kind_name hdr.kind) hdr.src hdr.dst p.shard;
   p.taken <- p.taken + 1;
   match hdr.kind with
   | Frame.Request ->
-      let target, op, arg = parse_request f.Frame.payload in
+      let target, op, arg = parse_request f in
       serve_request t sh ~from:p.shard ~req_id:hdr.seq target ~op arg
-  | _ -> fill_reply sh ~req_id:hdr.seq (parse_reply f.Frame.payload)
+  | _ -> fill_reply sh ~req_id:hdr.seq (parse_reply f)
 
 (* The one wait loop of a wire process, hub or leaf.  Run the scheduler
    to quiescence, give [before_block] its turn, flush every socket and,
@@ -561,12 +565,14 @@ let take_data t sh p f =
    never blocks, so two processes that both have more to send each
    other than a socket holds keep draining each other.  Every whole
    frame a wake-up brings in goes to [handle] before the scheduler runs
-   again.  A peer that closes at a frame boundary goes to [closed] and
-   leaves the wait set; a close inside a frame is a [Protocol_error]
-   ([Conn.fill]).  [wait quiet] bounds each [select] (negative: no
-   bound), where [quiet] is the time the process has spent in [select]
-   since a socket last woke it; a [select] that times out passes the
-   new [quiet] to [silent]. *)
+   again, as a view of its connection's input buffer that the next
+   [Conn.fill] overwrites, so [handle] decodes it at once.  A peer that
+   closes at a frame boundary goes to [closed] and leaves the wait set;
+   a close inside a frame is a [Protocol_error] ([Conn.fill]).
+   [wait quiet] bounds each [select] (negative: no bound), where [quiet]
+   is the time the process has spent in [select] since a socket last
+   woke it; a [select] that times out passes the new [quiet] to
+   [silent]. *)
 let serve sh peers ~wait ~silent ~stop ~before_block ~handle ~closed =
   let sched = Kernel.sched sh.kernel in
   sh.conns <- List.map (fun p -> p.conn) peers;
@@ -577,7 +583,7 @@ let serve sh peers ~wait ~silent ~stop ~before_block ~handle ~closed =
     List.iter (fun p -> if Conn.pending p.conn > 0 then Conn.flush p.conn) peers
   in
   let rec drain p =
-    match Conn.take ?session:p.session p.conn with
+    match Conn.take_view ?session:p.session p.conn with
     | Some f ->
         handle p f;
         drain p
@@ -653,10 +659,10 @@ let leaf_loop t sh l =
       l.probe <- -1
     end
   in
-  let handle p f =
-    match f.Frame.hdr.kind with
+  let handle p (f : Conn.view) =
+    match f.hdr.kind with
     | Frame.Request | Frame.Reply -> take_data t sh p f
-    | Frame.Idle when p.shard = 0 && f.Frame.payload = "" -> l.probe <- f.Frame.hdr.seq
+    | Frame.Idle when p.shard = 0 && f.len = 0 -> l.probe <- f.hdr.seq
     | Frame.Shutdown when p.shard = 0 ->
         l.shutdown <- true;
         Conn.send ?session:hub.session hub.conn
@@ -694,18 +700,17 @@ let balanced t h =
 (* A leaf's answer to the open wave.  A report for any other epoch, or
    a second one for this, is a protocol error: a leaf reports only when
    probed, once per probe. *)
-let take_idle h ~n p f =
-  let i = p.shard and payload = f.Frame.payload in
-  if f.Frame.hdr.seq <> h.epoch || h.answered.(i) = h.epoch then
-    perr "hub: shard %d reports for epoch %d, not the open wave's" i f.Frame.hdr.seq;
-  let len = String.length payload in
-  if len mod idle_entry <> 0 then perr "hub: %d-byte idle from shard %d" len i;
-  for k = 0 to (len / idle_entry) - 1 do
-    let at = k * idle_entry in
-    let j = String.get_uint8 payload at in
+let take_idle h ~n p (f : Conn.view) =
+  let i = p.shard in
+  if f.hdr.seq <> h.epoch || h.answered.(i) = h.epoch then
+    perr "hub: shard %d reports for epoch %d, not the open wave's" i f.hdr.seq;
+  if f.len mod idle_entry <> 0 then perr "hub: %d-byte idle from shard %d" f.len i;
+  for k = 0 to (f.len / idle_entry) - 1 do
+    let at = f.pos + (k * idle_entry) in
+    let j = String.get_uint8 f.buf at in
     if j >= n || j = i then perr "hub: idle from shard %d counts shard %d" i j;
-    h.told_sent.(i).(j) <- Int64.to_int (String.get_int64_be payload (at + 1));
-    h.told_taken.(i).(j) <- Int64.to_int (String.get_int64_be payload (at + 9))
+    h.told_sent.(i).(j) <- Int64.to_int (String.get_int64_be f.buf (at + 1));
+    h.told_taken.(i).(j) <- Int64.to_int (String.get_int64_be f.buf (at + 9))
   done;
   h.answered.(i) <- h.epoch;
   h.awaiting <- h.awaiting - 1
@@ -756,12 +761,12 @@ let hub_loop t h =
            sh0.index stall_silence);
     if may_probe () then probe ()
   in
-  let handle p f =
-    match f.Frame.hdr.kind with
+  let handle p (f : Conn.view) =
+    match f.hdr.kind with
     | Frame.Request | Frame.Reply -> take_data t sh0 p f
     | Frame.Idle -> take_idle h ~n p f
     | Frame.Stats when h.stopping && h.reports.(p.shard) = None ->
-        h.reports.(p.shard) <- Some (parse_stats f.Frame.payload)
+        h.reports.(p.shard) <- Some (parse_stats f)
     | k -> perr "hub: unexpected %s frame from shard %d" (Frame.kind_name k) p.shard
   in
   let closed p = if h.reports.(p.shard) = None then raise (Leaf_closed p.shard) in

@@ -103,11 +103,13 @@ let parts v =
   flush ();
   List.rev !acc
 
-(* Decoding: an explicit cursor over an immutable string.  Every read
-   checks the remaining byte count first; lengths and list counts are
-   additionally bounded by the remaining bytes so a hostile header can
-   never trigger a large allocation (a list element costs >= 1 byte, a
-   string byte costs 1). *)
+(* Decoding: an explicit cursor over a range of a string, which may be
+   a connection's input buffer.  Every read checks the bytes left
+   before the end of the range first; lengths and list counts are
+   additionally bounded by them, so a hostile header can never trigger
+   a large allocation (a list element costs >= 1 byte, a string byte
+   costs 1).  A decoded value never aliases the string: strings are
+   [String.sub]s and chunks are copies in a root of their own. *)
 
 type cursor = {
   s : string;
@@ -176,11 +178,10 @@ let rec value c depth =
     (* Same hostile-input discipline as strings: the length is bounded
        by the remaining bytes before any allocation, so a forged header
        (negative lengths arrive as huge unsigned ones) is rejected for
-       the cost of the bounded diagnostic alone.  Decoding is the second
-       payload copy on the receive side, after [Conn.take] cut the frame
-       payload out of the input buffer; the fresh root is owned by the
-       decoder's consumer.  Decoding straight out of the connection's
-       buffer would drop one copy per hop (a ROADMAP carry-over). *)
+       the cost of the bounded diagnostic alone.  On the wire this copy
+       out of the connection's input buffer, into a recycled root owned
+       by the decoder's consumer, is the one payload copy on the
+       receive side. *)
     let len = u32 c "chunk length" in
     if len > c.limit - c.pos then
       err "chunk length %d exceeds %d remaining bytes" len (c.limit - c.pos);
@@ -215,8 +216,11 @@ let decode_prefix s ~pos =
       let v = value c 0 in
       (v, c.pos))
 
-let decode s =
-  owning { s; pos = 0; limit = String.length s; chunks = [] } (fun c ->
+let decode_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Bin.decode_sub";
+  owning { s; pos; limit = pos + len; chunks = [] } (fun c ->
       let v = value c 0 in
       if c.pos <> c.limit then err "%d trailing bytes after value" (c.limit - c.pos);
       v)
+
+let decode s = decode_sub s ~pos:0 ~len:(String.length s)

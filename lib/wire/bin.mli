@@ -52,6 +52,15 @@ val decode : string -> Value.t
     @raise Value.Protocol_error on truncation, trailing bytes, unknown
     tags, hostile lengths/counts, or over-deep nesting. *)
 
+val decode_sub : string -> pos:int -> len:int -> Value.t
+(** {!decode} of [s[pos, pos+len)], read where it lies: every bound
+    applies to the end of that range, and bytes after it are neither
+    read nor trailing.  The value shares no memory with [s] (strings
+    are copied out, chunks copied into roots of their own), so [s] may
+    be overwritten once it returns — how a connection decodes a frame
+    in its input buffer.
+    @raise Invalid_argument if the range is outside [s]. *)
+
 val decode_prefix : string -> pos:int -> Value.t * int
 (** Decode one value starting at [pos]; returns the value and the
     position just past it.  Same error discipline as {!decode} except

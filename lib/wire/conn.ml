@@ -124,25 +124,35 @@ let next_length t =
   if buffered t < 4 then None
   else Some (Frame.length_word (Bytes.unsafe_to_string t.inb) t.lo)
 
-let take ?session t =
+type view = { hdr : Frame.header; buf : string; pos : int; len : int }
+
+(* The one framing path: cut the next whole frame and open it where it
+   lies.  Its bytes stay put until [fill] next writes the buffer, which
+   is what lets the caller decode the payload in place.  (The buffer is
+   handed out as a string, as to the MAC: readers keep nothing.) *)
+let take_view ?session t =
   match next_length t with
   | Some len when buffered t >= 4 + len ->
-      let s = Bytes.unsafe_to_string t.inb in
+      let buf = Bytes.unsafe_to_string t.inb in
       let at = t.lo + 4 in
       t.lo <- at + len;
       if t.lo = t.hi then begin
         t.lo <- 0;
         t.hi <- 0
       end;
-      let hdr = Frame.get_header s at in
+      let hdr = Frame.get_header buf at in
       let pos = at + Frame.header_bytes and plen = len - Frame.header_bytes in
       Some
         (match session with
-        | None -> { Frame.hdr; payload = String.sub s pos plen }
+        | None -> { hdr; buf; pos; len = plen }
         | Some sess ->
-            let hdr = Auth.open_sub sess hdr s ~pos ~len:plen in
-            { Frame.hdr; payload = String.sub s pos (plen - 8) })
+            { hdr = Auth.open_sub sess hdr buf ~pos ~len:plen; buf; pos; len = plen - 8 })
   | Some _ | None -> None
+
+let take ?session t =
+  Option.map
+    (fun v -> { Frame.hdr = v.hdr; payload = String.sub v.buf v.pos v.len })
+    (take_view ?session t)
 
 let partial t =
   match next_length t with Some len -> buffered t < 4 + len | None -> false

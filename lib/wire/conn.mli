@@ -9,8 +9,8 @@
     have more to send the other than a socket holds keep draining each
     other instead of wedging.
     On the way in, one [read] takes whatever the socket holds and
-    frames are cut from the input buffer; {!take} never touches the
-    socket.
+    frames are cut from the input buffer, where {!take_view} opens and
+    hands them out without copying; {!take} never touches the socket.
 
     The bytes on the wire are exactly those of {!Frame.encode} (and, for
     a sealed frame, of {!Auth.seal}): buffering changes how many
@@ -71,13 +71,30 @@ val flush : t -> unit
     when it takes everything.  Never blocks; whatever the socket did
     not take stays queued, and {!pending} says how much. *)
 
-(** {1 Receiving} *)
+(** {1 Receiving}
 
-val take : ?session:Auth.session -> t -> Frame.t option
+    There is one framing path, {!take_view}: it cuts the next whole
+    frame out of the input buffer, checks its MAC there, and hands out
+    the payload where it lies, to be decoded in place
+    ({!Bin.decode_sub}).  {!take} and {!recv} copy the payload out of
+    that view, for callers that keep frames. *)
+
+type view = { hdr : Frame.header; buf : string; pos : int; len : int }
+(** A frame as it lies in the input buffer: its header (without
+    [flag_mac] once opened) and its payload [buf[pos, pos+len)], MAC
+    trailer excluded.  Valid only until the next {!fill}, which may
+    overwrite those bytes: decode or copy what you need first. *)
+
+val take_view : ?session:Auth.session -> t -> view option
 (** The next whole frame already in the input buffer, opened with
-    [session] when given; [None] without a syscall when none is.
+    [session] when given — the MAC is checked before the caller sees a
+    byte of the payload; [None] without a syscall when none is.
     @raise Eden_kernel.Value.Protocol_error on a malformed header,
     hostile length or failed MAC. *)
+
+val take : ?session:Auth.session -> t -> Frame.t option
+(** {!take_view}, with the payload copied out into the frame.  Same
+    errors. *)
 
 val partial : t -> bool
 (** The length word of a frame has arrived but the rest has not: a
@@ -85,7 +102,9 @@ val partial : t -> bool
 
 val fill : t -> unit
 (** One [read] of whatever the socket holds, into the input buffer;
-    nothing when it holds nothing.
+    nothing when it holds nothing.  It first moves a partial frame to
+    the front of the buffer, over frames already taken: every {!view}
+    handed out before it ends here.
     @raise End_of_file on a close at a frame boundary.
     @raise Eden_kernel.Value.Protocol_error on a close mid-frame. *)
 

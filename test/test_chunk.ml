@@ -133,6 +133,55 @@ let test_zero_length_rootless () =
           | v -> Alcotest.failf "decoded %s" (Value.preview v) );
     ]
 
+(* --- recycled roots ---------------------------------------------------- *)
+
+(* A root's buffer is recycled only when its last view goes, and
+   [alloc] zeroes a recycled one.  A view outlives its parent here while
+   more chunks of its size class are made than a class's pool holds
+   (8), all filled with another byte. *)
+let test_recycling_safety () =
+  let base = gauges () in
+  let n = 65536 in
+  let parent = Chunk.of_string (String.make n 'a') in
+  let view = Chunk.sub parent ~pos:1000 ~len:3000 in
+  Chunk.release parent;
+  let others = List.init 32 (fun _ -> Chunk.of_string (String.make n 'b')) in
+  check Alcotest.string "the view's bytes are unchanged" (String.make 3000 'a')
+    (Chunk.to_string view);
+  (* The class's pool is empty now, so the view's buffer is the one the
+     next root of its class takes. *)
+  Chunk.release view;
+  let made = Chunk.fresh_buffers () in
+  let z = Chunk.alloc n in
+  check Alcotest.int "alloc took the recycled buffer" made (Chunk.fresh_buffers ());
+  check Alcotest.bool "and reads all zeros" true (Chunk.to_string z = String.make n '\000');
+  List.iter Chunk.release (z :: others);
+  check_fault "a second release still faults" Chunk.Double_release (fun () -> Chunk.release view);
+  check Alcotest.(triple int int int) "gauges at baseline" base (gauges ())
+
+(* The chunked F2 chain at 3 shards runs on recycled memory: four times
+   the chunks allocate no more buffers. *)
+let test_steady_state_allocates_nothing () =
+  let base = gauges () in
+  let cut = 65536 - 17 in
+  let buffers_for chunks =
+    (* A line of [Topo.f2]'s document is about 36 bytes. *)
+    let t =
+      Topo.f2 ~plane:(Topo.chunked ~cut ~chunk_bytes:cut ()) ~domains:3 ~filters:3
+        ~items:(chunks * cut / 36) ()
+    in
+    let made = Chunk.fresh_buffers () in
+    let o = Topo.run Eden_par.Cluster.Deterministic ~domains:3 t in
+    check Alcotest.bool "clean end of stream" true o.eos_clean;
+    check Alcotest.bool "the sink took chunks" true (o.chunk_items >= chunks - 2);
+    Chunk.fresh_buffers () - made
+  in
+  let first = buffers_for 64 in
+  let second = buffers_for 256 in
+  if second > first then
+    Alcotest.failf "256 chunks made %d buffers, 64 chunks %d" second first;
+  check Alcotest.(triple int int int) "gauges at baseline" base (gauges ())
+
 (* --- QCheck lifecycle fuzzer ---------------------------------------- *)
 
 (* Random sub/split/concat/release sequences over a tracked pool of
@@ -668,6 +717,9 @@ let suite =
     Alcotest.test_case "typed faults" `Quick test_faults;
     Alcotest.test_case "gauge balance" `Quick test_gauge_balance;
     Alcotest.test_case "zero-length chunks are rootless" `Quick test_zero_length_rootless;
+    Alcotest.test_case "recycled roots: a view keeps its bytes" `Quick test_recycling_safety;
+    Alcotest.test_case "steady state allocates no buffers" `Quick
+      test_steady_state_allocates_nothing;
     prop_lifecycle;
     Alcotest.test_case "bin roundtrip + size law" `Quick test_bin_roundtrip;
     Alcotest.test_case "bin hostile chunk lengths" `Quick test_bin_hostile_chunk;

@@ -291,9 +291,29 @@ let test_conn_bytes_identical () =
         sealed);
   Chunk.release ch
 
+(* Writes [wire] to [a] in pieces of the [splits] sizes, cycled, and
+   after each one fills [r] (reading [b]) and takes every whole frame,
+   until [b] has nothing left: so frames arrive whole, cut anywhere,
+   and several to a read. *)
+let write_in_splits a b r wire splits ~take_all =
+  let rec write pos splits =
+    if pos < String.length wire then begin
+      let step, rest =
+        match splits with [] -> (String.length wire, []) | s :: tl -> (s, tl @ [ s ])
+      in
+      let n = min step (String.length wire - pos) in
+      ignore (Unix.write_substring a wire pos n);
+      while readable b do
+        Conn.fill r;
+        take_all ()
+      done;
+      write (pos + n) rest
+    end
+  in
+  write 0 splits
+
 (* Random frame sequences written in random byte splits decode to the
-   same frames: the reader reads after every split, so frames arrive
-   whole, cut anywhere, and several to a read. *)
+   same frames. *)
 let prop_conn_split_roundtrip =
   prop "conn: frames written in random byte splits decode to the same frames" ~count:60
     QCheck2.Gen.(pair (list_size (int_range 1 12) frame_gen) (list_size (int_range 1 40) (int_range 1 700)))
@@ -309,22 +329,115 @@ let prop_conn_split_roundtrip =
                 take_all ()
             | None -> ()
           in
-          let rec write pos splits =
-            if pos < String.length wire then begin
-              let step, rest =
-                match splits with [] -> (String.length wire, []) | s :: tl -> (s, tl @ [ s ])
-              in
-              let n = min step (String.length wire - pos) in
-              ignore (Unix.write_substring a wire pos n);
-              while readable b do
-                Conn.fill r;
-                take_all ()
-              done;
-              write (pos + n) rest
-            end
-          in
-          write 0 splits;
+          write_in_splits a b r wire splits ~take_all;
           List.rev !got = frames && not (Conn.partial r)))
+
+(* Decoding in place: random values, some carrying chunks, go out as
+   frames, plain or sealed, and arrive in random byte splits, so [fill]
+   moves a partial frame over bytes already decoded.  Each payload
+   decodes where it lies to what [Bin.decode] makes of a copy of it,
+   and once every frame is in, each decoded value still equals the one
+   sent: none aliases the input buffer. *)
+let prop_conn_decode_in_place =
+  let community = Auth.community ~id:3L ~key:"0123456789abcdef" in
+  let rec same a b =
+    match (a, b) with
+    | Value.Chunk x, Value.Chunk y -> Chunk.equal x y
+    | Value.List xs, Value.List ys -> List.equal same xs ys
+    | _ -> value_eq a b
+  in
+  let rec release = function
+    | Value.Chunk c -> Chunk.release c
+    | Value.List vs -> List.iter release vs
+    | _ -> ()
+  in
+  prop "conn: frames decoded in place = Bin.decode of their copies" ~count:60
+    QCheck2.Gen.(
+      triple bool
+        (list_size (int_range 1 10)
+           (pair value_gen (list_size (int_bound 2) (string_size (int_bound 3000)))))
+        (list_size (int_range 1 40) (int_range 1 700)))
+    (fun (sealed, items, splits) ->
+      let base = (Chunk.live_roots (), Chunk.live_views ()) in
+      let session () = if sealed then Some (Auth.session community ~token:11L) else None in
+      let tx = session () and rx = session () in
+      let sent =
+        List.map
+          (fun (v, payloads) ->
+            Value.List (v :: List.map (fun p -> Value.Chunk (Chunk.of_string p)) payloads))
+          items
+      in
+      let got = ref [] in
+      let ok =
+        with_pair (fun a b ->
+            let w = Conn.create a and r = Conn.create b in
+            List.iteri
+              (fun i v -> Conn.send_value ?session:tx w ~kind:Frame.Request ~src:1 ~dst:2 ~seq:i v)
+              sent;
+            Conn.flush w;
+            let wire = drain_bytes b in
+            let agree = ref true in
+            let rec take_all () =
+              match Conn.take_view ?session:rx r with
+              | Some f ->
+                  let v = Bin.decode_sub f.buf ~pos:f.pos ~len:f.len in
+                  let copy = Bin.decode (String.sub f.buf f.pos f.len) in
+                  agree := !agree && f.hdr.seq = List.length !got && same v copy;
+                  release copy;
+                  got := v :: !got;
+                  take_all ()
+              | None -> ()
+            in
+            write_in_splits a b r wire splits ~take_all;
+            !agree && List.equal same (List.rev !got) sent)
+      in
+      List.iter release (sent @ !got);
+      ok && (Chunk.live_roots (), Chunk.live_views ()) = base)
+
+(* A sealed frame whose payload was altered fails its MAC before a byte
+   of it is decoded, so no chunk root or view is made for it. *)
+let test_conn_failed_mac_decodes_nothing () =
+  let community = Auth.community ~id:3L ~key:"0123456789abcdef" in
+  let tx = Auth.session community ~token:11L and rx = Auth.session community ~token:11L in
+  let ch = Chunk.of_string (String.make 5000 'p') in
+  let request =
+    Value.List [ Value.Uid (Uid.of_wire ~tag:1L ~serial:2); Value.Str "deposit"; Value.Chunk ch ]
+  in
+  with_pair (fun a b ->
+      let w = Conn.create a and r = Conn.create b in
+      Conn.send_value ~session:tx w ~kind:Frame.Request ~src:1 ~dst:2 ~seq:1 request;
+      Conn.send_value ~session:tx w ~kind:Frame.Request ~src:1 ~dst:2 ~seq:2 request;
+      Conn.flush w;
+      let wire = Bytes.of_string (drain_bytes b) in
+      (* The middle of the second frame lies in its chunk's bytes. *)
+      let at = Bytes.length wire * 3 / 4 in
+      check Alcotest.char "a chunk byte" 'p' (Bytes.get wire at);
+      Bytes.set wire at 'q';
+      ignore (Unix.write a wire 0 (Bytes.length wire));
+      let rec next () =
+        match Conn.take_view ~session:rx r with
+        | Some f -> f
+        | None ->
+            ignore (Unix.select [ b ] [] [] 5.0);
+            Conn.fill r;
+            next ()
+      in
+      (match
+         let f = next () in
+         Bin.decode_sub f.buf ~pos:f.pos ~len:f.len
+       with
+      | Value.List [ _; _; Value.Chunk c ] ->
+          check Alcotest.bool "the intact frame decodes" true (Chunk.equal c ch);
+          Chunk.release c
+      | v -> Alcotest.failf "decoded %s" (Value.preview v));
+      let roots = Chunk.live_roots () and views = Chunk.live_views () in
+      (match next () with
+      | exception Value.Protocol_error m ->
+          check Alcotest.string "refused for its MAC" "auth: frame MAC mismatch" m
+      | _ -> Alcotest.fail "the altered frame was taken");
+      check Alcotest.int "no root made" roots (Chunk.live_roots ());
+      check Alcotest.int "no view made" views (Chunk.live_views ()));
+  Chunk.release ch
 
 let test_conn_errors () =
   (* A hostile length word: rejected before the buffer grows for it. *)
@@ -1198,6 +1311,9 @@ let suite =
     Alcotest.test_case "conn: queued frames reach the socket byte-identical" `Quick
       test_conn_bytes_identical;
     prop_conn_split_roundtrip;
+    prop_conn_decode_in_place;
+    Alcotest.test_case "conn: a failed MAC decodes nothing" `Quick
+      test_conn_failed_mac_decodes_nothing;
     Alcotest.test_case "conn: hostile length, EOF at and inside a frame" `Quick
       test_conn_errors;
     Alcotest.test_case "conn: N frames between two flushes cost one write" `Quick
