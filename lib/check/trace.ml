@@ -18,11 +18,6 @@ let decisions ?kind t =
     (function Pick p when keep kind p.kind -> Some (p.kind, p.chosen) | _ -> None)
     t
 
-let notes ?kind t =
-  List.filter_map
-    (function Note n when keep kind n.kind -> Some (n.kind, n.arg) | _ -> None)
-    t
-
 let pick_count t = List.length (picks t)
 let nonzero_picks t = List.length (List.filter (fun c -> c <> 0) (picks t))
 
@@ -38,6 +33,3 @@ let entry_of_line line =
   | [ "note"; kind; arg ] -> (
       try Some (Note { kind; arg = int_of_string arg }) with _ -> None)
   | _ -> None
-
-let pp ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%s@\n" (line_of_entry e)) t

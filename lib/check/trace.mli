@@ -41,11 +41,6 @@ val decisions : ?kind:string -> t -> (string * int) list
     [decisions ~kind:"net.loss"] is exactly the per-frame loss script
     that [Eden_wire.Faults.of_events] replays at the framing layer. *)
 
-val notes : ?kind:string -> t -> (string * int) list
-(** [(kind, arg)] of every [Note], in order, optionally restricted to
-    one kind — for fault streams the component drew itself (simulated
-    [Net] loss/partition) rather than the explorer picking. *)
-
 val pick_count : t -> int
 val nonzero_picks : t -> int
 (** Picks that deviate from the FIFO default of [0]. *)
@@ -56,5 +51,3 @@ val line_of_entry : entry -> string
 
 val entry_of_line : string -> entry option
 (** Inverse of {!line_of_entry}; [None] on malformed lines. *)
-
-val pp : Format.formatter -> t -> unit

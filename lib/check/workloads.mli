@@ -24,17 +24,6 @@ val lossy_ack : mutant:bool -> Check.ctl -> unit
 (** Property: the receiver sees sequence 0..3 exactly, in order, despite
     decide-driven link loss (kind ["net.loss"], at most 3 drops). *)
 
-val credit_race : mutant:bool -> Check.ctl -> unit
-(** Property: with a [Window 1] credit shared by two sender fibers, the
-    peak number of concurrently in-flight sends is 1 (credit
-    conservation).  The mutant's check-then-take race opens at the
-    decide point (kind ["flowctl.prep"]). *)
-
-val checkpoint_replay : mutant:bool -> Check.ctl -> unit
-(** Property: each sequence number is delivered exactly once across a
-    decide-scheduled crash (kind ["crash.at"], 0 = no crash) and the
-    checkpoint-resumed reincarnation. *)
-
 val mutants : (string * (mutant:bool -> Check.ctl -> unit)) list
 (** All three, with stable names (["lossy_ack"]; ["credit_race"];
     ["checkpoint_replay"]) used by tests, bench C1 and CI. *)

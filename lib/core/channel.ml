@@ -12,13 +12,6 @@ let equal a b =
   | Cap x, Cap y -> Uid.equal x y
   | (Num _ | Cap _), _ -> false
 
-let compare a b =
-  match a, b with
-  | Num x, Num y -> Int.compare x y
-  | Cap x, Cap y -> Uid.compare x y
-  | Num _, Cap _ -> -1
-  | Cap _, Num _ -> 1
-
 let pp ppf = function
   | Num n -> Format.fprintf ppf "ch:%d" n
   | Cap u -> Format.fprintf ppf "ch:%s" (Uid.to_string u)

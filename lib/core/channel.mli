@@ -22,8 +22,6 @@ val report : t
 (** The conventional report/monitoring stream, [Num 1]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_value : t -> Eden_kernel.Value.t

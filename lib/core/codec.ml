@@ -10,12 +10,6 @@ let float = { encode = Value.float; decode = Value.to_float }
 let string = { encode = Value.str; decode = Value.to_str }
 let uid = { encode = Value.uid; decode = Value.to_uid }
 
-(* Chunks frame by reference: encoding wraps the handle, decoding
-   unwraps it — no payload bytes move, so [batch chunk] frames a list
-   of chunks with a length prefix and zero copies (the copy, if any,
-   happens at the wire boundary in Bin/Frame). *)
-let chunk = { encode = Value.chunk; decode = Value.to_chunk }
-
 let pair a b =
   {
     encode = (fun (x, y) -> Value.pair (a.encode x) (b.encode y));
@@ -102,7 +96,6 @@ let tagged cases =
             raise (Value.Protocol_error ("unknown tag: " ^ Value.preview (Value.Str tag))));
   }
 
-let read c pull = Option.map c.decode (Pull.read pull)
 let write c push x = Push.write push (c.encode x)
 let iter c f pull = Pull.iter (fun v -> f (c.decode v)) pull
 

@@ -24,11 +24,6 @@ val float : float t
 val string : string t
 val uid : Uid.t t
 
-val chunk : Eden_chunk.Chunk.t t
-(** By-reference framing for flat byte chunks: no payload copy on
-    either side, so [batch chunk] frames whole chunk batches for the
-    cost of the length prefix alone. *)
-
 (** {1 Combinators} *)
 
 val pair : 'a t -> 'b t -> ('a * 'b) t
@@ -56,9 +51,6 @@ val tagged : (string * 'a t) list -> (string * 'a) t
     @raise Invalid_argument when encoding one. *)
 
 (** {1 Typed stream endpoints} *)
-
-val read : 'a t -> Pull.t -> 'a option
-(** Typed {!Pull.read}. *)
 
 val write : 'a t -> Push.t -> 'a -> unit
 (** Typed {!Push.write}. *)

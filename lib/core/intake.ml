@@ -40,7 +40,6 @@ let add_channel t ?(capacity = 1) chan =
 
 let find t chan = List.find_opt (fun (c, _) -> Channel.equal c chan) !(t.channels)
 
-let reader t chan = match find t chan with Some (_, s) -> s | None -> raise Not_found
 
 let rec read s =
   match Queue.take_opt s.items with

@@ -25,9 +25,6 @@ val add_channel : t -> ?capacity:int -> Channel.t -> reader
     could never accept a deposit.  @raise Invalid_argument otherwise or
     on a duplicate channel. *)
 
-val reader : t -> Channel.t -> reader
-(** @raise Not_found if the channel was never added. *)
-
 val read : reader -> Value.t option
 (** Next item, blocking while the buffer is empty and the stream open;
     [None] after end of stream.  Fiber context only. *)

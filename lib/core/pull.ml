@@ -18,7 +18,6 @@ type window = {
   wsched : Sched.t; (* for credit take/give decision notes *)
   credit : Credit.t;
   outstanding : (int * Kernel.reply Ivar.t) Queue.t; (* (asked, reply) *)
-  mutable stalls : int; (* reads that had to wait on the network *)
 }
 
 (* Sync: one plain transfer at a time.  Windowed: pipelined stamped
@@ -55,7 +54,6 @@ let connect ctx ?(batch = 1) ?flowctl ?(channel = Channel.output) ?(wrap = Fun.i
             wsched = Kernel.sched (Kernel.kernel ctx);
             credit = Flowctl.credit fc;
             outstanding = Queue.create ();
-            stalls = 0;
           }
   in
   let batch = match flowctl with None -> batch | Some fc -> Flowctl.initial_batch fc in
@@ -144,7 +142,6 @@ let rec read t =
                 t.eos <- true;
                 None
             | Some (asked, ivar) -> (
-                if not (Ivar.is_filled ivar) then w.stalls <- w.stalls + 1;
                 let reply = Ivar.read ivar in
                 Credit.give w.credit;
                 Sched.note w.wsched ~kind:"credit.give" ~arg:(Credit.in_flight w.credit);
@@ -169,11 +166,8 @@ let iter f t =
   in
   go ()
 
-let source t = t.src
-let channel t = t.chan
 let transfers_issued t = t.transfers
 let pos t = t.pos
 let buffered t = List.length t.buf
 let controller t = t.ctrl
-let stalls t = match t.mode with Windowed w -> w.stalls | Sync | Resumable _ -> 0
 let credit t = match t.mode with Windowed w -> Some w.credit | Sync | Resumable _ -> None

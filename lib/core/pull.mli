@@ -62,8 +62,6 @@ val read : t -> Value.t option
 val iter : (Value.t -> unit) -> t -> unit
 (** [read] until end of stream. *)
 
-val source : t -> Eden_kernel.Uid.t
-val channel : t -> Channel.t
 val transfers_issued : t -> int
 (** Local count of [Transfer] invocations this connection has made
     (resumable: successful round trips). *)
@@ -78,10 +76,6 @@ val controller : t -> Eden_flowctl.Aimd.t option
 (** The adaptive controller of a windowed or resumable connection, for
     stages that feed it backpressure signals; [None] in sync or
     fixed-batch mode. *)
-
-val stalls : t -> int
-(** Windowed mode: reads that found the next reply not yet arrived and
-    had to wait on the network.  0 otherwise. *)
 
 val credit : t -> Eden_flowctl.Credit.t option
 (** The live credit window of a windowed connection ([None] in sync

@@ -43,7 +43,6 @@ type t = {
   mutable pending_bytes : int;
   mutable closed : bool;
   mutable deposits : int;
-  mutable chunks_sent : int;
 }
 
 let connect ctx ?(batch = 1) ?flowctl ?(channel = Channel.output) ?(wrap = Fun.id) ?retry
@@ -82,7 +81,6 @@ let connect ctx ?(batch = 1) ?flowctl ?(channel = Channel.output) ?(wrap = Fun.i
     pending_bytes = 0;
     closed = false;
     deposits = 0;
-    chunks_sent = 0;
   }
 
 (* Consume the oldest outstanding ack, blocking if it has not arrived;
@@ -172,11 +170,7 @@ let coalesce t items =
           let cs = List.map Value.to_chunk items in
           let big = Chunk.concat cs in
           List.iter Chunk.release cs;
-          t.chunks_sent <- t.chunks_sent + 1;
           [ Value.Chunk big ]
-      | [ Value.Chunk _ ] as one ->
-          t.chunks_sent <- t.chunks_sent + 1;
-          one
       | items -> items)
 
 (* Deposit what is pending; the final deposit carries [eos] even when
@@ -223,10 +217,7 @@ let close t =
     | Sync | Resumable _ -> ()
   end
 
-let sink t = t.dst
-let channel t = t.chan
 let deposits_issued t = t.deposits
-let chunks_sent t = t.chunks_sent
 let pos t = Window.next t.pend
 let pending t = Window.length t.pend
 let controller t = t.ctrl

@@ -66,8 +66,6 @@ val close : t -> unit
     outstanding ack, so failures surface and the whole stream is known
     accepted on return.  Idempotent. *)
 
-val sink : t -> Eden_kernel.Uid.t
-val channel : t -> Channel.t
 val deposits_issued : t -> int
 
 val pos : t -> int
@@ -76,11 +74,6 @@ val pos : t -> int
 val pending : t -> int
 (** Items written but not yet deposited (resumable: not yet
     acknowledged); 0 at batch boundaries. *)
-
-val chunks_sent : t -> int
-(** Deposits that carried a (possibly coalesced) chunk under the
-    chunked config — the observable proof that the chunked plane was
-    not silently downgraded.  0 outside chunked mode. *)
 
 val controller : t -> Eden_flowctl.Aimd.t option
 (** The adaptive controller of a windowed or resumable connection;

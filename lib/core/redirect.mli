@@ -32,7 +32,5 @@ val create :
 (** Serves {!Channel.output} by proxying the current upstream; accepts
     [SetSource]. *)
 
-val op_set_source : string
-
 val set_source : Kernel.ctx -> redirector:Uid.t -> ?channel:Channel.t -> Uid.t -> unit
 (** Client convenience for [SetSource]. *)

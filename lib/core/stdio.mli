@@ -25,8 +25,6 @@ module Uid = Eden_kernel.Uid
 
 type out_stream
 
-val attach_out : Port.writer -> out_stream
-
 val output_char : out_stream -> char -> unit
 (** Buffered; a ['\n'] completes the current line and emits it as one
     stream item (blocking on flow control like any {!Port.write}). *)
@@ -44,8 +42,6 @@ val close_out : out_stream -> unit
 (** {1 Input} *)
 
 type in_stream
-
-val attach_in : Pull.t -> in_stream
 
 val input_line : in_stream -> string option
 (** Next line; [None] at end of stream. *)

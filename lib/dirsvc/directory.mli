@@ -27,9 +27,6 @@ module Value = Eden_kernel.Value
 val create : Kernel.t -> ?node:Eden_net.Net.node_id -> unit -> Uid.t
 val concatenator : Kernel.t -> ?node:Eden_net.Net.node_id -> Uid.t list -> Uid.t
 
-val op_lookup : string
-val op_add_entry : string
-val op_delete_entry : string
 val op_list : string
 
 (** {1 Client conveniences} (fiber context) *)

@@ -31,15 +31,6 @@ module T = Eden_transput
 val create :
   Kernel.t -> ?node:Eden_net.Net.node_id -> ?initial:string list -> unit -> Uid.t
 
-(** Operation names. *)
-
-val op_open_read : string
-val op_open_write : string
-val op_read_at : string
-val op_write_at : string
-val op_size : string
-val op_truncate_to : string
-
 (** {1 Client conveniences} (fiber context) *)
 
 val open_read : Kernel.ctx -> Uid.t -> T.Channel.t

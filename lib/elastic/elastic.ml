@@ -984,13 +984,6 @@ let drain_one ctx ctrl =
       true
   | None -> false
 
-let adopt ctx ctrl uid =
-  match List.find_opt (fun r -> Uid.equal r.r_uid uid) ctrl.reps with
-  | Some rep ->
-      adopt_rep ctx ctrl rep;
-      true
-  | None -> false
-
 let replay_all ctx ctrl =
   let targets =
     with_lock ctrl (fun () ->
@@ -1010,9 +1003,6 @@ let replica_seconds ctrl =
   +. (float_of_int (live_count ctrl) *. (now ctrl -. ctrl.last_tick))
 
 let violations ctrl = List.rev ctrl.violations
-let parked ctrl = Hashtbl.length ctrl.parked_tbl
-
-let backlog ctrl = with_lock ctrl (fun () -> load ctrl)
 
 let outputs ctrl =
   Hashtbl.fold (fun chan r acc -> (chan, List.rev !r) :: acc) ctrl.out_tbl []
@@ -1023,6 +1013,3 @@ let assignments ctrl =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let replica_uids ctrl = List.map (fun r -> (r.r_label, r.r_uid)) ctrl.reps
-
-let windows ctrl =
-  List.map (fun r -> (r.r_label, base r, r.sent, next r)) ctrl.reps

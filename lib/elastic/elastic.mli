@@ -65,9 +65,6 @@ type params = {
   ctrl : Aimd.params;  (** Fleet-size controller; [min_batch] may be 0. *)
 }
 
-val default_ctrl : Aimd.params
-(** Clamp 0‥8, +1 / ×0.5, watermarks 0.25 / 0.75. *)
-
 val params :
   ?tick:float ->
   ?checkpoint_every:int ->
@@ -130,10 +127,6 @@ val scale_to : Kernel.ctx -> t -> int -> unit
 val drain_one : Kernel.ctx -> t -> bool
 (** Voluntarily drain the least-loaded replica; [false] if none live. *)
 
-val adopt : Kernel.ctx -> t -> Uid.t -> bool
-(** Involuntary-drain a replica as if its supervisor gave up on it:
-    hand its channels to survivors from its last checkpoint. *)
-
 val replay_all : Kernel.ctx -> t -> unit
 (** Rewind every link to its durable base and retransmit the in-flight
     windows — a duplicate-delivery storm the turnstiles must absorb. *)
@@ -157,15 +150,5 @@ val outputs : t -> (int * Value.t list) list
 val assignments : t -> (int * string) list
 (** channel → replica label, sorted. *)
 
-val parked : t -> int
-(** Channels currently owned by no replica. *)
-
-val backlog : t -> int
-(** Undelivered entries across all links and parked backlogs. *)
-
 val replica_uids : t -> (string * Uid.t) list
 (** Live and draining replicas, spawn order — crash targets for tests. *)
-
-val windows : t -> (string * int * int * int) list
-(** Per-link [(label, base, sent, next)] — the durable, transmitted and
-    append positions.  Debugging aid for wedged schedules. *)

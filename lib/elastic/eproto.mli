@@ -32,7 +32,6 @@ val encode_out : chan:int -> oseq:int -> Value.t -> Value.t
 val decode_out : Value.t -> int * int * Value.t
 
 val encode_chan_state : chan:int -> cseq:int -> oseq:int -> Value.t -> Value.t
-val decode_chan_state : Value.t -> int * int * int * Value.t
 
 val encode_ckpt : in_seq:int -> out_pos:int -> Value.t list -> Value.t
 val decode_ckpt : Value.t -> int * int * (int * int * int * Value.t) list

@@ -51,11 +51,6 @@ val squeeze_blank : Eden_transput.Transform.t
 val trim_trailing : Eden_transput.Transform.t
 val expand_tabs : ?tabstop:int -> unit -> Eden_transput.Transform.t
 
-val trim_line : string -> string
-(** The pure line function under {!trim_trailing}: drops trailing
-    spaces and tabs, the same blank predicate {!chunked_trim_trailing}
-    strips with. *)
-
 val cut : delim:char -> field:int -> Eden_transput.Transform.t
 (** 1-indexed field extraction; lines with too few fields pass through
     empty, matching cut(1)'s behaviour for missing fields. *)
@@ -64,9 +59,6 @@ val spell : dictionary:string list -> Eden_transput.Transform.t
 (** Emits each word (lowercased) not present in the dictionary, once
     per occurrence — the classic spell(1) pipeline stage. *)
 
-val fold_width : int -> Eden_transput.Transform.t
-(** fold(1): wraps lines at the given width; empty lines pass through.
-    @raise Invalid_argument if non-positive. *)
 
 (** {1 Chunk-at-a-time counterparts}
 
@@ -75,7 +67,7 @@ val fold_width : int -> Eden_transput.Transform.t
     sibling over random cuts by [test_chunk].  [chunked_upcase],
     [chunked_downcase] and [chunked_rot13] are {!Chunkline.tr} of the
     per-byte function their boxed twin maps, [chunked_trim_trailing] is
-    {!Chunkline.rstrip} of {!trim_line}'s blank predicate; grep and
+    {!Chunkline.rstrip} of {!trim_trailing}'s blank predicate; grep and
     numbering run per line. *)
 
 val chunked_upcase : Eden_transput.Transform.t

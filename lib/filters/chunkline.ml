@@ -204,7 +204,6 @@ let map f = stateful ~init:() ~step:(fun () l -> ((), [ f l ])) ~flush:(fun () -
 let keep pred =
   stateful ~init:() ~step:(fun () l -> ((), if pred l then [ l ] else [])) ~flush:(fun () -> [])
 
-let expand f = stateful ~init:() ~step:(fun () l -> ((), f l)) ~flush:(fun () -> [])
 
 let sed script : Transform.t =
  fun next emit ->

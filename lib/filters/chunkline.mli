@@ -22,7 +22,6 @@
 
 val map : (string -> string) -> Eden_transput.Transform.t
 val keep : (string -> bool) -> Eden_transput.Transform.t
-val expand : (string -> string list) -> Eden_transput.Transform.t
 
 val stateful :
   init:'s ->

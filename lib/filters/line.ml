@@ -5,10 +5,6 @@ let map f = Transform.map (fun v -> Value.Str (f (Value.to_str v)))
 
 let keep pred = Transform.filter (fun v -> pred (Value.to_str v))
 
-let filter_map f =
-  Transform.filter_map (fun v ->
-      match f (Value.to_str v) with Some s -> Some (Value.Str s) | None -> None)
-
 let expand f =
   Transform.stateful ~init:()
     ~step:(fun () v -> ((), List.map (fun s -> Value.Str s) (f (Value.to_str v))))

@@ -10,7 +10,6 @@ module Value = Eden_kernel.Value
 
 val map : (string -> string) -> Eden_transput.Transform.t
 val keep : (string -> bool) -> Eden_transput.Transform.t
-val filter_map : (string -> string option) -> Eden_transput.Transform.t
 
 val expand : (string -> string list) -> Eden_transput.Transform.t
 (** One input line to zero or more output lines. *)

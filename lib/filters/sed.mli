@@ -31,9 +31,6 @@
 
 type script
 
-val parse_command : string -> (script, string) result
-(** A single command line. *)
-
 val parse_script : string list -> (script, string) result
 (** Whole script; blank lines and [#] comments are skipped.  [Error]
     carries the offending line and reason. *)

@@ -69,7 +69,3 @@ let observe t ~occupancy =
 let widens t = t.widens
 let shrinks t = t.shrinks
 let params_of t = t.p
-
-let pp ppf t =
-  Format.fprintf ppf "aimd[batch=%d in %d..%d widens=%d shrinks=%d]" t.batch t.p.min_batch
-    t.p.max_batch t.widens t.shrinks

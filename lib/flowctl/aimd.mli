@@ -84,4 +84,3 @@ val shrinks : t -> int
 (** How many {!on_stall} signals actually shrank it. *)
 
 val params_of : t -> params
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,5 @@
 type limit = Window of int | Unlimited
 
-let pp_limit ppf = function
-  | Window n -> Format.fprintf ppf "window=%d" n
-  | Unlimited -> Format.pp_print_string ppf "window=inf"
-
 let unlimited_depth = 64
 
 let cap = function
@@ -13,14 +9,12 @@ let cap = function
   | Unlimited -> unlimited_depth
 
 type t = {
-  limit : limit;
   capacity : int;
   mutable in_flight : int;
   mutable revoked : bool;
 }
 
-let create limit = { limit; capacity = cap limit; in_flight = 0; revoked = false }
-let limit t = t.limit
+let create limit = { capacity = cap limit; in_flight = 0; revoked = false }
 let available t = if t.revoked then 0 else t.capacity - t.in_flight
 let in_flight t = t.in_flight
 let revoked t = t.revoked

@@ -13,8 +13,6 @@
 
 type limit = Window of int | Unlimited
 
-val pp_limit : Format.formatter -> limit -> unit
-
 val unlimited_depth : int
 (** Client-side pipelining depth that [Unlimited] resolves to (64). *)
 
@@ -29,7 +27,6 @@ val create : limit -> t
 (** A window with all credits available.  @raise Invalid_argument on
     [Window n] with [n < 1]. *)
 
-val limit : t -> limit
 val available : t -> int
 val in_flight : t -> int
 

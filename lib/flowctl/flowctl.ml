@@ -45,12 +45,3 @@ let is_legacy t =
 let is_chunked t = match t.batching with Chunked _ -> true | _ -> false
 
 let chunk_bytes t = match t.batching with Chunked n -> Some n | _ -> None
-
-let pp ppf t =
-  (match t.batching with
-  | Fixed n -> Format.fprintf ppf "batch=%d" n
-  | Adaptive p -> Format.fprintf ppf "batch=adaptive(%d..%d)" p.Aimd.min_batch p.Aimd.max_batch
-  | Chunked n -> Format.fprintf ppf "chunked=%dB" n);
-  Format.fprintf ppf " %a" Credit.pp_limit t.credit
-
-let to_string t = Format.asprintf "%a" pp t

@@ -65,6 +65,3 @@ val is_chunked : t -> bool
 
 val chunk_bytes : t -> int option
 (** The coalescing threshold for a [Chunked] config, [None] otherwise. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -27,15 +27,10 @@ val create : Kernel.t -> ?node:Eden_net.Net.node_id -> Unix_fs.t -> Uid.t
 
 (** Operation names, for callers building invocations by hand. *)
 
-val op_new_stream : string
-val op_use_stream : string
-val op_read_file : string
 val op_write_file : string
 val op_remove : string
 val op_make_dir : string
 val op_list_dir : string
-val op_close : string
-val op_await : string
 
 (** {1 Client conveniences}
 

@@ -49,7 +49,6 @@ let find t uid =
   let h = handle_of t uid in
   if h < 0 then None else Slab.get t.slab h
 
-let mem t uid = handle_of t uid >= 0
 
 let remove t uid =
   let h = handle_of t uid in
@@ -60,5 +59,3 @@ let remove t uid =
     true
   end
 
-let live t = Slab.live t.slab
-let iter f t = Slab.iter (fun _ v -> f v) t.slab

@@ -26,14 +26,7 @@ val add : 'a t -> 'a -> unit
 val find : 'a t -> Uid.t -> 'a option
 (** O(1).  [None] for never-registered, removed, or foreign UIDs. *)
 
-val mem : 'a t -> Uid.t -> bool
-
 val remove : 'a t -> Uid.t -> bool
 (** Physically frees the slot (the slab recycles it) and clears the
     serial index entry.  [false] when [find] would have missed. *)
 
-val live : 'a t -> int
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Live entries in ascending slab-slot order — deterministic, a
-    function of the alloc/free history only. *)

@@ -246,11 +246,6 @@ let exists t uid =
 let is_active t uid =
   match Estore.find t.ejects uid with Some { state = Active _; _ } -> true | _ -> false
 
-let type_name t uid =
-  match Estore.find t.ejects uid with
-  | Some e when e.state <> Destroyed -> Some e.etype
-  | _ -> None
-
 let live_ejects t = t.ejects_created - t.ejects_destroyed
 
 let checkpoints t uid =

@@ -98,7 +98,6 @@ val create_eject :
 
 val exists : t -> Uid.t -> bool
 val is_active : t -> Uid.t -> bool
-val type_name : t -> Uid.t -> string option
 val live_ejects : t -> int
 (** Created and not destroyed. *)
 
@@ -147,7 +146,7 @@ type guard =
   Value.t ->
   (Value.t * (reply -> unit) option, string) result
 (** Destination-side admission control, the hook a tenant registry
-    installs (ROADMAP item 2).  Runs at dispatch — after {!Estore}
+    installs (DESIGN.md §16).  Runs at dispatch — after {!Estore}
     verified the destination UID, before the coordinator sees the
     invocation, and before a passive Eject would be activated, so a
     refused invocation cannot wake a dormant victim.  [Error msg]

@@ -68,8 +68,6 @@ let create ?(seed = 0x5EEDL) ~sched ~latency () =
     h_size = None;
   }
 
-let sched t = t.sched
-
 let set_obs t obs =
   t.h_delay <- Some (Obs.histogram obs "net.delay");
   t.h_size <- Some (Obs.histogram ~lo:1.0 obs "net.size")

@@ -27,8 +27,6 @@ val create : ?seed:int64 -> sched:Eden_sched.Sched.t -> latency:latency -> unit 
 (** [latency] models inter-node traffic.  Same-node traffic takes a
     fixed one tenth of its mean: staying on-node is cheap but not free. *)
 
-val sched : t -> Eden_sched.Sched.t
-
 val set_obs : t -> Eden_obs.Obs.t -> unit
 (** Attach an observability collector: every delivered message records
     its drawn delay into the ["net.delay"] histogram and its size into

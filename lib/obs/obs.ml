@@ -80,7 +80,6 @@ module Histogram = struct
     if src.m.maxv > into.m.maxv then into.m.maxv <- src.m.maxv
 
   let count t = t.n
-  let total t = t.m.sum
   let mean t = if t.n = 0 then 0.0 else t.m.sum /. float_of_int t.n
   let min_value t = if t.n = 0 then 0.0 else t.m.minv
   let max_value t = if t.n = 0 then 0.0 else t.m.maxv

@@ -36,7 +36,6 @@ module Histogram : sig
       geometry. *)
 
   val count : t -> int
-  val total : t -> float
   val mean : t -> float
 
   val min_value : t -> float
@@ -82,7 +81,6 @@ module Flow : sig
     mutable stall_out : float;
   }
 
-  val make : string -> stage
   val occupancy : stage -> int
   val note_in : stage -> unit
   val note_out : stage -> unit
@@ -164,8 +162,6 @@ val stages : t -> Flow.stage list
 (** In registration order. *)
 
 module Export : sig
-  val json_escape : string -> string
-
   val spans_jsonl : t -> string
   (** One JSON object per line per completed span, oldest first. *)
 

@@ -120,8 +120,11 @@ type fabric = Inproc | Hub of hub | Leaf of leaf
 type t = {
   cluster_mode : mode;
   shards : shard array;
-  in_flight : int Atomic.t;
-  idle : int Atomic.t;
+  (* Termination: busy shards plus messages posted and not yet popped.
+     [Parallel] counts every shard busy until its loop first blocks;
+     [det_loop] decides termination itself and counts no shard, so
+     there it is the messages in flight. *)
+  active : int Atomic.t;
   mutable ran : bool;
   (* Deterministic-mode shard-order policy; [None] is the fixed
      round-robin baseline. *)
@@ -155,7 +158,7 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
         {
           index;
           kernel;
-          inbox = Dqueue.create ~label:(Printf.sprintf "shard-%d" index) ();
+          inbox = Dqueue.create ();
           pending = Hashtbl.create 16;
           next_req = 0;
           sent = 0;
@@ -169,8 +172,7 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
     {
       cluster_mode;
       shards;
-      in_flight = Atomic.make 0;
-      idle = Atomic.make 0;
+      active = Atomic.make (match cluster_mode with Parallel -> n | Deterministic | Wire _ -> 0);
       ran = false;
       det_pick = None;
       links = [];
@@ -191,13 +193,12 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
 let driver t i f = Kernel.spawn_driver t.shards.(i).kernel ~name:"par-driver" f
 
 let post t (sh : shard) ~dst m =
-  (* in_flight covers the message from before it is visible to the
-     receiver until after the receiver has left the idle count — the
-     invariant the termination check relies on. *)
-  Atomic.incr t.in_flight;
+  (* Counted before it is visible to the receiver, so [active] never
+     reads 0 while the message waits in an inbox. *)
+  Atomic.incr t.active;
   sh.sent <- sh.sent + 1;
   if not (Dqueue.push t.shards.(dst).inbox m) then begin
-    Atomic.decr t.in_flight;
+    Atomic.decr t.active;
     invalid_arg "Cluster: message posted after shutdown"
   end
 
@@ -451,29 +452,25 @@ let inject t sh = function
 let close_all t = Array.iter (fun sh -> Dqueue.close sh.inbox) t.shards
 
 (* Parallel pump loop: run the shard's scheduler to quiescence, then
-   look for cross-shard messages.  A shard only joins the idle count
-   when both its scheduler and its inbox are drained, and leaves it
-   before touching a newly popped message. *)
+   look for cross-shard messages.  A busy shard that pops a message
+   gives up the message's unit of [active]; a shard about to block gives
+   up its own, and one woken by a message keeps that message's unit as
+   its own.  Only busy shards post, so once [active] reaches 0 no shard
+   is busy, no inbox holds a message and none can arrive: the shard that
+   takes it there closes every inbox. *)
 let shard_loop t sh =
-  let n = Array.length t.shards in
   let rec go () =
     Sched.run (Kernel.sched sh.kernel);
     match Dqueue.try_pop sh.inbox with
     | Some m ->
-        Atomic.decr t.in_flight;
+        Atomic.decr t.active;
         inject t sh m;
         go ()
     | None -> (
-        let idle_now = 1 + Atomic.fetch_and_add t.idle 1 in
-        (* When idle = n no fiber is running anywhere, so in_flight
-           cannot rise concurrently: reading 0 here proves global
-           quiescence. *)
-        if idle_now = n && Atomic.get t.in_flight = 0 then close_all t;
+        if Atomic.fetch_and_add t.active (-1) = 1 then close_all t;
         match Dqueue.pop sh.inbox with
         | None -> ()
         | Some m ->
-            Atomic.decr t.idle;
-            Atomic.decr t.in_flight;
             inject t sh m;
             go ())
   in
@@ -481,7 +478,7 @@ let shard_loop t sh =
 
 (* Deterministic pump: fixed shard order, each scheduler run to
    quiescence before its inbox is drained; repeat until a full pass
-   moves no message and none is in flight.  The in_flight check matters:
+   moves no message and none is in flight.  The [active] check matters:
    a shard late in the pass order can post into an inbox that was
    already drained this pass. *)
 let det_loop t =
@@ -491,7 +488,7 @@ let det_loop t =
     let rec drain progressed =
       match Dqueue.try_pop sh.inbox with
       | Some m ->
-          Atomic.decr t.in_flight;
+          Atomic.decr t.active;
           inject t sh m;
           drain true
       | None -> progressed
@@ -523,7 +520,7 @@ let det_loop t =
         !progressed
   in
   let progressed = ref true in
-  while !progressed || Atomic.get t.in_flight > 0 do
+  while !progressed || Atomic.get t.active > 0 do
     progressed := pass ()
   done;
   close_all t

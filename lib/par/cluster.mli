@@ -17,13 +17,13 @@
     returns the target UID itself and no message crosses a domain
     boundary.
 
-    Termination in parallel mode is detected with an [idle]/[in_flight]
-    counter pair: a message is counted in flight {e before} it is
-    pushed, and a shard leaves the idle count {e before} it processes a
-    popped message, so "all shards idle and nothing in flight" can only
-    be observed when the whole cluster is quiescent.  The shard that
-    makes that observation closes every inbox, releasing the others from
-    their blocking pops. *)
+    Termination in parallel mode is detected with one counter, busy
+    shards plus messages not yet popped: a message is counted {e before}
+    it is pushed, a shard stops counting itself only when it is about to
+    block, and a shard woken by a message counts that message's unit as
+    its own.  The counter therefore reads 0 only when the whole cluster
+    is quiescent, and the shard that takes it to 0 closes every inbox,
+    releasing the others from their blocking pops. *)
 
 type wire_config = {
   wire_transport : Eden_wire.Transport.kind;

@@ -3,11 +3,10 @@ type 'a t = {
   nonempty : Condition.t;
   q : 'a Queue.t;
   mutable closed : bool;
-  label : string;
 }
 
-let create ?(label = "dqueue") () =
-  { mu = Mutex.create (); nonempty = Condition.create (); q = Queue.create (); closed = false; label }
+let create () =
+  { mu = Mutex.create (); nonempty = Condition.create (); q = Queue.create (); closed = false }
 
 (* [push] and [try_pop] run once per cross-shard message: they lock
    by hand rather than build a [Mutex.protect] closure, since nothing
@@ -44,4 +43,3 @@ let close t =
 
 let is_closed t = Mutex.protect t.mu (fun () -> t.closed)
 let length t = Mutex.protect t.mu (fun () -> Queue.length t.q)
-let label t = t.label

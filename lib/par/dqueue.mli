@@ -17,7 +17,7 @@
 
 type 'a t
 
-val create : ?label:string -> unit -> 'a t
+val create : unit -> 'a t
 
 val push : 'a t -> 'a -> bool
 (** Enqueue and wake one blocked reader.  [false] (and no enqueue) when
@@ -39,5 +39,3 @@ val is_closed : 'a t -> bool
 
 val length : 'a t -> int
 (** Instantaneous size; advisory under concurrency. *)
-
-val label : 'a t -> string

@@ -21,9 +21,6 @@ module Uid = Eden_kernel.Uid
 
 type policy = { timeout : float; max_attempts : int; backoff : Backoff.t }
 
-val default_policy : policy
-(** 10s timeout, 10 attempts, {!Backoff.default}. *)
-
 val policy : ?timeout:float -> ?max_attempts:int -> ?backoff:Backoff.t -> unit -> policy
 (** @raise Invalid_argument unless [timeout > 0] and
     [max_attempts >= 1]. *)
@@ -46,7 +43,8 @@ val create_meter : unit -> meter
 type client = { policy : policy; meter : meter option; seed : int64 }
 
 val client : ?policy:policy -> ?meter:meter -> int64 -> client
-(** [policy] defaults to {!default_policy}. *)
+(** [policy] defaults to a 10s timeout, 10 attempts and
+    {!Backoff.default}. *)
 
 exception Exhausted of string
 (** Raised by [call] when the attempt budget runs out. *)

@@ -173,7 +173,6 @@ let create k ?node ?(name = "supervisor") ?(policy = default_policy) ?(seed = 0x
   in
   { s_uid; ctrl }
 
-let uid t = t.s_uid
 let watch t ?ping ~label u = add_watch t.ctrl ?ping ~label u
 
 let unwatch t u =
@@ -187,4 +186,3 @@ let give_ups t = t.ctrl.give_ups
 let gave_up t =
   List.filter_map (fun e -> if e.gave_up then Some (e.label, e.e_uid) else None) t.ctrl.watches
 
-let watched t = List.map (fun e -> (e.label, e.e_uid)) t.ctrl.watches

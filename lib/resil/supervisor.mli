@@ -41,8 +41,6 @@ type policy = {
   ping_timeout : float;  (** Reply window for per-watch liveness probes. *)
 }
 
-val default_policy : policy
-
 val policy :
   ?interval:float ->
   ?max_restarts:int ->
@@ -64,8 +62,6 @@ val create :
   ?on_give_up:(string -> Uid.t -> unit) ->
   unit ->
   t
-
-val uid : t -> Uid.t
 
 val watch : t -> ?ping:bool -> label:string -> Uid.t -> unit
 (** Adds an Eject to the watch list (idempotent per UID).  [ping]
@@ -96,4 +92,3 @@ val give_ups : t -> int
 val gave_up : t -> (string * Uid.t) list
 (** Watches abandoned after exceeding the restart budget. *)
 
-val watched : t -> (string * Uid.t) list

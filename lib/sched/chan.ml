@@ -11,9 +11,6 @@ let create ~capacity =
     writers = Waitq.create "chan.put";
   }
 
-let length t = Cqueue.length t.buf
-let capacity t = t.capacity
-let is_empty t = Cqueue.is_empty t.buf
 let is_full t = Cqueue.length t.buf >= t.capacity
 
 let try_put t x =

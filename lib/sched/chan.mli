@@ -16,7 +16,3 @@ val get : 'a t -> 'a
 (** Blocks while empty.  Fiber context only. *)
 
 val try_get : 'a t -> 'a option
-val length : 'a t -> int
-val capacity : 'a t -> int
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool

@@ -37,4 +37,3 @@ let receive_timeout sched t delay =
 
 let try_receive t = Queue.take_opt t.q
 let length t = Queue.length t.q
-let is_empty t = Queue.is_empty t.q

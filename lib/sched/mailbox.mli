@@ -18,4 +18,3 @@ val receive_timeout : Sched.t -> 'a t -> float -> 'a option
 
 val try_receive : 'a t -> 'a option
 val length : 'a t -> int
-val is_empty : 'a t -> bool

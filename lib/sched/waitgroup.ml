@@ -15,4 +15,3 @@ let rec wait t =
     wait t
   end
 
-let pending t = t.count

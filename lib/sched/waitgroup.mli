@@ -13,5 +13,3 @@ val finish : t -> unit
 val wait : t -> unit
 (** Blocks until the outstanding count is zero.  Fiber context only.
     Returns immediately when already zero. *)
-
-val pending : t -> int

@@ -17,4 +17,3 @@ let rec wake_all_from q n =
 
 let wake_all t = wake_all_from t.q 0
 
-let waiters t = Queue.length t.q

@@ -24,5 +24,3 @@ val wake_one : t -> bool
 
 val wake_all : t -> int
 (** Wakes everyone; returns how many fibers it woke. *)
-
-val waiters : t -> int

@@ -6,7 +6,6 @@ module Credit = Eden_flowctl.Credit
 module Channel = Eden_transput.Channel
 module Proto = Eden_transput.Proto
 module Pull = Eden_transput.Pull
-module Push = Eden_transput.Push
 
 type rights = Read | Write
 type violation = Forged_id | Stolen_channel | Replayed_transfer | Credit_hoard
@@ -263,8 +262,6 @@ let rec revoke reg cap =
   end
 
 let channel cap = Channel.Cap cap.cid
-let token cap = cap.tok
-let holder cap = cap.cap_tenant
 let is_revoked cap = cap.revoked
 let wrap cap v = Value.List [ Value.Str auth_tag; Value.Uid cap.tok; v ]
 let bind_window cap w = cap.windows <- w :: cap.windows
@@ -277,18 +274,9 @@ let pull ctx ?batch ?flowctl cap =
   Option.iter (bind_window cap) (Pull.credit p);
   p
 
-let push ctx ?batch ?flowctl cap =
-  if cap.rights <> Write then invalid_arg "Tenant.push: capability lacks the Write right";
-  Push.connect ctx ?batch ?flowctl ~channel:(channel cap) ~wrap:(wrap cap) cap.eject
-
 (* --- Meters -------------------------------------------------------- *)
 
 let violation_count _reg t v = (violation_stage t v).Obs.Flow.items_in
-
-let violations reg t =
-  List.map
-    (fun v -> (v, violation_count reg t v))
-    [ Forged_id; Stolen_channel; Replayed_transfer; Credit_hoard ]
 
 let revoked_uses _reg t = t.v_revoked.Obs.Flow.items_in
 let outstanding_credit _reg t = t.outstanding

@@ -1,4 +1,4 @@
-(** Per-tenant capability namespaces (ROADMAP item 2).
+(** Per-tenant capability namespaces (DESIGN.md §16).
 
     The paper names channels with small forgeable integers; experiment
     T4 showed that {!Eden_transput.Channel.Cap} UIDs close that hole
@@ -123,8 +123,6 @@ val revoke : t -> cap -> unit
 val channel : cap -> Channel.t
 (** The public face: [Channel.Cap cid], what requests name. *)
 
-val token : cap -> Uid.t
-val holder : cap -> tenant
 val is_revoked : cap -> bool
 
 val wrap : cap -> Value.t -> Value.t
@@ -132,10 +130,6 @@ val wrap : cap -> Value.t -> Value.t
     [?wrap] to {!Eden_transput.Pull.connect} /
     {!Eden_transput.Push.connect}.  The guard unwraps; a guarded
     handler never sees the envelope. *)
-
-val bind_window : cap -> Eden_flowctl.Credit.t -> unit
-(** Tie a client credit window's fate to the capability: {!revoke}
-    reclaims its outstanding credits and kills it. *)
 
 (** {1 Tenant-aware connections} *)
 
@@ -145,11 +139,6 @@ val pull :
     with the envelope applied to every request and (in windowed mode)
     the credit window bound to the capability.
     @raise Invalid_argument on a Write-only capability. *)
-
-val push :
-  Kernel.ctx -> ?batch:int -> ?flowctl:Eden_flowctl.Flowctl.t -> cap -> Eden_transput.Push.t
-(** Dual of {!pull} for deposits.
-    @raise Invalid_argument on a Read-only capability. *)
 
 (** {1 Meters}
 
@@ -161,9 +150,6 @@ val push :
     [caps] gauge notes grants in and revocations out. *)
 
 val violation_count : t -> tenant -> violation -> int
-val violations : t -> tenant -> (violation * int) list
-(** All four classes, fixed order. *)
-
 val revoked_uses : t -> tenant -> int
 (** Uses of an already-revoked capability of this namespace — refused
     and counted apart from the four attack classes (a stale holder is

@@ -32,7 +32,6 @@ let create ?(capacity = 16) ~dummy () =
   }
 
 let live t = t.live
-let capacity t = Array.length t.data
 let slot_of h = h land slot_mask
 
 let grow t =

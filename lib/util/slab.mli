@@ -53,12 +53,7 @@ val free : 'a t -> handle -> 'a option
 val live : 'a t -> int
 (** Number of live entries. *)
 
-val capacity : 'a t -> int
-(** Current physical slot count (grows, never shrinks). *)
-
-val iter : (handle -> 'a -> unit) -> 'a t -> unit
-(** Live entries in ascending slot order. *)
-
 val fold : (handle -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** Live entries in ascending slot order. *)
 
 val slot_of : handle -> int

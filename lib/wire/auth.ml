@@ -65,8 +65,6 @@ type session = {
 }
 
 let session c ~token = { skey = c.key; token; send_ctr = 0; recv_ctr = 0 }
-let sent s = s.send_ctr
-let received s = s.recv_ctr
 
 (* The MAC of a frame whose header is [h] and whose unsealed payload is
    [s[pos, pos+len)]: a 24-byte prefix (token, counter, header without

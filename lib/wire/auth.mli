@@ -82,6 +82,3 @@ val open_ : session -> Frame.t -> Frame.t
     @raise Eden_kernel.Value.Protocol_error on a missing trailer, a
     MAC mismatch, or a frame whose MAC matches an {e earlier} counter
     — a replayed frame, reported as such. *)
-
-val sent : session -> int
-val received : session -> int

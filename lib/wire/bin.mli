@@ -12,7 +12,7 @@
     - every length/count is bounds-checked against the bytes actually
       present {e before} any allocation, so a forged 4 GiB length
       prefix costs nothing;
-    - nesting is capped at {!max_depth} (no stack overflow from a
+    - [List] nesting is capped at 200 (no stack overflow from a
       crafted list-of-list chain);
     - {!decode} consumes the whole string — trailing bytes are a
       protocol violation, not silently ignored;
@@ -22,10 +22,6 @@
 
 module Value = Eden_kernel.Value
 
-val max_depth : int
-(** Maximum [List] nesting accepted by the decoder (200). *)
-
-val to_buffer : Buffer.t -> Value.t -> unit
 val encode : Value.t -> string
 
 (** {1 Gather encoding}
@@ -44,7 +40,6 @@ type part =
 val parts : Value.t -> part list
 (** [String.concat "" (flattened parts v) = encode v]. *)
 
-val part_length : part -> int
 val parts_length : part list -> int
 
 val decode : string -> Value.t

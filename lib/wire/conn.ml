@@ -170,16 +170,20 @@ let fill t =
       Bytes.blit t.inb 0 b 0 avail;
       t.inb <- b
   | Some _ | None -> ());
-  t.reads <- t.reads + 1;
-  match Unix.read t.fd t.inb t.hi (Bytes.length t.inb - t.hi) with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | 0 ->
-      if avail = 0 then raise End_of_file
-      else
-        raise
-          (Eden_kernel.Value.Protocol_error
-             (Printf.sprintf "wire: peer closed mid-frame (%d bytes buffered)" avail))
-  | r -> t.hi <- t.hi + r
+  (* A full buffer holds whole frames not yet taken (a partial one has
+     just been given room), and a read into no room returns 0, which
+     would pass for end of file: read nothing. *)
+  if t.hi < Bytes.length t.inb then (
+    t.reads <- t.reads + 1;
+    match Unix.read t.fd t.inb t.hi (Bytes.length t.inb - t.hi) with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | 0 ->
+        if avail = 0 then raise End_of_file
+        else
+          raise
+            (Eden_kernel.Value.Protocol_error
+               (Printf.sprintf "wire: peer closed mid-frame (%d bytes buffered)" avail))
+    | r -> t.hi <- t.hi + r)
 
 let rec recv ?session t =
   match take ?session t with

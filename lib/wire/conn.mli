@@ -104,7 +104,8 @@ val fill : t -> unit
 (** One [read] of whatever the socket holds, into the input buffer;
     nothing when it holds nothing.  It first moves a partial frame to
     the front of the buffer, over frames already taken: every {!view}
-    handed out before it ends here.
+    handed out before it ends here.  When whole frames not yet taken
+    fill the buffer, it makes no [read]: take them first.
     @raise End_of_file on a close at a frame boundary.
     @raise Eden_kernel.Value.Protocol_error on a close mid-frame. *)
 

@@ -8,6 +8,8 @@ module Value = Eden_kernel.Value
 module Uid = Eden_kernel.Uid
 module Flowctl = Eden_flowctl.Flowctl
 module Credit = Eden_flowctl.Credit
+module Check = Eden_check.Check
+module Policy = Eden_check.Policy
 
 let prop name ?(count = 15) gen f =
   Seed.to_alcotest (QCheck2.Test.make ~name ~count gen f)
@@ -281,6 +283,157 @@ let test_det_repeatable () =
   Alcotest.(check bool) "identical outcomes" true
     (same (fanin Deterministic small_spec) (fanin Deterministic small_spec))
 
+(* --- Termination model ------------------------------------------------ *)
+
+(* [Cluster.shard_loop]'s termination rule as a state machine.  Each
+   step is one atomic action of a shard's loop or of [post], named after
+   the line it stands for, and [Check.decide] picks which ready shard
+   takes the next step.  Shard 0's driver makes [requests] proxied calls
+   in turn, round-robin over the other shards: a Request out and a Reply
+   back.  [two_counter] is the rule the loop had before: an [idle] count
+   and an [in_flight] count, read one after the other. *)
+
+type msg = Request | Reply
+
+type step =
+  | Post_incr  (* post: Atomic.incr t.active, before the push *)
+  | Post_push  (* post: Dqueue.push t.shards.(dst).inbox m *)
+  | Try_pop  (* Dqueue.try_pop sh.inbox *)
+  | Taken of msg  (* Some m -> Atomic.decr t.active *)
+  | Block  (* None -> if Atomic.fetch_and_add t.active (-1) = 1 then close_all t *)
+  | Idle_join  (* two counters: let idle_now = 1 + Atomic.fetch_and_add t.idle 1 *)
+  | Idle_check of int  (* two counters: if idle_now = n && in_flight = 0 then close_all t *)
+  | Pop  (* Dqueue.pop sh.inbox: waits while the inbox is empty and open *)
+  | Idle_leave of msg  (* two counters: Some m -> Atomic.decr t.idle *)
+  | Woken of msg  (* two counters: Atomic.decr t.in_flight *)
+  | Exited  (* Dqueue.pop returned None *)
+
+let termination_model ~two_counter ~shards:n ~requests ctl =
+  let inbox = Array.init n (fun _ -> Queue.create ()) in
+  let closed = ref false in
+  (* [active] for the one-counter rule, [in_flight] for the other. *)
+  let count = ref (if two_counter then 0 else n) in
+  let idle = ref 0 in
+  (* What each shard's scheduler will post next, as (dst, msg). *)
+  let out = Array.make n [] in
+  let replies = ref 0 in
+  let target k = 1 + (k mod (n - 1)) in
+  out.(0) <- [ (target 0, Request) ];
+  let run i = if out.(i) = [] then Try_pop else Post_incr in
+  let pc = Array.init n run in
+  let resume i m =
+    (match m with
+    | Request -> out.(i) <- [ (0, Reply) ]
+    | Reply ->
+        incr replies;
+        if !replies < requests then out.(0) <- [ (target !replies, Request) ]);
+    pc.(i) <- run i
+  in
+  let step i =
+    match pc.(i) with
+    | Post_incr ->
+        incr count;
+        pc.(i) <- Post_push
+    | Post_push -> (
+        match out.(i) with
+        | (dst, m) :: rest ->
+            if !closed then invalid_arg "Cluster: message posted after shutdown";
+            Queue.push m inbox.(dst);
+            out.(i) <- rest;
+            pc.(i) <- run i
+        | [] -> assert false)
+    | Try_pop -> (
+        match Queue.take_opt inbox.(i) with
+        | Some m -> pc.(i) <- Taken m
+        | None -> pc.(i) <- (if two_counter then Idle_join else Block))
+    | Taken m | Woken m ->
+        decr count;
+        resume i m
+    | Block ->
+        decr count;
+        if !count = 0 then closed := true;
+        pc.(i) <- Pop
+    | Idle_join ->
+        incr idle;
+        pc.(i) <- Idle_check !idle
+    | Idle_check idle_now ->
+        if idle_now = n && !count = 0 then closed := true;
+        pc.(i) <- Pop
+    | Pop -> (
+        match Queue.take_opt inbox.(i) with
+        | Some m -> if two_counter then pc.(i) <- Idle_leave m else resume i m
+        | None -> pc.(i) <- Exited)
+    | Idle_leave m ->
+        decr idle;
+        pc.(i) <- Woken m
+    | Exited -> assert false
+  in
+  let ready i =
+    match pc.(i) with
+    | Exited -> false
+    | Pop -> !closed || not (Queue.is_empty inbox.(i))
+    | _ -> true
+  in
+  let rec go () =
+    match List.filter ready (List.init n Fun.id) with
+    | [] -> ()
+    | shards ->
+        step (List.nth shards (Check.decide ctl ~kind:"par.step" ~n:(List.length shards)));
+        go ()
+  in
+  go ();
+  if Array.exists (fun s -> s <> Exited) pc then
+    failwith "deadlock: a shard waits on an inbox nobody closes";
+  if !replies < requests then
+    failwith (Printf.sprintf "deadlock: the driver waits for a Reply (%d of %d)" !replies requests)
+
+let termination_configs = [ (2, 1); (2, 2); (2, 3); (3, 1); (3, 2); (3, 3) ]
+
+(* The two-counter rule shuts the inboxes while a woken shard still has
+   a Reply to post, at 2 shards and one request; the minimized schedule
+   replays bit for bit, and the one-counter rule survives it. *)
+let test_termination_two_counter_found () =
+  let mutant = termination_model ~two_counter:true ~shards:2 ~requests:1 in
+  let f =
+    Check.find_bug ~budget:200 ~policy:Policy.Random ~seed:Seed.base ~replay_dir:"_check"
+      ~name:"par-termination-two-counter" mutant
+  in
+  Alcotest.(check bool)
+    "refused post" true
+    (String.ends_with ~suffix:"message posted after shutdown\")" f.Check.error);
+  match f.Check.replay_path with
+  | None -> Alcotest.fail "no replay file written"
+  | Some path ->
+      let r = Check.replay ~path mutant in
+      Alcotest.(check bool) "replay reproduces the failure" true r.Check.reproduced;
+      Alcotest.(check bool) "replay is bit-identical" true r.Check.bit_identical;
+      let ok = Check.replay ~path (termination_model ~two_counter:false ~shards:2 ~requests:1) in
+      Alcotest.(check bool) "one counter survives the schedule" false ok.Check.reproduced
+
+let test_termination_one_counter_passes () =
+  (* At 2 shards and 1 request an unbounded DFS exhausts every
+     interleaving; larger sizes branch on their first 12 decisions and
+     sample the rest at random. *)
+  (match
+     Check.explore ~budget:5000 ~policy:(Policy.Dfs { max_branch = 2; max_steps = 200 })
+       ~seed:Seed.base ~replay_dir:"_check" ~name:"par-termination-2x1-all"
+       (termination_model ~two_counter:false ~shards:2 ~requests:1)
+   with
+  | Check.Passed { schedules } ->
+      Alcotest.(check bool) "every interleaving explored" true (schedules < 5000)
+  | Check.Failed f -> Alcotest.fail (Check.fail_message f));
+  List.iter
+    (fun (shards, requests) ->
+      let prop = termination_model ~two_counter:false ~shards ~requests in
+      List.iter
+        (fun (policy, budget) ->
+          ignore
+            (Check.run_or_fail ~budget ~policy ~seed:Seed.base ~replay_dir:"_check"
+               ~name:(Printf.sprintf "par-termination-%dx%d" shards requests)
+               prop))
+        [ (Policy.Dfs { max_branch = shards; max_steps = 12 }, 5000); (Policy.Random, 300) ])
+    termination_configs
+
 let suite =
   [
     ("dqueue fifo", `Quick, test_dqueue_fifo);
@@ -300,4 +453,8 @@ let suite =
     ("windowed fan-in equivalence", `Quick, test_equivalence_windowed);
     ("adaptive fan-in deterministic repeatable", `Quick, test_adaptive_det_repeatable);
     ("deterministic mode repeatable", `Quick, test_det_repeatable);
+    ("termination model: two counters shut down under a running shard", `Quick,
+      test_termination_two_counter_found);
+    ("termination model: one counter passes every explored schedule", `Quick,
+      test_termination_one_counter_passes);
   ]

@@ -472,6 +472,32 @@ let test_conn_errors () =
       check Alcotest.bool "big frame read" true (Conn.recv r = big);
       check Alcotest.int "buffer grew to the frame" (Frame.size big) (Conn.capacity r))
 
+(* Whole frames not yet taken fill the buffer, which has grown to
+   exactly the first: [fill] has no room, reads nothing and leaves them
+   intact, and a close at a frame boundary is still End_of_file. *)
+let test_conn_fill_without_room () =
+  let big = Frame.make ~kind:Frame.Reply ~src:1 ~dst:0 ~seq:1 (String.make 5_000 'f') in
+  let small = Frame.make ~kind:Frame.Reply ~src:1 ~dst:0 ~seq:2 "tail" in
+  with_pair (fun a b ->
+      let w = Conn.create a and r = Conn.create b in
+      Conn.send w big;
+      Conn.send w small;
+      Conn.flush w;
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      while Conn.partial r || Conn.capacity r < Frame.size big do
+        Conn.fill r
+      done;
+      check Alcotest.int "the buffer is the first frame" (Frame.size big) (Conn.capacity r);
+      let reads = Conn.reads r in
+      Conn.fill r;
+      Conn.fill r;
+      check Alcotest.int "no room, no read" reads (Conn.reads r);
+      check Alcotest.bool "first frame intact" true (Conn.take r = Some big);
+      check Alcotest.bool "second frame intact" true (Conn.recv r = small);
+      match Conn.recv r with
+      | exception End_of_file -> ()
+      | _ -> Alcotest.fail "read past a clean close")
+
 let test_conn_one_write_per_flush () =
   with_pair (fun a b ->
       let w = Conn.create a and r = Conn.create b in
@@ -1316,6 +1342,8 @@ let suite =
       test_conn_failed_mac_decodes_nothing;
     Alcotest.test_case "conn: hostile length, EOF at and inside a frame" `Quick
       test_conn_errors;
+    Alcotest.test_case "conn: fill on a full buffer makes no read, frames intact" `Quick
+      test_conn_fill_without_room;
     Alcotest.test_case "conn: N frames between two flushes cost one write" `Quick
       test_conn_one_write_per_flush;
     Alcotest.test_case "faults: loss, exhaustion and partition accounting" `Quick
