@@ -2,15 +2,13 @@ module Value = Eden_kernel.Value
 module Kernel = Eden_kernel.Kernel
 module Uid = Eden_kernel.Uid
 
-let tee k ?node ?(name = "tee") ?(capacity = 0) ?(batch = 1) ~upstream
-    ?(upstream_channel = Channel.output) ~channels () =
+let tee k ?(capacity = 0) ~upstream ~channels () =
   if channels = [] then invalid_arg "Flow.tee: no output channels";
-  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name
-    (fun ctx ~passive:_ ->
+  Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"tee" (fun ctx ~passive:_ ->
       let port = Port.create () in
       let writers = List.map (fun c -> Port.add_channel port ~capacity c) channels in
-      let pull = Pull.connect ctx ~batch ~channel:upstream_channel upstream in
-      Kernel.spawn_worker ctx ~name:(name ^ "/copy") (fun () ->
+      let pull = Pull.connect ctx upstream in
+      Kernel.spawn_worker ctx ~name:"tee/copy" (fun () ->
           let rec go () =
             match Pull.read pull with
             | Some v ->
@@ -23,21 +21,17 @@ let tee k ?node ?(name = "tee") ?(capacity = 0) ?(batch = 1) ~upstream
 
 type merge_policy = Arrival | Round_robin
 
-let merge k ?node ?(name = "merge") ?(capacity = 0) ?(batch = 1) ?(policy = Arrival) ~upstreams
-    () =
+let merge k ?(capacity = 0) ?(policy = Arrival) ~upstreams () =
   if upstreams = [] then invalid_arg "Flow.merge: no upstreams";
-  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name
-    (fun ctx ~passive:_ ->
+  Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"merge" (fun ctx ~passive:_ ->
       let port = Port.create () in
       let w = Port.add_channel port ~capacity Channel.output in
       (match policy with
       | Round_robin ->
           (* One worker cycles through live sources, pulling one item
              from each in turn. *)
-          Kernel.spawn_worker ctx ~name:(name ^ "/rr") (fun () ->
-              let pulls =
-                List.map (fun (u, c) -> Pull.connect ctx ~batch ~channel:c u) upstreams
-              in
+          Kernel.spawn_worker ctx ~name:"merge/rr" (fun () ->
+              let pulls = List.map (fun (u, c) -> Pull.connect ctx ~channel:c u) upstreams in
               let rec cycle live =
                 if live <> [] then begin
                   let still =
@@ -62,26 +56,24 @@ let merge k ?node ?(name = "merge") ?(capacity = 0) ?(batch = 1) ?(policy = Arri
           Eden_sched.Waitgroup.add wg (List.length upstreams);
           List.iteri
             (fun i (u, c) ->
-              Kernel.spawn_worker ctx ~name:(Printf.sprintf "%s/in%d" name i) (fun () ->
-                  let pull = Pull.connect ctx ~batch ~channel:c u in
+              Kernel.spawn_worker ctx ~name:(Printf.sprintf "merge/in%d" i) (fun () ->
+                  let pull = Pull.connect ctx ~channel:c u in
                   Pull.iter (Port.write w) pull;
                   Eden_sched.Waitgroup.finish wg))
             upstreams;
-          Kernel.spawn_worker ctx ~name:(name ^ "/join") (fun () ->
+          Kernel.spawn_worker ctx ~name:"merge/join" (fun () ->
               Eden_sched.Waitgroup.wait wg;
               Port.close w));
       Port.handlers port)
 
-let split k ?node ?(name = "split") ?(capacity = 0) ?(batch = 1) ~upstream
-    ?(upstream_channel = Channel.output) ~pred ~accept ~reject () =
+let split k ?(capacity = 0) ~upstream ~pred ~accept ~reject () =
   if Channel.equal accept reject then invalid_arg "Flow.split: channels must differ";
-  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name
-    (fun ctx ~passive:_ ->
+  Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"split" (fun ctx ~passive:_ ->
       let port = Port.create () in
       let wa = Port.add_channel port ~capacity accept in
       let wr = Port.add_channel port ~capacity reject in
-      let pull = Pull.connect ctx ~batch ~channel:upstream_channel upstream in
-      Kernel.spawn_worker ctx ~name:(name ^ "/route") (fun () ->
+      let pull = Pull.connect ctx upstream in
+      Kernel.spawn_worker ctx ~name:"split/route" (fun () ->
           let rec go () =
             match Pull.read pull with
             | Some v ->
@@ -94,15 +86,14 @@ let split k ?node ?(name = "split") ?(capacity = 0) ?(batch = 1) ~upstream
           go ());
       Port.handlers port)
 
-let zip k ?node ?(name = "zip") ?(capacity = 0) ?(batch = 1) ~left ~right () =
-  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name
-    (fun ctx ~passive:_ ->
+let zip k ~left ~right () =
+  Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"zip" (fun ctx ~passive:_ ->
       let port = Port.create () in
-      let w = Port.add_channel port ~capacity Channel.output in
+      let w = Port.add_channel port ~capacity:0 Channel.output in
       let lu, lc = left and ru, rc = right in
-      let pl = Pull.connect ctx ~batch ~channel:lc lu in
-      let pr = Pull.connect ctx ~batch ~channel:rc ru in
-      Kernel.spawn_worker ctx ~name:(name ^ "/pair") (fun () ->
+      let pl = Pull.connect ctx ~channel:lc lu in
+      let pr = Pull.connect ctx ~channel:rc ru in
+      Kernel.spawn_worker ctx ~name:"zip/pair" (fun () ->
           let rec go () =
             match Pull.read pl with
             | None -> Port.close w

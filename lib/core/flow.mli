@@ -14,25 +14,18 @@
       report-emitting filter is the special case.
     - {!zip}: two upstreams paired item-by-item, ending with the
       shorter — only expressible at all because read-only consumers
-      control {e when} each input advances. *)
+      control {e when} each input advances.
+
+    Every stage reads its upstreams one item per Transfer. *)
 
 module Value = Eden_kernel.Value
 module Kernel = Eden_kernel.Kernel
 module Uid = Eden_kernel.Uid
 
-val tee :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?capacity:int ->
-  ?batch:int ->
-  upstream:Uid.t ->
-  ?upstream_channel:Channel.t ->
-  channels:Channel.t list ->
-  unit ->
-  Uid.t
-(** Every item is written to {e every} listed channel; a slow consumer
-    therefore back-pressures the rest (capacity softens this).
+val tee : Kernel.t -> ?capacity:int -> upstream:Uid.t -> channels:Channel.t list -> unit -> Uid.t
+(** Every item read from [upstream]'s {!Channel.output} is written to
+    {e every} listed channel; a slow consumer therefore back-pressures
+    the rest (capacity softens this).
     @raise Invalid_argument on an empty or duplicate channel list. *)
 
 (** Merge policies: [Arrival] forwards items as their sources yield
@@ -43,10 +36,7 @@ type merge_policy = Arrival | Round_robin
 
 val merge :
   Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
   ?capacity:int ->
-  ?batch:int ->
   ?policy:merge_policy ->
   upstreams:(Uid.t * Channel.t) list ->
   unit ->
@@ -56,29 +46,17 @@ val merge :
 
 val split :
   Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
   ?capacity:int ->
-  ?batch:int ->
   upstream:Uid.t ->
-  ?upstream_channel:Channel.t ->
   pred:(Value.t -> bool) ->
   accept:Channel.t ->
   reject:Channel.t ->
   unit ->
   Uid.t
-(** Items satisfying [pred] go to [accept], the rest to [reject]; both
-    channels need a consumer (or sufficient capacity) for the stage to
-    drain. *)
+(** Items of [upstream]'s {!Channel.output} satisfying [pred] go to
+    [accept], the rest to [reject]; both channels need a consumer (or
+    sufficient capacity) for the stage to drain. *)
 
-val zip :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?capacity:int ->
-  ?batch:int ->
-  left:Uid.t * Channel.t ->
-  right:Uid.t * Channel.t ->
-  unit ->
-  Uid.t
-(** Pairs [(l, r)] as {!Value.pair} on {!Channel.output}. *)
+val zip : Kernel.t -> left:Uid.t * Channel.t -> right:Uid.t * Channel.t -> unit -> Uid.t
+(** Pairs [(l, r)] as {!Value.pair} on {!Channel.output}, with no
+    anticipation. *)

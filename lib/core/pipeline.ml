@@ -42,8 +42,7 @@ let run t =
 
 let output t = Resumable.sink_output t.kernel t.sink
 
-let supervise ?ping t sup =
-  List.iter (fun (label, u) -> Supervisor.watch sup ?ping ~label u) t.stages
+let supervise t sup = List.iter (fun (label, u) -> Supervisor.watch sup ~label u) t.stages
 
 let crash_at t uid at =
   let sched = Kernel.sched t.kernel in

@@ -49,8 +49,8 @@ val await_timeout : t -> deadline:float -> bool
 val output : t -> Value.t list option
 (** A resumable pipeline's sink stream, from its latest checkpoint. *)
 
-val supervise : ?ping:bool -> t -> Eden_resil.Supervisor.t -> unit
-(** Watches every stage. *)
+val supervise : t -> Eden_resil.Supervisor.t -> unit
+(** Watches every stage for crashes. *)
 
 val crash_at : t -> Uid.t -> float -> unit
 (** Schedules a {!Eden_kernel.Kernel.crash} of one stage at an absolute

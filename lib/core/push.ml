@@ -34,7 +34,6 @@ type t = {
   chan : Channel.t;
   batch : int;
   mode : mode;
-  wrap : Value.t -> Value.t;
   ctrl : Aimd.t option; (* adaptive flush threshold; [batch] when absent *)
   chunk_bytes : int option; (* chunked plane: coalescing threshold *)
   pend : Value.t Window.t; (* written, not yet deposited (resumable: not
@@ -45,8 +44,7 @@ type t = {
   mutable deposits : int;
 }
 
-let connect ctx ?(batch = 1) ?flowctl ?(channel = Channel.output) ?(wrap = Fun.id) ?retry
-    ?(from = 0) dst =
+let connect ctx ?(batch = 1) ?flowctl ?(channel = Channel.output) ?retry ?(from = 0) dst =
   if batch < 1 then invalid_arg "Push.connect: batch must be at least 1";
   if from < 0 then invalid_arg "Push.connect: from must be non-negative";
   let mode =
@@ -73,7 +71,6 @@ let connect ctx ?(batch = 1) ?flowctl ?(channel = Channel.output) ?(wrap = Fun.i
     chan = channel;
     batch;
     mode;
-    wrap;
     ctrl;
     chunk_bytes;
     pend = Window.create ~base:from ();
@@ -116,7 +113,7 @@ let send_windowed t w ~eos items =
   t.deposits <- t.deposits + 1;
   let ivar =
     Kernel.invoke_async t.ctx t.dst ~op:Proto.deposit_op
-      (t.wrap (Proto.deposit_request ~seq:w.next_seq t.chan ~eos items))
+      (Proto.deposit_request ~seq:w.next_seq t.chan ~eos items)
   in
   w.next_seq <- w.next_seq + List.length items;
   Queue.push ivar w.outstanding;
@@ -139,8 +136,7 @@ let rec send_resumable t r prng ~eos =
   let reply =
     Retry.call ~policy:r.Retry.policy ?meter:r.Retry.meter ~prng t.ctx t.dst
       ~op:Proto.deposit_op
-      (t.wrap
-         (Proto.deposit_request ~seq:(Window.base t.pend) t.chan ~eos (Window.to_list t.pend)))
+      (Proto.deposit_request ~seq:(Window.base t.pend) t.chan ~eos (Window.to_list t.pend))
   in
   t.deposits <- t.deposits + 1;
   (* A legacy unit acknowledgement accepts everything. *)
@@ -185,8 +181,7 @@ let deposit t ~eos =
       let items = items () in
       t.deposits <- t.deposits + 1;
       ignore
-        (Kernel.call t.ctx t.dst ~op:Proto.deposit_op
-           (t.wrap (Proto.deposit_request t.chan ~eos items)))
+        (Kernel.call t.ctx t.dst ~op:Proto.deposit_op (Proto.deposit_request t.chan ~eos items))
 
 let flush t = if not (Window.is_empty t.pend) then deposit t ~eos:false
 

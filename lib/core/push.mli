@@ -16,16 +16,11 @@ val connect :
   ?batch:int ->
   ?flowctl:Eden_flowctl.Flowctl.t ->
   ?channel:Channel.t ->
-  ?wrap:(Value.t -> Value.t) ->
   ?retry:Eden_resil.Retry.client ->
   ?from:int ->
   Eden_kernel.Uid.t ->
   t
-(** [wrap] (default identity) envelopes every [Deposit] request value
-    before invocation — the session-token hook for tenant-guarded
-    intakes, mirroring {!Pull.connect}.
-
-    [flowctl] (when given) supersedes [batch].  A legacy config keeps
+(** [flowctl] (when given) supersedes [batch].  A legacy config keeps
     the synchronous one-deposit-at-a-time path; anything else switches
     to {e windowed} mode: up to the credit window's worth of
     seq-stamped deposits are kept in flight (the intake's turnstile

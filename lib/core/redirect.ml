@@ -4,19 +4,19 @@ module Value = Eden_kernel.Value
 
 let op_set_source = "SetSource"
 
-let create k ?node ?(name = "redirector") ?(batch = 1) ~initial () =
-  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name
+let create k ~initial () =
+  Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"redirector"
     (fun ctx ~passive:_ ->
       (* The current connection, replaced wholesale on SetSource so
          buffered items from the old source are not mixed into the new
          stream.  [switched] marks that a redirection happened while the
          current source was (or went) dead, so its EOS must not
          propagate. *)
-      let current = ref (Pull.connect ctx ~batch ~channel:(snd initial) (fst initial)) in
+      let current = ref (Pull.connect ctx ~channel:(snd initial) (fst initial)) in
       let generation = ref 0 in
       let port = Port.create () in
       let w = Port.add_channel port ~capacity:0 Channel.output in
-      Kernel.spawn_worker ctx ~name:(name ^ "/proxy") (fun () ->
+      Kernel.spawn_worker ctx ~name:"redirector/proxy" (fun () ->
           let rec pump my_generation =
             if !generation <> my_generation then
               (* A switch happened: abandon this source, follow the new
@@ -40,12 +40,12 @@ let create k ?node ?(name = "redirector") ?(batch = 1) ~initial () =
       ( op_set_source,
         fun arg ->
           let u, c = Value.to_pair arg in
-          current := Pull.connect ctx ~batch ~channel:(Channel.of_value c) (Value.to_uid u);
+          current := Pull.connect ctx ~channel:(Channel.of_value c) (Value.to_uid u);
           incr generation;
           Value.Unit )
       :: Port.handlers port)
 
-let set_source ctx ~redirector ?(channel = Channel.output) src =
+let set_source ctx ~redirector src =
   Value.to_unit
     (Kernel.call ctx redirector ~op:op_set_source
-       (Value.pair (Value.Uid src) (Channel.to_value channel)))
+       (Value.pair (Value.Uid src) (Channel.to_value Channel.output)))

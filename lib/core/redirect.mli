@@ -21,16 +21,10 @@ module Kernel = Eden_kernel.Kernel
 module Uid = Eden_kernel.Uid
 module Value = Eden_kernel.Value
 
-val create :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?batch:int ->
-  initial:Uid.t * Channel.t ->
-  unit ->
-  Uid.t
-(** Serves {!Channel.output} by proxying the current upstream; accepts
-    [SetSource]. *)
+val create : Kernel.t -> initial:Uid.t * Channel.t -> unit -> Uid.t
+(** Serves {!Channel.output} by proxying the current upstream, one item
+    per Transfer; accepts [SetSource]. *)
 
-val set_source : Kernel.ctx -> redirector:Uid.t -> ?channel:Channel.t -> Uid.t -> unit
-(** Client convenience for [SetSource]. *)
+val set_source : Kernel.ctx -> redirector:Uid.t -> Uid.t -> unit
+(** Client convenience for [SetSource], naming the new source's
+    {!Channel.output}. *)

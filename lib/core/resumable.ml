@@ -25,8 +25,6 @@ let accumulate =
     step = (fun st v -> (Value.List (v :: Value.to_list st), []));
     flush = (fun _ -> []);
   }
-let ping = ("Ping", fun _ -> Value.Unit)
-
 (* A stage worker that runs out of retry budget (or hits a peer's
    terminal error) gives up cleanly: the pipeline stalls — visible to
    the stall detector — instead of tearing the whole simulation down. *)
@@ -190,12 +188,12 @@ let admit_deposits ctx ~in0 ~st0 ~done0 spec out =
 
 (* --- Read-only ------------------------------------------------------ *)
 
-let source_ro k ?node ?(name = "rsource") ?(capacity = 0) gen =
-  Stage.custom k ?node ~name (fun ctx ~passive ->
+let source_ro k ?node ?(capacity = 0) gen =
+  Stage.custom k ?node ~name:"rsource" (fun ctx ~passive ->
       let _, _, o, _ = restore passive Value.Unit in
       let port, w = restored_port ~capacity o in
-      produce ctx ~name ~done0:(Port.is_closed w) gen (port_out w);
-      ping :: Port.handlers port)
+      produce ctx ~name:"rsource" ~done0:(Port.is_closed w) gen (port_out w);
+      Port.handlers port)
 
 let filter_ro k ?node ?(name = "rfilter") ?(capacity = 0) ?flowctl ~retry ~upstream spec =
   Stage.custom k ?node ~name (fun ctx ~passive ->
@@ -203,36 +201,36 @@ let filter_ro k ?node ?(name = "rfilter") ?(capacity = 0) ?flowctl ~retry ~upstr
       let port, w = restored_port ~capacity o in
       pump ctx ~name ~st0 ~done0:(Port.is_closed w) spec (port_out w) (fun () ->
           Pull.connect ctx ?flowctl ~retry ~from:in0 upstream);
-      ping :: Port.handlers port)
+      Port.handlers port)
 
-let sink_ro k ?node ?(name = "rsink") ?flowctl ~retry ~upstream ?(on_done = fun () -> ()) () =
-  Stage.custom k ?node ~name (fun ctx ~passive ->
+let sink_ro k ?node ?flowctl ~retry ~upstream ?(on_done = fun () -> ()) () =
+  Stage.custom k ?node ~name:"rsink" (fun ctx ~passive ->
       let in0, st0, _, done0 = restore passive accumulate.init in
       if done0 then on_done ();
-      pump ctx ~name ~st0 ~done0 accumulate (fold_out on_done) (fun () ->
+      pump ctx ~name:"rsink" ~st0 ~done0 accumulate (fold_out on_done) (fun () ->
           Pull.connect ctx ?flowctl ~retry ~from:in0 upstream);
-      [ ping ])
+      [])
 
 (* --- Write-only ----------------------------------------------------- *)
 
-let source_wo k ?node ?(name = "rsource") ?flowctl ~retry ~downstream gen =
-  Stage.custom k ?node ~name (fun ctx ~passive ->
+let source_wo k ?node ?flowctl ~retry ~downstream gen =
+  Stage.custom k ?node ~name:"rsource" (fun ctx ~passive ->
       let _, _, o, done0 = restore passive Value.Unit in
       let push = Push.connect ctx ?flowctl ~retry ~from:(out_pos o) downstream in
-      produce ctx ~name ~done0 gen (push_out push);
-      [ ping ])
+      produce ctx ~name:"rsource" ~done0 gen (push_out push);
+      [])
 
 let filter_wo k ?node ?(name = "rfilter") ?flowctl ~retry ~downstream spec =
   Stage.custom k ?node ~name (fun ctx ~passive ->
       let in0, st0, o, done0 = restore passive spec.init in
       let push = Push.connect ctx ?flowctl ~retry ~from:(out_pos o) downstream in
-      [ admit_deposits ctx ~in0 ~st0 ~done0 spec (push_out push); ping ])
+      [ admit_deposits ctx ~in0 ~st0 ~done0 spec (push_out push) ])
 
-let sink_wo k ?node ?(name = "rsink") ?(on_done = fun () -> ()) () =
-  Stage.custom k ?node ~name (fun ctx ~passive ->
+let sink_wo k ?node ?(on_done = fun () -> ()) () =
+  Stage.custom k ?node ~name:"rsink" (fun ctx ~passive ->
       let in0, st0, _, done0 = restore passive accumulate.init in
       if done0 then on_done ();
-      [ admit_deposits ctx ~in0 ~st0 ~done0 accumulate (fold_out on_done); ping ])
+      [ admit_deposits ctx ~in0 ~st0 ~done0 accumulate (fold_out on_done) ])
 
 (* --- Conventional --------------------------------------------------- *)
 
@@ -243,7 +241,7 @@ let pipe k ?node ?(name = "rpipe") ?(capacity = 4) () =
       (* Port.write parks when the buffer is [capacity] ahead of demand,
          withholding the acknowledgement — back-pressure. *)
       admit_deposits ctx ~in0 ~st0:Value.Unit ~done0 (pure_map Fun.id) (port_out w)
-      :: ping :: Port.handlers port)
+      :: Port.handlers port)
 
 let filter_active k ?node ?(name = "rfilter") ?flowctl ~retry ~upstream ~downstream spec =
   Stage.custom k ?node ~name (fun ctx ~passive ->
@@ -253,7 +251,7 @@ let filter_active k ?node ?(name = "rfilter") ?flowctl ~retry ~upstream ~downstr
       let push = Push.connect ctx ?flowctl ~retry:{ retry with seed } ~from:(out_pos o) downstream in
       pump ctx ~name ~st0 ~done0 spec (push_out push) (fun () ->
           Pull.connect ctx ?flowctl ~retry ~from:in0 upstream);
-      [ ping ])
+      [])
 
 let sink_output k uid =
   match Kernel.checkpoints k uid with

@@ -28,12 +28,11 @@
     until an {!Eden_resil.Supervisor} pokes them — that asymmetry is
     the paper's pump observation resurfacing as a recovery concern.
 
-    Every resumable stage serves a ["Ping"] operation for supervisor
-    liveness probes.  [retry] configures every retried exchange, its
-    jitter restarting from the client's seed at each activation.
-    [flowctl] sizes the per-exchange batch (default one item);
-    checkpoints stay at batch boundaries, so exactly-once holds at
-    whatever granularity the controller picks. *)
+    [retry] configures every retried exchange, its jitter restarting
+    from the client's seed at each activation.  [flowctl] sizes the
+    per-exchange batch (default one item); checkpoints stay at batch
+    boundaries, so exactly-once holds at whatever granularity the
+    controller picks. *)
 
 module Value = Eden_kernel.Value
 module Kernel = Eden_kernel.Kernel
@@ -57,13 +56,7 @@ type gen = int -> Value.t option
 
 (** {1 Read-only discipline} *)
 
-val source_ro :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?capacity:int ->
-  gen ->
-  Uid.t
+val source_ro : Kernel.t -> ?node:Eden_net.Net.node_id -> ?capacity:int -> gen -> Uid.t
 (** Serves a retaining {!Port} channel, checkpointing after every
     item. *)
 
@@ -81,7 +74,6 @@ val filter_ro :
 val sink_ro :
   Kernel.t ->
   ?node:Eden_net.Net.node_id ->
-  ?name:string ->
   ?flowctl:Eden_flowctl.Flowctl.t ->
   retry:Retry.client ->
   upstream:Uid.t ->
@@ -97,7 +89,6 @@ val sink_ro :
 val source_wo :
   Kernel.t ->
   ?node:Eden_net.Net.node_id ->
-  ?name:string ->
   ?flowctl:Eden_flowctl.Flowctl.t ->
   retry:Retry.client ->
   downstream:Uid.t ->
@@ -115,13 +106,7 @@ val filter_wo :
   spec ->
   Uid.t
 
-val sink_wo :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?on_done:(unit -> unit) ->
-  unit ->
-  Uid.t
+val sink_wo : Kernel.t -> ?node:Eden_net.Net.node_id -> ?on_done:(unit -> unit) -> unit -> Uid.t
 
 (** {1 Conventional discipline}
 

@@ -8,8 +8,8 @@ module Aimd = Eden_flowctl.Aimd
 type gen = unit -> Value.t option
 type consume = Value.t -> unit
 
-let custom k ?node ?(dispatch = Kernel.Concurrent) ~name behaviour =
-  Kernel.create_eject k ?node ~dispatch ~type_name:name behaviour
+let custom k ?node ~name behaviour =
+  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name behaviour
 
 (* --- Flow instrumentation ------------------------------------------- *)
 

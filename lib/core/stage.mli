@@ -162,13 +162,7 @@ val filter_active :
 
 (** {1 Custom stages} *)
 
-val custom :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?dispatch:Kernel.dispatch ->
-  name:string ->
-  Kernel.behaviour ->
-  Uid.t
+val custom : Kernel.t -> ?node:Eden_net.Net.node_id -> name:string -> Kernel.behaviour -> Uid.t
 (** Full control for impure stages (multiple channels, report streams,
     protocol extensions); a thin veneer over {!Kernel.create_eject} with
     the concurrent dispatch the stream handlers require. *)

@@ -92,15 +92,14 @@ let iter_lines f t =
 
 (* --- The conventional filter ----------------------------------------- *)
 
-let filter_ro k ?node ?(name = "stdio-filter") ?(capacity = 0) ?(batch = 1) ~upstream
-    ?(upstream_channel = Channel.output) body =
-  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name
+let filter_ro k ~upstream body =
+  Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"stdio-filter"
     (fun ctx ~passive:_ ->
       let port = Port.create () in
-      let w = Port.add_channel port ~capacity Channel.output in
-      let pull = Pull.connect ctx ~batch ~channel:upstream_channel upstream in
-      Kernel.spawn_worker ctx ~name:(name ^ "/main") (fun () ->
-          if capacity = 0 then Port.await_demand w;
+      let w = Port.add_channel port ~capacity:0 Channel.output in
+      let pull = Pull.connect ctx upstream in
+      Kernel.spawn_worker ctx ~name:"stdio-filter/main" (fun () ->
+          Port.await_demand w;
           let stdin = attach_in pull in
           let stdout = attach_out w in
           body stdin stdout;

@@ -54,17 +54,9 @@ val iter_lines : (string -> unit) -> in_stream -> unit
 
 (** {1 The conventional filter} *)
 
-val filter_ro :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?capacity:int ->
-  ?batch:int ->
-  upstream:Uid.t ->
-  ?upstream_channel:Channel.t ->
-  (in_stream -> out_stream -> unit) ->
-  Uid.t
-(** A read-only filter Eject whose body is written against conventional
-    [input_line]/[print_line] operations; the asymmetric protocol is
-    entirely hidden in this module, which is the paper's point about
-    where the burden moves. *)
+val filter_ro : Kernel.t -> upstream:Uid.t -> (in_stream -> out_stream -> unit) -> Uid.t
+(** A read-only filter Eject, reading [upstream]'s {!Channel.output}
+    one item per Transfer and producing nothing ahead of demand, whose
+    body is written against conventional [input_line]/[print_line]
+    operations; the asymmetric protocol is entirely hidden in this
+    module, which is the paper's point about where the burden moves. *)

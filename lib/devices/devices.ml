@@ -15,12 +15,11 @@ let fresh_screen () =
   let lines () = List.rev !buf in
   (render, lines)
 
-let terminal_ro k ?node ?(name = "terminal") ?(rate = 0.0) ?(batch = 1) ~upstream
-    ?(channel = T.Channel.output) () =
+let terminal_ro k ?(rate = 0.0) ~upstream () =
   let render, lines = fresh_screen () in
   let done_ = Ivar.create () in
   let uid =
-    T.Stage.sink_ro k ?node ~name ~batch ~upstream ~upstream_channel:channel
+    T.Stage.sink_ro k ~name:"terminal" ~upstream
       ~on_done:(fun () -> Ivar.fill done_ ())
       (fun v ->
         if rate > 0.0 then Sched.sleep rate;
@@ -28,11 +27,11 @@ let terminal_ro k ?node ?(name = "terminal") ?(rate = 0.0) ?(batch = 1) ~upstrea
   in
   { uid; lines; done_ }
 
-let terminal_wo k ?node ?(name = "terminal") ?(rate = 0.0) ?(capacity = 1) () =
+let terminal_wo k ?(rate = 0.0) () =
   let render, lines = fresh_screen () in
   let done_ = Ivar.create () in
   let uid =
-    T.Stage.sink_wo k ?node ~name ~capacity
+    T.Stage.sink_wo k ~name:"terminal"
       ~on_done:(fun () -> Ivar.fill done_ ())
       (fun v ->
         if rate > 0.0 then Sched.sleep rate;
@@ -40,23 +39,22 @@ let terminal_wo k ?node ?(name = "terminal") ?(rate = 0.0) ?(capacity = 1) () =
   in
   { uid; lines; done_ }
 
-let null_sink_ro k ?node ?(name = "null-sink") ?(batch = 1) ~upstream
-    ?(channel = T.Channel.output) () =
+let null_sink_ro k ~upstream () =
   let done_ = Ivar.create () in
   let uid =
-    T.Stage.sink_ro k ?node ~name ~batch ~upstream ~upstream_channel:channel
+    T.Stage.sink_ro k ~name:"null-sink" ~upstream
       ~on_done:(fun () -> Ivar.fill done_ ())
       ignore
   in
   { uid; lines = (fun () -> []); done_ }
 
-let date_source k ?node ?(name = "date-source") () =
-  T.Stage.source_ro k ?node ~name (fun () ->
+let date_source k () =
+  T.Stage.source_ro k ~name:"date-source" (fun () ->
       Some (Value.Str (Printf.sprintf "virtual time %.3f" (Sched.time ()))))
 
-let counter_source k ?node ?(name = "counter-source") ?(prefix = "line ") ~limit () =
+let counter_source k ?(prefix = "line ") ~limit () =
   let n = ref 0 in
-  T.Stage.source_ro k ?node ~name (fun () ->
+  T.Stage.source_ro k ~name:"counter-source" (fun () ->
       if !n >= limit then None
       else begin
         incr n;
@@ -72,18 +70,17 @@ let text_source k ?node ?(name = "text-source") ?(capacity = 0) lines =
           rest := tl;
           Some (Value.Str l))
 
-let random_source k ?node ?(name = "random-source") ?(seed = 0xC0FFEEL) ?(words_per_line = 4)
-    ~limit () =
+let random_source k ?(seed = 0xC0FFEEL) ~limit () =
   let prng = Eden_util.Prng.create seed in
   let vocabulary =
     [| "alpha"; "bravo"; "charlie"; "delta"; "echo"; "foxtrot"; "golf"; "hotel" |]
   in
   let n = ref 0 in
-  T.Stage.source_ro k ?node ~name (fun () ->
+  T.Stage.source_ro k ~name:"random-source" (fun () ->
       if !n >= limit then None
       else begin
         incr n;
-        let words = List.init words_per_line (fun _ -> Eden_util.Prng.choose prng vocabulary) in
+        let words = List.init 4 (fun _ -> Eden_util.Prng.choose prng vocabulary) in
         Some (Value.Str (String.concat " " words))
       end)
 
@@ -93,11 +90,11 @@ type printer = { puid : Uid.t; paper : unit -> string list; jobs_completed : uni
 
 let op_print = "Print"
 
-let printer k ?node ?(name = "printer") ?(rate = 0.0) () =
+let printer k ?node ?(rate = 0.0) () =
   let render, lines = fresh_screen () in
   let jobs = ref 0 in
   let uid =
-    T.Stage.custom k ?node ~name (fun ctx ~passive:_ ->
+    T.Stage.custom k ?node ~name:"printer" (fun ctx ~passive:_ ->
         (* One sheet of paper: concurrent Print invocations queue on the
            spool semaphore rather than interleave their lines. *)
         let spool = Eden_sched.Semaphore.create 1 in
@@ -130,13 +127,8 @@ let printer k ?node ?(name = "printer") ?(rate = 0.0) () =
   in
   { puid = uid; paper = lines; jobs_completed = (fun () -> !jobs) }
 
-let print ctx ~printer ?channel source =
-  let arg =
-    match channel with
-    | None -> Value.Uid source
-    | Some c -> Value.pair (Value.Uid source) (T.Channel.to_value c)
-  in
-  Value.to_unit (Kernel.call ctx printer ~op:op_print arg)
+let print ctx ~printer source =
+  Value.to_unit (Kernel.call ctx printer ~op:op_print (Value.Uid source))
 
 (* --- Report windows -------------------------------------------------- *)
 

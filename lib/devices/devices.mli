@@ -26,66 +26,35 @@ type display = {
 
 (** {1 Sinks} *)
 
-val terminal_ro :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?rate:float ->
-  ?batch:int ->
-  upstream:Uid.t ->
-  ?channel:T.Channel.t ->
-  unit ->
-  display
-(** A pumping terminal: actively reads [upstream], rendering one line
-    per [rate] (default 0, i.e. infinitely fast) of virtual time.  Start
-    with {!Kernel.poke}. *)
+val terminal_ro : Kernel.t -> ?rate:float -> upstream:Uid.t -> unit -> display
+(** A pumping terminal: actively reads {!T.Channel.output} of
+    [upstream], one item per Transfer, rendering one line per [rate]
+    (default 0, i.e. infinitely fast) of virtual time.  Start with
+    {!Kernel.poke}. *)
 
-val terminal_wo :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?rate:float ->
-  ?capacity:int ->
-  unit ->
-  display
+val terminal_wo : Kernel.t -> ?rate:float -> unit -> display
 (** A passive terminal for write-only pipelines: renders what is
-    deposited on {!T.Channel.output}. *)
+    deposited on {!T.Channel.output}, buffering one item. *)
 
-val null_sink_ro :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?batch:int ->
-  upstream:Uid.t ->
-  ?channel:T.Channel.t ->
-  unit ->
-  display
+val null_sink_ro : Kernel.t -> upstream:Uid.t -> unit -> display
 (** "The null sink is an Eject which reads indiscriminately and ignores
-    the data it is given" (§4).  [lines] stays empty; [done_] still
-    fires. *)
+    the data it is given" (§4): it pumps [upstream]'s
+    {!T.Channel.output}, one item per Transfer.  [lines] stays empty;
+    [done_] still fires. *)
 
 (** {1 Sources} *)
 
-val date_source : Kernel.t -> ?node:Eden_net.Net.node_id -> ?name:string -> unit -> Uid.t
+val date_source : Kernel.t -> unit -> Uid.t
 (** "An Eject which responds to a read invocation by returning the
     current date and time is a source" (§4).  Infinite; each item is a
     [Value.Str] timestamp in virtual time. *)
 
-val counter_source :
-  Kernel.t -> ?node:Eden_net.Net.node_id -> ?name:string -> ?prefix:string -> limit:int -> unit -> Uid.t
+val counter_source : Kernel.t -> ?prefix:string -> limit:int -> unit -> Uid.t
 (** Lines ["<prefix>1" .. "<prefix>limit"], then end of stream. *)
 
-val random_source :
-  Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?seed:int64 ->
-  ?words_per_line:int ->
-  limit:int ->
-  unit ->
-  Uid.t
-(** Deterministic pseudo-random text, [limit] lines — workload filler
-    for benches and tests.  Same seed, same text. *)
+val random_source : Kernel.t -> ?seed:int64 -> limit:int -> unit -> Uid.t
+(** Deterministic pseudo-random text, [limit] lines of four words —
+    workload filler for benches and tests.  Same seed, same text. *)
 
 val text_source :
   Kernel.t -> ?node:Eden_net.Net.node_id -> ?name:string -> ?capacity:int -> string list -> Uid.t
@@ -99,7 +68,7 @@ type printer = {
   jobs_completed : unit -> int;
 }
 
-val printer : Kernel.t -> ?node:Eden_net.Net.node_id -> ?name:string -> ?rate:float -> unit -> printer
+val printer : Kernel.t -> ?node:Eden_net.Net.node_id -> ?rate:float -> unit -> printer
 (** Responds to [Print(source_uid)] (or [Print(pair source channel)]):
     reads the named stream to exhaustion onto paper, then replies — "a
     file could be printed simply by requesting the printer server to
@@ -108,8 +77,9 @@ val printer : Kernel.t -> ?node:Eden_net.Net.node_id -> ?name:string -> ?rate:fl
 
 val op_print : string
 
-val print : Kernel.ctx -> printer:Uid.t -> ?channel:T.Channel.t -> Uid.t -> unit
-(** Client convenience: blocks until the job is on paper. *)
+val print : Kernel.ctx -> printer:Uid.t -> Uid.t -> unit
+(** Client convenience: prints the source's {!T.Channel.output} and
+    blocks until the job is on paper. *)
 
 (** {1 Report windows} *)
 

@@ -66,8 +66,8 @@ let create k ?node () =
       ]
       @ T.Port.handlers port)
 
-let concatenator k ?node dirs =
-  Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:"DirectoryConcatenator"
+let concatenator k dirs =
+  Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"DirectoryConcatenator"
     (fun ctx ~passive ->
       (* The directory list itself is checkpointed so a recovered
          concatenator still knows its search path. *)

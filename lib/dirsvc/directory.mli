@@ -25,7 +25,7 @@ module Uid = Eden_kernel.Uid
 module Value = Eden_kernel.Value
 
 val create : Kernel.t -> ?node:Eden_net.Net.node_id -> unit -> Uid.t
-val concatenator : Kernel.t -> ?node:Eden_net.Net.node_id -> Uid.t list -> Uid.t
+val concatenator : Kernel.t -> Uid.t list -> Uid.t
 
 val op_list : string
 

@@ -101,11 +101,13 @@ let read_all ctx file =
   T.Pull.iter (fun v -> acc := Value.to_str v :: !acc) pull;
   List.rev !acc
 
-let open_write ctx ?(append = false) file =
+let open_for_write ctx ~append file =
   T.Channel.of_value (Kernel.call ctx file ~op:op_open_write (Value.Bool append))
 
-let write_all ctx ?append file lines =
-  let chan = open_write ctx ?append file in
+let open_write ctx file = open_for_write ctx ~append:false file
+
+let write_all ctx ?(append = false) file lines =
+  let chan = open_for_write ctx ~append file in
   let push = T.Push.connect ctx ~batch:8 ~channel:chan file in
   List.iter (fun l -> T.Push.write push (Value.Str l)) lines;
   T.Push.close push

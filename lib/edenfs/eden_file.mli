@@ -40,13 +40,14 @@ val open_read : Kernel.ctx -> Uid.t -> T.Channel.t
 val read_all : Kernel.ctx -> Uid.t -> string list
 (** [open_read] and drain. *)
 
-val open_write : Kernel.ctx -> ?append:bool -> Uid.t -> T.Channel.t
+val open_write : Kernel.ctx -> Uid.t -> T.Channel.t
 (** A capability channel accepting this writer's lines; contents commit
-    atomically when the writer sends end of stream.  Concurrent writers
-    are isolated; last commit wins. *)
+    atomically when the writer sends end of stream, replacing the old
+    ones.  Concurrent writers are isolated; last commit wins. *)
 
 val write_all : Kernel.ctx -> ?append:bool -> Uid.t -> string list -> unit
-(** [open_write], push everything, close (= commit). *)
+(** [open_write] (appending to the committed contents when [append]),
+    push everything, close (= commit). *)
 
 val read_at : Kernel.ctx -> Uid.t -> int -> string
 (** @raise Kernel.Eden_error when out of bounds. *)

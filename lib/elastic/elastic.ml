@@ -271,7 +271,7 @@ let replica_behaviour ctrl label flow seed ctx ~passive =
             ckpt ();
             Value.Int !durable)
   in
-  [ (Proto.deposit_op, deposit); (Eproto.sync_op, sync); ("Ping", fun _ -> Value.Unit) ]
+  [ (Proto.deposit_op, deposit); (Eproto.sync_op, sync) ]
 
 (* --- Sink behaviour -------------------------------------------------- *)
 
@@ -326,7 +326,7 @@ let sink_behaviour ctrl _ctx ~passive:_ =
     if not (Ivar.is_filled ctrl.done_) then Ivar.fill ctrl.done_ ();
     Value.Unit
   in
-  [ (Proto.deposit_op, deposit); (Eproto.finish_op, finish); ("Ping", fun _ -> Value.Unit) ]
+  [ (Proto.deposit_op, deposit); (Eproto.finish_op, finish) ]
 
 (* --- Router: routing, links, scaling, drain and adoption ------------- *)
 
@@ -879,11 +879,11 @@ let router_behaviour ctrl ctx ~passive:_ =
       ctrl.reps;
     Proto.deposit_ack ~next_seq:ack
   in
-  [ (Proto.deposit_op, deposit); ("Ping", fun _ -> Value.Unit) ]
+  [ (Proto.deposit_op, deposit) ]
 
 (* --- Construction and the public surface ----------------------------- *)
 
-let create k ?node ?defect ?supervise ?on_output ~classify ~spec p =
+let create k ?defect ?supervise ?on_output ~classify ~spec p =
   let ctrl =
     {
       kernel = k;
@@ -921,16 +921,16 @@ let create k ?node ?defect ?supervise ?on_output ~classify ~spec p =
   in
   ctrl.sink_uid <-
     Some
-      (Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:"elastic-sink"
+      (Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"elastic-sink"
          (sink_behaviour ctrl));
   ctrl.router_uid <-
     Some
-      (Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:"elastic-router"
+      (Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:"elastic-router"
          (router_behaviour ctrl));
   (match supervise with
   | Some policy ->
       let sup =
-        Supervisor.create k ?node ~name:"elastic-supervisor" ~policy
+        Supervisor.create k ~name:"elastic-supervisor" ~policy
           ~on_give_up:(fun _label uid -> ctrl.adopt_q <- uid :: ctrl.adopt_q)
           ()
       in

@@ -78,7 +78,6 @@ type t
 
 val create :
   Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
   ?defect:defect ->
   ?supervise:Supervisor.policy ->
   ?on_output:(int -> Value.t -> unit) ->
@@ -91,8 +90,9 @@ val create :
     an internal {!Supervisor} watching every replica; its give-ups
     become involuntary drains (adoption) on the next manager tick.
     [on_output] fires once per admitted output, in turnstile order —
-    the latency-stamp hook for benchmarks.  [node] places router, sink
-    and supervisor; replicas round-robin across all kernel nodes. *)
+    the latency-stamp hook for benchmarks.  Router, sink and supervisor
+    live on the kernel's default node; replicas round-robin across all
+    kernel nodes. *)
 
 val start : t -> unit
 (** Registers the manager driver fiber (and starts the supervisor).

@@ -129,9 +129,8 @@ let chunked_rot13 = Chunkline.tr rot13_char
 let chunked_grep pattern = Chunkline.keep (fun l -> Text.contains_sub ~sub:pattern l)
 let chunked_grep_v pattern = Chunkline.keep (fun l -> not (Text.contains_sub ~sub:pattern l))
 
-let chunked_number_lines ?(start = 1) ?(width = 4) () =
-  Chunkline.stateful ~init:start
-    ~step:(fun n line -> (n + 1, [ Printf.sprintf "%*d  %s" width n line ]))
+let chunked_number_lines () =
+  Chunkline.stateful ~init:1 ~step:(fun n line -> (n + 1, [ Printf.sprintf "%4d  %s" n line ]))
     ~flush:(fun _ -> [])
 
 (* --- name registry for the shell ----------------------------------- *)

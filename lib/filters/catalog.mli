@@ -76,7 +76,8 @@ val chunked_trim_trailing : Eden_transput.Transform.t
 val chunked_rot13 : Eden_transput.Transform.t
 val chunked_grep : string -> Eden_transput.Transform.t
 val chunked_grep_v : string -> Eden_transput.Transform.t
-val chunked_number_lines : ?start:int -> ?width:int -> unit -> Eden_transput.Transform.t
+val chunked_number_lines : unit -> Eden_transput.Transform.t
+(** {!number_lines} with its defaults: from 1, four columns wide. *)
 
 val by_name : string -> string list -> (Eden_transput.Transform.t, string) result
 (** Shell-facing constructor: [by_name "grep" ["pattern"]].  [Error]

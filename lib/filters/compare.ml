@@ -121,15 +121,15 @@ let diff left right =
 
 (* --- stages ----------------------------------------------------------- *)
 
-let two_input_stage k ?node ~name ?(capacity = 0) ?(batch = 1) ~left ~right body =
+let two_input_stage k ?node ~name ~left ~right body =
   T.Stage.custom k ?node ~name (fun ctx ~passive:_ ->
       let port = T.Port.create () in
-      let w = T.Port.add_channel port ~capacity T.Channel.output in
+      let w = T.Port.add_channel port ~capacity:0 T.Channel.output in
       Kernel.spawn_worker ctx ~name:(name ^ "/compare") (fun () ->
-          if capacity = 0 then T.Port.await_demand w;
+          T.Port.await_demand w;
           let lu, lc = left and ru, rc = right in
-          let pl = T.Pull.connect ctx ~batch ~channel:lc lu in
-          let pr = T.Pull.connect ctx ~batch ~channel:rc ru in
+          let pl = T.Pull.connect ctx ~channel:lc lu in
+          let pr = T.Pull.connect ctx ~channel:rc ru in
           body
             (fun () -> Option.map Value.to_str (T.Pull.read pl))
             (fun () -> Option.map Value.to_str (T.Pull.read pr))
@@ -137,12 +137,12 @@ let two_input_stage k ?node ~name ?(capacity = 0) ?(batch = 1) ~left ~right body
           T.Port.close w);
       T.Port.handlers port)
 
-let comm_stage k ?node ?(name = "comm") ?capacity ?batch ~left ~right () =
-  two_input_stage k ?node ~name ?capacity ?batch ~left ~right (fun next_l next_r emit ->
+let comm_stage k ~left ~right () =
+  two_input_stage k ~name:"comm" ~left ~right (fun next_l next_r emit ->
       comm_step emit next_l next_r)
 
-let diff_stage k ?node ?(name = "diff") ?capacity ?batch ~left ~right () =
-  two_input_stage k ?node ~name ?capacity ?batch ~left ~right (fun next_l next_r emit ->
+let diff_stage k ?node ~left ~right () =
+  two_input_stage k ?node ~name:"diff" ~left ~right (fun next_l next_r emit ->
       let drain next =
         let rec go acc = match next () with Some l -> go (l :: acc) | None -> List.rev acc in
         go []

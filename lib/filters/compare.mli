@@ -4,7 +4,8 @@
 
     Two classic comparators, each available as a pure function and as a
     two-input read-only Eject (a stage holding two upstream UIDs — free
-    fan-in):
+    fan-in — that reads one item per Transfer and computes nothing ahead
+    of demand):
 
     - {!comm}: set comparison of two {e sorted} line streams, emitting
       ["<\tl"] (only in the first), [">\tl"] (only in the second) and
@@ -24,10 +25,6 @@ val lcs_length : string list -> string list -> int
 
 val comm_stage :
   Eden_kernel.Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?capacity:int ->
-  ?batch:int ->
   left:Eden_kernel.Uid.t * Eden_transput.Channel.t ->
   right:Eden_kernel.Uid.t * Eden_transput.Channel.t ->
   unit ->
@@ -37,9 +34,6 @@ val comm_stage :
 val diff_stage :
   Eden_kernel.Kernel.t ->
   ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?capacity:int ->
-  ?batch:int ->
   left:Eden_kernel.Uid.t * Eden_transput.Channel.t ->
   right:Eden_kernel.Uid.t * Eden_transput.Channel.t ->
   unit ->

@@ -62,12 +62,10 @@ let gen_with_reports ~label gen report =
         Some v
     | None -> None
 
-let source_wo k ?node ?(name = "reporting-source") ?(batch = 1) ~downstream
-    ?(downstream_channel = T.Channel.output) ~report_to ?(report_channel = T.Channel.report)
-    ~label gen =
-  T.Stage.custom k ?node ~name (fun ctx ~passive:_ ->
-      let push = T.Push.connect ctx ~batch ~channel:downstream_channel downstream in
-      let rpush = T.Push.connect ctx ~batch ~channel:report_channel report_to in
+let source_wo k ?(name = "reporting-source") ~downstream ~report_to ~label gen =
+  T.Stage.custom k ~name (fun ctx ~passive:_ ->
+      let push = T.Push.connect ctx downstream in
+      let rpush = T.Push.connect ctx ~channel:T.Channel.report report_to in
       Kernel.spawn_worker ctx ~name:(name ^ "/pump") (fun () ->
           let gen = gen_with_reports ~label gen (T.Push.write rpush) in
           let rec go () =

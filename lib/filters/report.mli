@@ -58,17 +58,15 @@ val filter_wo :
 
 val source_wo :
   Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
   ?name:string ->
-  ?batch:int ->
   downstream:Uid.t ->
-  ?downstream_channel:T.Channel.t ->
   report_to:Uid.t ->
-  ?report_channel:T.Channel.t ->
   label:string ->
   T.Stage.gen ->
   Uid.t
-(** Figure 3's source also reports; one line per item generated. *)
+(** Figure 3's source also reports; one line per item generated.  Items
+    go to [downstream]'s {!T.Channel.output} and reports to
+    [report_to]'s {!T.Channel.report}, one item per Deposit. *)
 
 val source_ro :
   Kernel.t ->

@@ -233,15 +233,15 @@ let transform script next emit =
 
 let run_lines script lines = Line.run (transform script) lines
 
-let two_input_stage k ?node ?(name = "sed") ?(capacity = 0) ?(batch = 1) ~commands ~text () =
-  T.Stage.custom k ?node ~name (fun ctx ~passive:_ ->
+let two_input_stage k ?node ~commands ~text () =
+  T.Stage.custom k ?node ~name:"sed" (fun ctx ~passive:_ ->
       let port = T.Port.create () in
-      let w = T.Port.add_channel port ~capacity T.Channel.output in
-      Kernel.spawn_worker ctx ~name:(name ^ "/edit") (fun () ->
-          if capacity = 0 then T.Port.await_demand w;
+      let w = T.Port.add_channel port ~capacity:0 T.Channel.output in
+      Kernel.spawn_worker ctx ~name:"sed/edit" (fun () ->
+          T.Port.await_demand w;
           (* First input: the editing commands (drained in full). *)
           let cuid, cchan = commands in
-          let cpull = T.Pull.connect ctx ~batch ~channel:cchan cuid in
+          let cpull = T.Pull.connect ctx ~channel:cchan cuid in
           let script_lines = ref [] in
           T.Pull.iter (fun v -> script_lines := Value.to_str v :: !script_lines) cpull;
           match parse_script (List.rev !script_lines) with
@@ -249,7 +249,7 @@ let two_input_stage k ?node ?(name = "sed") ?(capacity = 0) ?(batch = 1) ~comman
           | Ok script ->
               (* Second input: the text stream. *)
               let tuid, tchan = text in
-              let tpull = T.Pull.connect ctx ~batch ~channel:tchan tuid in
+              let tpull = T.Pull.connect ctx ~channel:tchan tuid in
               transform script (fun () -> T.Pull.read tpull) (T.Port.write w);
               T.Port.close w);
       T.Port.handlers port)

@@ -55,13 +55,11 @@ val apply_line : script -> int -> string -> string list * bool
 val two_input_stage :
   Eden_kernel.Kernel.t ->
   ?node:Eden_net.Net.node_id ->
-  ?name:string ->
-  ?capacity:int ->
-  ?batch:int ->
   commands:Eden_kernel.Uid.t * Eden_transput.Channel.t ->
   text:Eden_kernel.Uid.t * Eden_transput.Channel.t ->
   unit ->
   Eden_kernel.Uid.t
-(** The §5 editor: output on {!Eden_transput.Channel.output}.  A script
-    that fails to parse surfaces as a worker failure naming the bad
-    command. *)
+(** The §5 editor: output on {!Eden_transput.Channel.output}, nothing
+    edited ahead of demand; each input is read one item per Transfer.
+    A script that fails to parse surfaces as a worker failure naming the
+    bad command. *)

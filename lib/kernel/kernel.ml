@@ -154,14 +154,13 @@ let on_fiber_finish t fid =
       | Some { state = Active rt; _ } -> rt.worker_fids <- remove_fid fid rt.worker_fids
       | Some _ | None -> ())
 
-let create ?(seed = 0xEDE0L) ?(latency = Net.Fixed 1.0) ?(nodes = [ "node-0" ])
-    ?span_capacity () =
+let create ?(seed = 0xEDE0L) ?(latency = Net.Fixed 1.0) ?(nodes = [ "node-0" ]) () =
   let sched = Sched.create () in
   let prng = Eden_util.Prng.create seed in
   let net = Net.create ~seed:(Eden_util.Prng.next_int64 prng) ~sched ~latency () in
   let nodes = if nodes = [] then [ "node-0" ] else nodes in
   let node_ids = List.map (Net.add_node net) nodes in
-  let obs = Obs.create ?span_capacity () in
+  let obs = Obs.create () in
   Net.set_obs net obs;
   let dummy_eject =
     {
@@ -532,7 +531,7 @@ let call ctx dst ~op arg =
 (* A user-level span bound to the current fiber: invocations issued by
    [f] become its children.  Used by drivers to root the invocation
    tree of one pipeline run. *)
-let with_span ctx ?(cat = "user") ~name f =
+let with_span ctx ~name f =
   let t = ctx.k in
   if not (Obs.spans_enabled t.obs) then f ()
   else
@@ -540,7 +539,7 @@ let with_span ctx ?(cat = "user") ~name f =
     | None -> f ()
     | Some fid -> (
         let parent = Hashtbl.find_opt t.fiber_spans fid in
-        let id = Obs.span_begin t.obs ?parent ~name ~cat ~at:(Sched.now t.sched) () in
+        let id = Obs.span_begin t.obs ?parent ~name ~cat:"user" ~at:(Sched.now t.sched) () in
         Hashtbl.replace t.fiber_spans fid id;
         let restore () =
           match parent with

@@ -49,17 +49,11 @@ type dispatch = Serial | Concurrent
 
 (** {1 Kernel lifecycle} *)
 
-val create :
-  ?seed:int64 ->
-  ?latency:Eden_net.Net.latency ->
-  ?nodes:string list ->
-  ?span_capacity:int ->
-  unit ->
-  t
+val create : ?seed:int64 -> ?latency:Eden_net.Net.latency -> ?nodes:string list -> unit -> t
 (** A kernel with its own scheduler, network and observability
-    collector.  [nodes] (default one node ["node-0"]) are created in
-    order; node 0 also hosts external drivers.  [span_capacity]
-    bounds completed-span storage (see {!Eden_obs.Obs.create}). *)
+    collector (with {!Eden_obs.Obs.create}'s default span capacity).
+    [nodes] (default one node ["node-0"]) are created in order; node 0
+    also hosts external drivers. *)
 
 val sched : t -> Eden_sched.Sched.t
 val net : t -> Eden_net.Net.t
@@ -214,11 +208,11 @@ val call : ctx -> Uid.t -> op:string -> Value.t -> Value.t
 (** [invoke] that raises {!Eden_error} on an [Error] reply.  The usual
     form inside protocol code. *)
 
-val with_span : ctx -> ?cat:string -> name:string -> (unit -> 'a) -> 'a
-(** Runs [f] under a user-level span bound to the current fiber, so
-    invocations issued inside become its children in the exported
-    invocation tree.  A no-op (beyond calling [f]) when spans are
-    disabled or outside a fiber.  [cat] defaults to ["user"]. *)
+val with_span : ctx -> name:string -> (unit -> 'a) -> 'a
+(** Runs [f] under a user-level span of category ["user"] bound to the
+    current fiber, so invocations issued inside become its children in
+    the exported invocation tree.  A no-op (beyond calling [f]) when
+    spans are disabled or outside a fiber. *)
 
 (** {1 Eject self-operations (inside handlers / workers)} *)
 

@@ -87,8 +87,9 @@ let to_string v = Format.asprintf "%a" pp v
 
 exception Preview_full
 
-let preview ?(max_len = 96) v =
-  let b = Buffer.create (min max_len 96) in
+let preview v =
+  let max_len = 96 in
+  let b = Buffer.create max_len in
   let add s =
     let room = max_len - Buffer.length b in
     if String.length s <= room then Buffer.add_string b s

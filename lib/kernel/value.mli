@@ -59,8 +59,8 @@ val size : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val preview : ?max_len:int -> t -> string
-(** Like {!to_string} but bounded: at most [max_len] (default 96) bytes
-    of rendering are produced, with ["…"] marking the cut.  Use this in
-    error messages built from untrusted values — a hostile decode must
-    not be able to blow up the very diagnostic that rejects it. *)
+val preview : t -> string
+(** Like {!to_string} but bounded: at most 96 bytes of rendering are
+    produced, with ["…"] marking the cut.  Use this in error messages
+    built from untrusted values — a hostile decode must not be able to
+    blow up the very diagnostic that rejects it. *)

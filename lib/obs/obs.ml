@@ -268,11 +268,11 @@ let span_end t id ~at ~ok =
       s.Span.ok <- ok;
       keep t s
 
-let instant t ?parent ?(attrs = []) ~name ~cat ~at () =
+let instant t ?(attrs = []) ~name ~cat ~at () =
   if t.spans_on then begin
     let id = Slab.alloc t.live dummy_span in
     ignore (Slab.free t.live id);
-    keep t { Span.id; parent; name; cat; start = at; stop = at; ok = true; attrs }
+    keep t { Span.id; parent = None; name; cat; start = at; stop = at; ok = true; attrs }
   end
 
 let spans t = List.init (Cqueue.length t.closed) (Cqueue.get t.closed)
@@ -287,11 +287,11 @@ let clear_spans t =
   List.iter (fun h -> ignore (Slab.free t.live h)) open_handles;
   t.dropped <- 0
 
-let histogram ?lo ?growth t name =
+let histogram ?lo t name =
   match Hashtbl.find_opt t.hists name with
   | Some h -> h
   | None ->
-      let h = Histogram.create ?lo ?growth () in
+      let h = Histogram.create ?lo () in
       Hashtbl.replace t.hists name h;
       h
 

@@ -135,9 +135,8 @@ val span_end : t -> int -> at:float -> ok:bool -> unit
 (** Close an open span.  Unknown ids are ignored. *)
 
 val instant :
-  t -> ?parent:int -> ?attrs:(string * string) list -> name:string -> cat:string ->
-  at:float -> unit -> unit
-(** Record a zero-duration event.  No-op when spans are disabled. *)
+  t -> ?attrs:(string * string) list -> name:string -> cat:string -> at:float -> unit -> unit
+(** Record a zero-duration root event.  No-op when spans are disabled. *)
 
 val spans : t -> Span.t list
 (** Completed spans, oldest first. *)
@@ -150,9 +149,9 @@ val dropped_spans : t -> int
 
 val clear_spans : t -> unit
 
-val histogram : ?lo:float -> ?growth:float -> t -> string -> Histogram.t
-(** Get-or-create the named histogram ([lo]/[growth] apply only on
-    creation). *)
+val histogram : ?lo:float -> t -> string -> Histogram.t
+(** Get-or-create the named histogram, with {!Histogram.create}'s
+    default growth ([lo] applies only on creation). *)
 
 val histograms : t -> (string * Histogram.t) list
 (** Name-sorted. *)

@@ -143,7 +143,7 @@ let set_det_pick t p = t.det_pick <- p
 let shard_count t = Array.length t.shards
 let kernel t i = t.shards.(i).kernel
 
-let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
+let create ?(seed = 0xEDE0L) cluster_mode ~shards:n () =
   if n <= 0 then invalid_arg "Cluster.create: shards must be positive";
   (match cluster_mode with
   | Wire _ when n > 256 -> invalid_arg "Cluster.create: wire mode caps shards at 256"
@@ -153,7 +153,7 @@ let create ?(seed = 0xEDE0L) ?latency cluster_mode ~shards:n () =
   let shards =
     Array.init n (fun index ->
         let kernel =
-          Kernel.create ~seed:(Prng.next_int64 streams.(index)) ?latency ()
+          Kernel.create ~seed:(Prng.next_int64 streams.(index)) ()
         in
         {
           index;

@@ -68,14 +68,9 @@ type mode =
 
 type t
 
-val create :
-  ?seed:int64 ->
-  ?latency:Eden_net.Net.latency ->
-  mode ->
-  shards:int ->
-  unit ->
-  t
-(** [shards] complete kernels.  Shard seeds are derived by splitting the
+val create : ?seed:int64 -> mode -> shards:int -> unit -> t
+(** [shards] complete kernels, each with {!Eden_kernel.Kernel.create}'s
+    default network latency.  Shard seeds are derived by splitting the
     cluster seed, so shard [i]'s randomness is the same in both modes
     and for any shard count.
     @raise Invalid_argument on non-positive [shards]. *)

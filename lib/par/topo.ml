@@ -637,9 +637,9 @@ let f2 ?(plane = Boxed) ?(filter = alternating) ?(batch = 1) ?(capacity = 3) ~do
   chain ~capacity ~batch ~domains ~filter_name:(Printf.sprintf "F%d") plane Read_only
     (Lines items) (List.init filters (fun j -> filter (j + 1)))
 
-let f1 ?(plane = Boxed) ?(capacity = 4) ~domains ~filters ~items () =
+let f1 ?(plane = Boxed) ~domains ~filters ~items () =
   if filters < 0 then fail (Bad_size { what = "filters"; value = filters });
-  chain ~capacity ~batch:1 ~domains ~filter_name:(Printf.sprintf "F%d") plane Conventional
+  chain ~capacity:4 ~batch:1 ~domains ~filter_name:(Printf.sprintf "F%d") plane Conventional
     (Lines items) (List.init filters (fun j -> alternating (j + 1)))
 
 (* A chain on one kernel: checked and built as it is declared, its stages
@@ -687,8 +687,7 @@ let pipeline kernel ?(nodes = []) ?(capacity = 0) ?(batch = 1) ?flowctl discipli
     ~meter:(Retry.create_meter ()) discipline (Gen gen)
     (List.map (fun f -> Fn f) filters)
 
-let resumable kernel ?(nodes = []) ?(capacity = 0) ?(batch = 1) ?flowctl ?policy ~seed discipline
-    ~gen ~filters =
+let resumable kernel ?(nodes = []) ?(batch = 1) ?flowctl ?policy ~seed discipline ~gen ~filters =
   let meter = Retry.create_meter () in
   (* A batch below 1 is refused as [Invalid] when the chain is checked. *)
   let flowctl = match flowctl with Some f -> f | None -> Flowctl.fixed (max 1 batch) in
@@ -696,7 +695,7 @@ let resumable kernel ?(nodes = []) ?(capacity = 0) ?(batch = 1) ?flowctl ?policy
      index, so a whole chaos run is a deterministic function of its seeds. *)
   let retry i = Retry.client ?policy ~meter (Int64.add seed (Int64.of_int i)) in
   (* A sink restarted after completion reports it again. *)
-  on_kernel kernel ~nodes ~capacity ~batch ~flowctl ~retry ~consume:ignore
+  on_kernel kernel ~nodes ~capacity:0 ~batch ~flowctl ~retry ~consume:ignore
     ~on_done:(fun done_ () -> ignore (Ivar.try_fill done_ ()))
     ~meter discipline (Indexed gen)
     (List.map (fun s -> Step s) filters)
@@ -711,18 +710,18 @@ let report_chain b ~domains ~capacity ~source ~items =
   let f3 = add b ~capacity ~shard:(at 3) "F3" (Filter Upcase) in
   (src, f1, f2, f3)
 
-let f3 ?(plane = Boxed) ?(capacity = 4) ~domains ~items () =
+let f3 ?(plane = Boxed) ~domains ~items () =
   let b = builder () in
-  let src, f1, f2, f3 = report_chain b ~domains ~capacity ~source:(fun d -> Source d) ~items in
-  let sink = add b ~capacity ~shard:0 "sink" Sink in
-  let repsink = add b ~capacity ~shard:0 "repsink" Sink in
+  let src, f1, f2, f3 = report_chain b ~domains ~capacity:4 ~source:(fun d -> Source d) ~items in
+  let sink = add b ~capacity:4 ~shard:0 "sink" Sink in
+  let repsink = add b ~capacity:4 ~shard:0 "repsink" Sink in
   List.iter (fun (s, d) -> link b Write_only s d) [ (src, f1); (f1, f2); (f2, f3); (f3, sink) ];
   link b ~channel:Report Write_only f1 repsink;
   finish b plane
 
-let f4 ?(plane = Boxed) ?(capacity = 3) ~domains ~items () =
+let f4 ?(plane = Boxed) ~domains ~items () =
   let b = builder () in
-  let src, f1, f2, f3 = report_chain b ~domains ~capacity ~source:(fun d -> Source d) ~items in
+  let src, f1, f2, f3 = report_chain b ~domains ~capacity:3 ~source:(fun d -> Source d) ~items in
   let sink = add b ~shard:0 "sink" Sink in
   let window = add b ~shard:0 "window" Window in
   List.iter (fun (s, d) -> link b Read_only s d) [ (src, f1); (f1, f2); (f2, f3); (f3, sink) ];

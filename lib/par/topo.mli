@@ -182,7 +182,7 @@ val chunked : ?cut:int -> ?chunk_bytes:int -> unit -> plane
 (** [cut] defaults to 113 (deliberately line-misaligned), [chunk_bytes]
     to 4096.  @raise Invalid_argument when [cut < 1]. *)
 
-val f1 : ?plane:plane -> ?capacity:int -> domains:int -> filters:int -> items:int -> unit -> t
+val f1 : ?plane:plane -> domains:int -> filters:int -> items:int -> unit -> t
 (** Figure 1 conventional pipeline: active source, filters (alternating
     trim/upcase) and sink connected through passive pipes ["pipe-1"] …
     (capacity 4) on shard 0, so every hop crosses the fabric twice. *)
@@ -201,12 +201,12 @@ val f2 :
     for j = 1..filters, alternating trim/upcase by default) and a pumping
     sink.  [batch] defaults to 1, [capacity] to 3. *)
 
-val f3 : ?plane:plane -> ?capacity:int -> domains:int -> items:int -> unit -> t
+val f3 : ?plane:plane -> domains:int -> items:int -> unit -> t
 (** §5 write-only pipeline with a report stream: source → reporting F1
     (progress every 4) → F2 (grep -v "drop") → F3 (upcase) → [sink];
     F1's reports deposit into their own sink, [repsink].  Capacity 4. *)
 
-val f4 : ?plane:plane -> ?capacity:int -> domains:int -> items:int -> unit -> t
+val f4 : ?plane:plane -> domains:int -> items:int -> unit -> t
 (** Figure 4 read-only report topology: the same chain pulled, a byte
     [sink], and a [window] watching F1's report channel.  Capacity 3. *)
 
@@ -291,7 +291,6 @@ val pipeline :
 val resumable :
   Eden_kernel.Kernel.t ->
   ?nodes:Eden_net.Net.node_id list ->
-  ?capacity:int ->
   ?batch:int ->
   ?flowctl:Eden_flowctl.Flowctl.t ->
   ?policy:Eden_resil.Retry.policy ->
@@ -302,7 +301,8 @@ val resumable :
   Eden_transput.Pipeline.t
 (** The crash-resumable chain of {!Eden_transput.Resumable} stages; read
     the sink's stream back with {!Eden_transput.Pipeline.output}.
-    [flowctl] (default [Fixed batch]) sizes every stage's exchanges,
-    each adaptive stage with its own controller.  Stage [i] in
-    declaration order seeds its retry jitter with [seed + i] (source 0,
-    sink last).  No stage registers a flow meter. *)
+    Read-only stages anticipate nothing; every intake and pipe holds
+    one item.  [flowctl] (default [Fixed batch]) sizes every stage's
+    exchanges, each adaptive stage with its own controller.  Stage [i]
+    in declaration order seeds its retry jitter with [seed + i] (source
+    0, sink last).  No stage registers a flow meter. *)

@@ -28,7 +28,7 @@ let client ?(policy = default_policy) ?meter seed = { policy; meter; seed }
 
 exception Exhausted of string
 
-let invoke ?(policy = default_policy) ?meter ~prng ctx dst ~op arg =
+let invoke_metered ?(policy = default_policy) ?meter ~prng ctx dst ~op arg =
   let record f = match meter with Some m -> f m | None -> () in
   let rec go attempt prev =
     record (fun m ->
@@ -51,8 +51,10 @@ let invoke ?(policy = default_policy) ?meter ~prng ctx dst ~op arg =
   in
   go 1 0.0
 
+let invoke ?policy ~prng ctx dst ~op arg = invoke_metered ?policy ~prng ctx dst ~op arg
+
 let call ?policy ?meter ~prng ctx dst ~op arg =
-  match invoke ?policy ?meter ~prng ctx dst ~op arg with
+  match invoke_metered ?policy ?meter ~prng ctx dst ~op arg with
   | Some (Ok v) -> v
   | Some (Error e) -> raise (Kernel.Eden_error e)
   | None -> raise (Exhausted (Printf.sprintf "retry budget exhausted invoking %s" op))

@@ -51,7 +51,6 @@ exception Exhausted of string
 
 val invoke :
   ?policy:policy ->
-  ?meter:meter ->
   prng:Eden_util.Prng.t ->
   Kernel.ctx ->
   Uid.t ->
@@ -71,6 +70,6 @@ val call :
   op:string ->
   Value.t ->
   Value.t
-(** Like [invoke] but unwraps the reply: raises
+(** Like [invoke], counting into [meter], but unwraps the reply: raises
     {!Eden_kernel.Kernel.Eden_error} on an [Error] reply and
     {!Exhausted} when the budget runs out. *)

@@ -1,33 +1,27 @@
-module Value = Eden_kernel.Value
 module Kernel = Eden_kernel.Kernel
 module Uid = Eden_kernel.Uid
 module Sched = Eden_sched.Sched
 module Prng = Eden_util.Prng
 module Obs = Eden_obs.Obs
 
-type policy = {
-  interval : float;
-  max_restarts : int;
-  window : float;
-  restart_backoff : Backoff.t;
-  ping_timeout : float;
-}
+type policy = { interval : float; max_restarts : int; window : float }
 
-let policy ?(interval = 5.0) ?(max_restarts = 5) ?(window = 200.0)
-    ?(restart_backoff = Backoff.make ~base:0.5 ~multiplier:2.0 ~cap:8.0 ~jitter:0.1 ())
-    ?(ping_timeout = 5.0) () =
+let policy ?(interval = 5.0) ?(max_restarts = 5) ?(window = 200.0) () =
   if interval <= 0.0 then invalid_arg "Supervisor.policy: interval must be positive";
   if max_restarts < 1 then invalid_arg "Supervisor.policy: max_restarts must be at least 1";
   if window <= 0.0 then invalid_arg "Supervisor.policy: window must be positive";
-  if ping_timeout <= 0.0 then invalid_arg "Supervisor.policy: ping_timeout must be positive";
-  { interval; max_restarts; window; restart_backoff; ping_timeout }
+  { interval; max_restarts; window }
 
 let default_policy = policy ()
+
+(* Delay before each poke, by consecutive restart count; jitter draws
+   from a stream seeded at every activation of the supervisor. *)
+let restart_backoff = Backoff.make ~base:0.5 ~multiplier:2.0 ~cap:8.0 ~jitter:0.1 ()
+let seed = 0xC0FFEEL
 
 type entry = {
   e_uid : Uid.t;
   label : string;
-  ping : bool;
   mutable last_crashes : int;
   mutable restart_times : float list; (* inside the sliding window, newest first *)
   mutable consecutive : int;
@@ -39,7 +33,6 @@ type entry = {
 type ctrl = {
   kernel : Kernel.t;
   pol : policy;
-  seed : int64;
   on_give_up : string -> Uid.t -> unit;
   mutable watches : entry list; (* oldest first, for deterministic scan order *)
   mutable stopped : bool;
@@ -51,7 +44,8 @@ type t = { s_uid : Uid.t; ctrl : ctrl }
 
 let find ctrl uid = List.find_opt (fun e -> Uid.equal e.e_uid uid) ctrl.watches
 
-let add_watch ctrl ?(ping = false) ~label uid =
+let watch t ~label uid =
+  let ctrl = t.ctrl in
   match find ctrl uid with
   | Some _ -> ()
   | None ->
@@ -59,7 +53,6 @@ let add_watch ctrl ?(ping = false) ~label uid =
         {
           e_uid = uid;
           label;
-          ping;
           last_crashes = Kernel.crash_count ctrl.kernel uid;
           restart_times = [];
           consecutive = 0;
@@ -94,7 +87,7 @@ let restart ctrl prng e ~now =
   else begin
     e.consecutive <- e.consecutive + 1;
     let u = Prng.float prng 1.0 in
-    Sched.sleep (Backoff.delay ctrl.pol.restart_backoff ~attempt:e.consecutive ~u ~prev:0.0);
+    Sched.sleep (Backoff.delay restart_backoff ~attempt:e.consecutive ~u ~prev:0.0);
     ctrl.restarts <- ctrl.restarts + 1;
     (* Reactivation from the latest checkpoint. *)
     Kernel.poke ctrl.kernel e.e_uid;
@@ -102,65 +95,37 @@ let restart ctrl prng e ~now =
     annotate ctrl "supervisor.restart" e
   end
 
-let check ctrl prng ctx e =
+let check ctrl prng e =
   if not e.gave_up then begin
-    let sched = Kernel.sched ctrl.kernel in
     let c = Kernel.crash_count ctrl.kernel e.e_uid in
     if c > e.last_crashes then begin
       e.last_crashes <- c;
-      restart ctrl prng e ~now:(Sched.now sched)
+      restart ctrl prng e ~now:(Sched.now (Kernel.sched ctrl.kernel))
     end
-    else begin
-      if Kernel.is_active ctrl.kernel e.e_uid then e.consecutive <- 0;
-      if e.ping then
-        match
-          Kernel.invoke_timeout ctx e.e_uid ~op:"Ping" Value.Unit
-            ~timeout:ctrl.pol.ping_timeout
-        with
-        | Some _ -> ()
-        | None ->
-            (* Wedged: no crash on record, yet unresponsive.  Force the
-               restart path — crash drops the stuck runtime, poke
-               reactivates from the checkpoint. *)
-            Kernel.crash ctrl.kernel e.e_uid;
-            e.last_crashes <- Kernel.crash_count ctrl.kernel e.e_uid;
-            restart ctrl prng e ~now:(Sched.now sched)
-    end
+    else if Kernel.is_active ctrl.kernel e.e_uid then e.consecutive <- 0
   end
 
 let behaviour ctrl ctx ~passive:_ =
-  let prng = Prng.create ctrl.seed in
+  let prng = Prng.create seed in
   Kernel.spawn_worker ctx ~name:"supervisor/monitor" (fun () ->
       let rec tick () =
         if not ctrl.stopped then begin
           Sched.sleep ctrl.pol.interval;
           if not ctrl.stopped then begin
-            List.iter (check ctrl prng ctx) ctrl.watches;
+            List.iter (check ctrl prng) ctrl.watches;
             tick ()
           end
         end
       in
       tick ());
-  [
-    ( "Watch",
-      fun arg ->
-        add_watch ctrl ~label:(Uid.to_string (Value.to_uid arg)) (Value.to_uid arg);
-        Value.Unit );
-    ( "Unwatch",
-      fun arg ->
-        ctrl.watches <-
-          List.filter (fun e -> not (Uid.equal e.e_uid (Value.to_uid arg))) ctrl.watches;
-        Value.Unit );
-    ("Ping", fun _ -> Value.Unit);
-  ]
+  []
 
-let create k ?node ?(name = "supervisor") ?(policy = default_policy) ?(seed = 0xC0FFEEL)
-    ?(on_give_up = fun _ _ -> ()) () =
+let create k ?(name = "supervisor") ?(policy = default_policy) ?(on_give_up = fun _ _ -> ())
+    () =
   let ctrl =
     {
       kernel = k;
       pol = policy;
-      seed;
       on_give_up;
       watches = [];
       stopped = false;
@@ -169,11 +134,9 @@ let create k ?node ?(name = "supervisor") ?(policy = default_policy) ?(seed = 0x
     }
   in
   let s_uid =
-    Kernel.create_eject k ?node ~dispatch:Kernel.Concurrent ~type_name:name (behaviour ctrl)
+    Kernel.create_eject k ~dispatch:Kernel.Concurrent ~type_name:name (behaviour ctrl)
   in
   { s_uid; ctrl }
-
-let watch t ?ping ~label u = add_watch t.ctrl ?ping ~label u
 
 let unwatch t u =
   t.ctrl.watches <- List.filter (fun e -> not (Uid.equal e.e_uid u)) t.ctrl.watches

@@ -14,21 +14,19 @@
     - compares the kernel's per-Eject crash counter against the last
       value seen (a management-plane read: probing by invocation would
       itself reactivate the target and mask the crash);
-    - on a new crash, waits a restart backoff and
-      {!Eden_kernel.Kernel.poke}s the Eject, which reactivates from its
-      latest checkpoint — the resumable-stream protocol then replays the
-      lost window;
+    - on a new crash, waits a restart backoff (0.5 doubling to a cap of
+      8, jittered 10%) and {!Eden_kernel.Kernel.poke}s the Eject, which
+      reactivates from its latest checkpoint — the resumable-stream
+      protocol then replays the lost window;
     - gives up (recorded, and reported via [on_give_up]) when more than
       [max_restarts] restarts land inside a sliding [window] — the
-      escalation path for a stage that keeps dying;
-    - optionally (per watch) sends a ["Ping"] liveness probe and treats
-      a timeout as a wedge: the target is crashed and restarted even
-      though it never crashed on its own.
+      escalation path for a stage that keeps dying.
 
-    Watches and policy live in driver memory shared with the behaviour
-    closure, so the supervisor itself surviving a crash needs only an
-    invocation or poke to resume monitoring with its watch list
-    intact. *)
+    Detection is by crash count only: a stage that is alive but stuck is
+    not restarted.  The supervisor serves no operations; watches and
+    policy live in driver memory shared with the behaviour closure, so
+    the supervisor itself surviving a crash needs only a poke to resume
+    monitoring with its watch list intact. *)
 
 module Kernel = Eden_kernel.Kernel
 module Uid = Eden_kernel.Uid
@@ -37,35 +35,23 @@ type policy = {
   interval : float;  (** Monitor period; also the crash-detection latency bound. *)
   max_restarts : int;
   window : float;  (** Sliding window for [max_restarts]. *)
-  restart_backoff : Backoff.t;  (** Delay before each poke, by consecutive restart count. *)
-  ping_timeout : float;  (** Reply window for per-watch liveness probes. *)
 }
 
-val policy :
-  ?interval:float ->
-  ?max_restarts:int ->
-  ?window:float ->
-  ?restart_backoff:Backoff.t ->
-  ?ping_timeout:float ->
-  unit ->
-  policy
+val policy : ?interval:float -> ?max_restarts:int -> ?window:float -> unit -> policy
 
 type t
 (** Handle owned by the driver; the underlying Eject is [uid]. *)
 
 val create :
   Kernel.t ->
-  ?node:Eden_net.Net.node_id ->
   ?name:string ->
   ?policy:policy ->
-  ?seed:int64 ->
   ?on_give_up:(string -> Uid.t -> unit) ->
   unit ->
   t
 
-val watch : t -> ?ping:bool -> label:string -> Uid.t -> unit
-(** Adds an Eject to the watch list (idempotent per UID).  [ping]
-    enables the liveness probe — only for Ejects that serve ["Ping"]. *)
+val watch : t -> label:string -> Uid.t -> unit
+(** Adds an Eject to the watch list (idempotent per UID). *)
 
 val unwatch : t -> Uid.t -> unit
 

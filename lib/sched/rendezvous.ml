@@ -6,13 +6,11 @@
    an empty cell the sender fills.  The wake closure resumes the parked
    party. *)
 type 'a t = {
-  label : string;
   senders : ('a option ref * (unit -> unit)) Queue.t; (* value cell (filled), wake *)
   receivers : ('a option ref * (unit -> unit)) Queue.t; (* empty cell to fill, wake *)
 }
 
-let create ?(label = "rendezvous") () =
-  { label; senders = Queue.create (); receivers = Queue.create () }
+let create () = { senders = Queue.create (); receivers = Queue.create () }
 
 (* Pop the next live entry: cells whose option was consumed (senders) or
    already filled (receivers) by a racing partner are skipped. *)
@@ -28,7 +26,7 @@ let send t v =
       wake ()
   | None ->
       let cell = ref (Some v) in
-      Sched.suspend ~reason:(t.label ^ " send") (fun resume ->
+      Sched.suspend ~reason:"rendezvous send" (fun resume ->
           Queue.push (cell, resume) t.senders)
       (* Woken when a receiver drains [cell]. *)
 
@@ -43,7 +41,7 @@ let recv t =
       | None -> assert false)
   | None ->
       let cell = ref None in
-      Sched.suspend ~reason:(t.label ^ " recv") (fun resume ->
+      Sched.suspend ~reason:"rendezvous recv" (fun resume ->
           Queue.push (cell, resume) t.receivers);
       (match !cell with
       | Some v ->

@@ -12,7 +12,7 @@
 
 type 'a t
 
-val create : ?label:string -> unit -> 'a t
+val create : unit -> 'a t
 
 val send : 'a t -> 'a -> unit
 (** Blocks until a receiver takes the value.  Fiber context only. *)

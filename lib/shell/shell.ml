@@ -112,8 +112,8 @@ let parse line =
 
 type env = { kernel : Kernel.t; fs : Fs.t; fse : Uid.t }
 
-let make_env ?kernel () =
-  let kernel = match kernel with Some k -> k | None -> Kernel.create () in
+let make_env () =
+  let kernel = Kernel.create () in
   let fs = Fs.create () in
   let fse = Fse.create kernel fs in
   { kernel; fs; fse }

@@ -46,7 +46,8 @@ type env = {
   fse : Eden_kernel.Uid.t;  (** The UnixFileSystem Eject for [file]/[out]. *)
 }
 
-val make_env : ?kernel:Kernel.t -> unit -> env
+val make_env : unit -> env
+(** A fresh kernel with an empty file system served by its Eject. *)
 
 type outcome = {
   rendered : string list;

@@ -178,12 +178,12 @@ let guard reg ~dst ~op arg =
            among it — is not stream data and passes unguarded. *)
         Ok (arg, None)
 
-let install ?(hoard_quota = 256) ?(seed = 0x7E4A47L) ?defect k =
+let install ?(hoard_quota = 256) ?defect k =
   if hoard_quota < 1 then invalid_arg "Tenant.install: hoard_quota must be at least 1";
   let reg =
     {
       k;
-      gen = Uid.generator ~seed;
+      gen = Uid.generator ~seed:0x7E4A47L;
       tenants = Hashtbl.create 7;
       caps = Uid.Tbl.create 32;
       protected = Uid.Tbl.create 16;
@@ -229,10 +229,9 @@ let grant reg tenant_ ~rights ~underlying eject =
     invalid_arg "Tenant.grant: eject is not protected";
   mk_cap reg tenant_ ~rights ~underlying eject
 
-let delegate ?to_ reg cap =
+let delegate reg cap =
   if cap.revoked then invalid_arg "Tenant.delegate: revoked capability";
-  let tenant_ = Option.value to_ ~default:cap.cap_tenant in
-  let child = mk_cap reg tenant_ ~rights:cap.rights ~underlying:cap.underlying cap.eject in
+  let child = mk_cap reg cap.cap_tenant ~rights:cap.rights ~underlying:cap.underlying cap.eject in
   cap.children <- child :: cap.children;
   child
 
@@ -268,9 +267,9 @@ let bind_window cap w = cap.windows <- w :: cap.windows
 
 (* --- Tenant-aware connections -------------------------------------- *)
 
-let pull ctx ?batch ?flowctl cap =
+let pull ctx ?flowctl cap =
   if cap.rights <> Read then invalid_arg "Tenant.pull: capability lacks the Read right";
-  let p = Pull.connect ctx ?batch ?flowctl ~channel:(channel cap) ~wrap:(wrap cap) cap.eject in
+  let p = Pull.connect ctx ?flowctl ~channel:(channel cap) ~wrap:(wrap cap) cap.eject in
   Option.iter (bind_window cap) (Pull.credit p);
   p
 

@@ -77,13 +77,13 @@ type defect = Revoke_skips_reclaim
     reclaimed.  Hidden under FIFO (no revocation fires there);
     {!Eden_check} finds it within a few dozen schedules. *)
 
-val install : ?hoard_quota:int -> ?seed:int64 -> ?defect:defect -> Kernel.t -> t
+val install : ?hoard_quota:int -> ?defect:defect -> Kernel.t -> t
 (** Create a registry and install it as [k]'s admission guard.
     [hoard_quota] (default 256) bounds each tenant's outstanding
-    Transfer credit across all its capabilities; [seed] (default
-    [0x7E4A47L]) seeds the registry's private UID generator — give
-    each forked shard process the same seed and capabilities minted
-    during topology build agree across the cluster. *)
+    Transfer credit across all its capabilities.  Every registry seeds
+    its private UID generator alike, so forked shard processes that
+    mint capabilities during topology build agree across the
+    cluster. *)
 
 val tenant : t -> string -> tenant
 (** Get-or-create the named namespace (and its meter stages). *)
@@ -106,11 +106,10 @@ val grant :
     rewritten to it, and it is never accepted from the outside.
     @raise Invalid_argument if the Eject is not protected. *)
 
-val delegate : ?to_:tenant -> t -> cap -> cap
+val delegate : t -> cap -> cap
 (** A child capability with the same interface, right and underlying
-    channel, in [to_]'s namespace (default: the parent's).  Revoking
-    the parent revokes it.  @raise Invalid_argument on a revoked
-    parent. *)
+    channel, in the parent's namespace.  Revoking the parent revokes
+    it.  @raise Invalid_argument on a revoked parent. *)
 
 val revoke : t -> cap -> unit
 (** Revoke the capability and every descendant: the guard refuses
@@ -133,11 +132,11 @@ val wrap : cap -> Value.t -> Value.t
 
 (** {1 Tenant-aware connections} *)
 
-val pull :
-  Kernel.ctx -> ?batch:int -> ?flowctl:Eden_flowctl.Flowctl.t -> cap -> Eden_transput.Pull.t
-(** {!Eden_transput.Pull.connect} against the capability's interface,
-    with the envelope applied to every request and (in windowed mode)
-    the credit window bound to the capability.
+val pull : Kernel.ctx -> ?flowctl:Eden_flowctl.Flowctl.t -> cap -> Eden_transput.Pull.t
+(** {!Eden_transput.Pull.connect} against the capability's interface
+    (one item per Transfer unless [flowctl] says otherwise), with the
+    envelope applied to every request and (in windowed mode) the credit
+    window bound to the capability.
     @raise Invalid_argument on a Write-only capability. *)
 
 (** {1 Meters}

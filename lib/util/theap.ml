@@ -23,8 +23,8 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let create ?(capacity = 16) ~dummy () =
-  let capacity = max 1 capacity in
+let create ~dummy () =
+  let capacity = 16 in
   {
     dummy;
     keys = Array.make capacity 0.0;

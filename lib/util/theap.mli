@@ -19,7 +19,8 @@ type handle = int
     a later {!remove} with the same handle is a no-op returning
     [false]. *)
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
+(** An empty heap with room for 16 entries; it grows as needed. *)
 
 val insert : 'a t -> float -> 'a -> handle
 

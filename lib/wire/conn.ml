@@ -78,8 +78,8 @@ let send ?session t (f : Frame.t) =
   let plen = String.length f.payload in
   queue ?session t f.hdr ~plen (fun b pos -> Bytes.blit_string f.payload 0 b pos plen)
 
-let send_parts ?session t ~kind ?(flags = 0) ~src ~dst ?(seq = 0) ps =
-  queue ?session t { kind; flags; src; dst; seq } ~plen:(Bin.parts_length ps) (fun b pos ->
+let send_parts ?session t ~kind ~src ~dst ?(seq = 0) ps =
+  queue ?session t { kind; flags = 0; src; dst; seq } ~plen:(Bin.parts_length ps) (fun b pos ->
       ignore
         (List.fold_left
            (fun pos p ->
@@ -93,8 +93,8 @@ let send_parts ?session t ~kind ?(flags = 0) ~src ~dst ?(seq = 0) ps =
                  pos + len)
            pos ps))
 
-let send_value ?session t ~kind ?flags ~src ~dst ?seq v =
-  send_parts ?session t ~kind ?flags ~src ~dst ?seq (Bin.parts v)
+let send_value ?session t ~kind ~src ~dst ?seq v =
+  send_parts ?session t ~kind ~src ~dst ?seq (Bin.parts v)
 
 (* The socket is non-blocking: [Unix.write] stops at the first write
    the socket refuses, and raises only when it refused the first. *)
@@ -149,10 +149,8 @@ let take_view ?session t =
             { hdr = Auth.open_sub sess hdr buf ~pos ~len:plen; buf; pos; len = plen - 8 })
   | Some _ | None -> None
 
-let take ?session t =
-  Option.map
-    (fun v -> { Frame.hdr = v.hdr; payload = String.sub v.buf v.pos v.len })
-    (take_view ?session t)
+let copy v = { Frame.hdr = v.hdr; payload = String.sub v.buf v.pos v.len }
+let take t = Option.map copy (take_view t)
 
 let partial t =
   match next_length t with Some len -> buffered t < 4 + len | None -> false
@@ -186,8 +184,8 @@ let fill t =
     | r -> t.hi <- t.hi + r)
 
 let rec recv ?session t =
-  match take ?session t with
-  | Some f -> f
+  match take_view ?session t with
+  | Some v -> copy v
   | None ->
       ignore (Unix.select [ t.fd ] [] [] (-1.0));
       fill t;

@@ -40,13 +40,13 @@ val send_parts :
   ?session:Auth.session ->
   t ->
   kind:Frame.kind ->
-  ?flags:int ->
   src:int ->
   dst:int ->
   ?seq:int ->
   Bin.part list ->
   unit
-(** Queue a frame whose payload is a {!Bin.parts} list, copying each
+(** Queue a frame, with no flags set (but {!Frame.flag_mac} when
+    sealed), whose payload is a {!Bin.parts} list, copying each
     chunk payload once, straight into the output buffer.  Byte-identical
     to [send (Frame.make ... (String.concat "" flattened))].  The chunks
     stay owned by the caller. *)
@@ -55,7 +55,6 @@ val send_value :
   ?session:Auth.session ->
   t ->
   kind:Frame.kind ->
-  ?flags:int ->
   src:int ->
   dst:int ->
   ?seq:int ->
@@ -92,9 +91,9 @@ val take_view : ?session:Auth.session -> t -> view option
     @raise Eden_kernel.Value.Protocol_error on a malformed header,
     hostile length or failed MAC. *)
 
-val take : ?session:Auth.session -> t -> Frame.t option
-(** {!take_view}, with the payload copied out into the frame.  Same
-    errors. *)
+val take : t -> Frame.t option
+(** {!take_view} of an unsealed frame, with the payload copied out into
+    the frame.  Same errors. *)
 
 val partial : t -> bool
 (** The length word of a frame has arrived but the rest has not: a
@@ -110,8 +109,9 @@ val fill : t -> unit
     @raise Eden_kernel.Value.Protocol_error on a close mid-frame. *)
 
 val recv : ?session:Auth.session -> t -> Frame.t
-(** The next frame, waiting for the socket only while no whole frame is
-    buffered.  Same errors as {!take} and {!fill}. *)
+(** The next frame, opened with [session] when given and copied out as
+    by {!take}, waiting for the socket only while no whole frame is
+    buffered.  Same errors as {!take_view} and {!fill}. *)
 
 (** {1 Syscall counters} *)
 

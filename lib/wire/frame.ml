@@ -5,7 +5,6 @@ type kind = Request | Reply | Idle | Shutdown | Stats
 type header = { kind : kind; flags : int; src : int; dst : int; seq : int }
 type t = { hdr : header; payload : string }
 
-let flag_oneway = 1
 let flag_mac = 4 (* payload ends in an 8-byte keyed MAC trailer *)
 let header_bytes = 8
 let max_payload = 16 * 1024 * 1024

@@ -38,9 +38,6 @@ val kind_code : kind -> int
 type header = { kind : kind; flags : int; src : int; dst : int; seq : int }
 type t = { hdr : header; payload : string }
 
-val flag_oneway : int
-(** Flag bit 0: set on [Request] frames that expect no [Reply]. *)
-
 val flag_mac : int
 (** Flag bit 2: the payload ends in an 8-byte keyed MAC trailer sealed
     by {!Auth.seal}; strip with {!Auth.open_} before parsing. *)

@@ -241,7 +241,7 @@ let test_conn_bytes_identical () =
     [
       Frame.make ~kind:Frame.Request ~src:1 ~dst:2 ~seq:9 (Bin.encode (Value.Str "hello"));
       Frame.make ~kind:Frame.Idle ~src:2 ~dst:0 ~seq:3 "";
-      Frame.make ~kind:Frame.Reply ~flags:Frame.flag_oneway ~src:0 ~dst:1 ~seq:0xFFFFFFFF
+      Frame.make ~kind:Frame.Reply ~flags:1 ~src:0 ~dst:1 ~seq:0xFFFFFFFF
         (String.make 5000 'x');
     ]
   in
@@ -831,7 +831,7 @@ let send_over_wire faults =
           Unix.close rx;
           for seq = 0 to 3 do
             let f =
-              Frame.make ~kind:Frame.Request ~flags:Frame.flag_oneway ~src:1 ~dst:0
+              Frame.make ~kind:Frame.Request ~flags:1 ~src:1 ~dst:0
                 ~seq
                 (Bin.encode (Value.Int seq))
             in

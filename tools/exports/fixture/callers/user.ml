@@ -15,3 +15,6 @@ let _ = M.(under_local_open)
 open M
 
 let _ = under_open
+let _ = function shadowed_under_open -> shadowed_under_open
+let _ = try 0 with Failure shadowed_under_open -> String.length shadowed_under_open
+let rec shadowed_under_open n = if n = 0 then 0 else shadowed_under_open (n - 1)

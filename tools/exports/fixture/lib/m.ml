@@ -15,3 +15,9 @@ module Sub = struct
 end
 
 let _ = used_only_here Sub.used_only_here_qualified
+
+let shadowed_here = 11
+let shadowed_under_open = 12
+let _ = let shadowed_here = 0 in shadowed_here
+let _ = (fun shadowed_here -> shadowed_here) 0
+let _ = match 0 with shadowed_here -> shadowed_here

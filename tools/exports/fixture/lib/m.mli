@@ -13,3 +13,6 @@ val after_include : int
 module Sub : sig
   val used_only_here_qualified : int
 end
+
+val shadowed_here : int
+val shadowed_under_open : int
