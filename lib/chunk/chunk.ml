@@ -16,11 +16,12 @@
    Double release and use after release raise the typed [Fault] rather
    than corrupt counts.  It also recycles memory: when a root's last
    reference goes, its buffer goes back to a pool that the next root of
-   its size class takes it from, so a steady stream of chunks runs on
-   the same few buffers instead of faulting in fresh pages.
+   its size class takes it from, on whichever domain, so a steady
+   stream of chunks runs on the same few buffers instead of faulting in
+   fresh pages.
 
-   Refcounts and the global gauges are [Atomic]: chunks cross domains
-   by reference in the parallel runtime. *)
+   Refcounts, the global gauges and the pools are [Atomic]: chunks
+   cross domains by reference in the parallel runtime. *)
 
 type buffer = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -73,15 +74,17 @@ let fresh_buffers () = Atomic.get buffers_made
 
 (* Roots of [2^pool_min_bits] to [2^pool_max_bits] bytes get a buffer
    of the next power of two, their size class; smaller and larger roots
-   get one of exactly their size.  A class keeps at most [pool_depth]
-   buffers.  Pools are per domain, so no lock is needed even though a
-   chunk may be released on another domain than the one that made it:
-   its buffer then joins the releasing domain's pool. *)
+   get one of exactly their size.  Every domain shares a class's one
+   pool, since a chunk is often released on another domain than the
+   one that made it: an immutable list in an [Atomic], popped and pushed
+   by compare-and-set on its head.  A popped cell is never again
+   reachable from the head, so no two pops take one buffer; a push
+   succeeds only on the list whose length it checked, so a class keeps
+   at most [pool_depth] buffers. *)
 let pool_min_bits = 12
 let pool_max_bits = 20
 let pool_depth = 8
-
-let pools = Domain.DLS.new_key (fun () -> Array.make (pool_max_bits - pool_min_bits + 1) [])
+let pools = Array.init (pool_max_bits - pool_min_bits + 1) (fun _ -> Atomic.make [])
 
 (* The size class of an [n]-byte buffer, or -1 if it is not pooled. *)
 let size_class n =
@@ -94,23 +97,22 @@ let make_buffer n =
   Atomic.incr buffers_made;
   Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
 
-let recycled_buffer n =
+let rec recycled_buffer n =
   match size_class n with
   | -1 -> make_buffer n
   | k -> (
-      let pool = Domain.DLS.get pools in
-      match pool.(k) with
-      | buf :: rest ->
-          pool.(k) <- rest;
-          buf
-      | [] -> make_buffer (1 lsl (pool_min_bits + k)))
+      match Atomic.get pools.(k) with
+      | [] -> make_buffer (1 lsl (pool_min_bits + k))
+      | buf :: rest as l ->
+          if Atomic.compare_and_set pools.(k) l rest then buf else recycled_buffer n)
 
-let recycle buf =
+let rec recycle buf =
   match size_class (Bigarray.Array1.dim buf) with
   | -1 -> ()
   | k ->
-      let pool = Domain.DLS.get pools in
-      if List.compare_length_with pool.(k) pool_depth < 0 then pool.(k) <- buf :: pool.(k)
+      let l = Atomic.get pools.(k) in
+      if List.compare_length_with l pool_depth < 0 then
+        if not (Atomic.compare_and_set pools.(k) l (buf :: l)) then recycle buf
 
 (* --- Allocation ------------------------------------------------------ *)
 

@@ -13,15 +13,16 @@
     references back to zero.
 
     The accounting also recycles memory.  When a root loses its last
-    reference, its buffer goes back to a per-domain pool, and the next
-    root of the same power-of-two size class (4 KiB to 1 MiB) takes it
-    instead of a fresh allocation; {!fresh_buffers} counts the buffers
-    that had to be allocated.  A buffer is reused only once no handle
-    can reach it, so a slice handed out by {!fold_slices} is valid only
-    until its handle is released.
+    reference, its buffer goes back to the one pool, shared by every
+    domain, of its power-of-two size class (4 KiB to 1 MiB, at most 8
+    buffers each), and the next root of that class takes it instead of
+    a fresh allocation; {!fresh_buffers} counts the buffers that had to
+    be allocated.  A buffer is reused only once no handle can reach it,
+    so a slice handed out by {!fold_slices} is valid only until its
+    handle is released.
 
-    Refcounts and gauges are atomic: chunks cross domains by reference
-    in the parallel runtime. *)
+    Refcounts, gauges and pools are atomic: chunks cross domains by
+    reference in the parallel runtime. *)
 
 type buffer = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -64,6 +64,5 @@ let deposit_ack ~next_seq = Value.Int next_seq
 
 let parse_deposit_ack v =
   match v with
-  | Value.Unit -> None
-  | Value.Int next_seq -> Some next_seq
+  | Value.Int next_seq -> next_seq
   | v -> raise (Value.Protocol_error ("malformed Deposit ack: " ^ Value.to_string v))

@@ -8,8 +8,8 @@
       has ended.  This is the only operation the "read only" discipline
       needs, and is the operation of the paper's bootstrap system (§7).
     - [Deposit] (active output ⇄ passive input): the producer invokes
-      [Deposit(channel, eos, items)] on the consumer; the reply (unit)
-      doubles as the flow-control acknowledgement.
+      [Deposit(channel, eos, items)] on the consumer; the reply doubles
+      as the flow-control acknowledgement.
 
     A conventional Unix-style pipe supports both: [Deposit] fills it and
     [Transfer] drains it.
@@ -23,9 +23,10 @@
     cumulatively acknowledges everything below it.  [Deposit(channel,
     eos, items, seq)] stamps its first item's position so a retried
     deposit is deduplicated, and the ack becomes [Int next_seq] — the
-    position the consumer expects next.  Legacy peers that omit the
-    trailing field interoperate: the plain parsers accept both shapes,
-    and the [_seq] parsers report the extension as an [option]. *)
+    position the consumer expects next (a plain Deposit's ack is unit).
+    Legacy requests that omit the trailing field interoperate: the plain
+    parsers accept both shapes, and the [_seq] parsers report the
+    extension as an [option]. *)
 
 module Value = Eden_kernel.Value
 
@@ -64,6 +65,6 @@ val parse_deposit_request : Value.t -> Channel.t * bool * Value.t list
 val parse_deposit_request_seq : Value.t -> Channel.t * bool * Value.t list * int option
 
 val deposit_ack : next_seq:int -> Value.t
-val parse_deposit_ack : Value.t -> int option
-(** [None] for the legacy unit ack, [Some next_seq] for the resumable
-    form. *)
+val parse_deposit_ack : Value.t -> int
+(** [next_seq], from a seq-stamped Deposit's ack.
+    @raise Value.Protocol_error on anything else, a unit ack included. *)

@@ -139,8 +139,7 @@ let rec send_resumable t r prng ~eos =
       (Proto.deposit_request ~seq:(Window.base t.pend) t.chan ~eos (Window.to_list t.pend))
   in
   t.deposits <- t.deposits + 1;
-  (* A legacy unit acknowledgement accepts everything. *)
-  let a = Option.value (Proto.parse_deposit_ack reply) ~default:(Window.next t.pend) in
+  let a = Proto.parse_deposit_ack reply in
   t.acked <- max t.acked a;
   Window.trim t.pend a;
   let short = not (Window.is_empty t.pend) in

@@ -12,7 +12,7 @@ let create k ~initial () =
          stream.  [switched] marks that a redirection happened while the
          current source was (or went) dead, so its EOS must not
          propagate. *)
-      let current = ref (Pull.connect ctx ~channel:(snd initial) (fst initial)) in
+      let current = ref (Pull.connect ctx initial) in
       let generation = ref 0 in
       let port = Port.create () in
       let w = Port.add_channel port ~capacity:0 Channel.output in
@@ -39,13 +39,10 @@ let create k ~initial () =
           pump !generation);
       ( op_set_source,
         fun arg ->
-          let u, c = Value.to_pair arg in
-          current := Pull.connect ctx ~channel:(Channel.of_value c) (Value.to_uid u);
+          current := Pull.connect ctx (Value.to_uid arg);
           incr generation;
           Value.Unit )
       :: Port.handlers port)
 
 let set_source ctx ~redirector src =
-  Value.to_unit
-    (Kernel.call ctx redirector ~op:op_set_source
-       (Value.pair (Value.Uid src) (Channel.to_value Channel.output)))
+  Value.to_unit (Kernel.call ctx redirector ~op:op_set_source (Value.Uid src))

@@ -6,7 +6,8 @@
     are not needed."
 
     A redirector is an ordinary stream source whose {e actual} upstream
-    can be switched at any moment by a [SetSource] invocation.  Its
+    can be switched at any moment by a [SetSource(source_uid)]
+    invocation; it reads each upstream's {!Channel.output}.  Its
     consumers notice nothing: they keep naming the same UID and channel.
     Because it proxies, it adds one invocation per Transfer — the cost
     of the indirection, measured in the tests.
@@ -21,10 +22,9 @@ module Kernel = Eden_kernel.Kernel
 module Uid = Eden_kernel.Uid
 module Value = Eden_kernel.Value
 
-val create : Kernel.t -> initial:Uid.t * Channel.t -> unit -> Uid.t
-(** Serves {!Channel.output} by proxying the current upstream, one item
-    per Transfer; accepts [SetSource]. *)
+val create : Kernel.t -> initial:Uid.t -> unit -> Uid.t
+(** Serves {!Channel.output} by proxying the current upstream, starting
+    with [initial], one item per Transfer; accepts [SetSource]. *)
 
 val set_source : Kernel.ctx -> redirector:Uid.t -> Uid.t -> unit
-(** Client convenience for [SetSource], naming the new source's
-    {!Channel.output}. *)
+(** Client convenience for [SetSource]. *)

@@ -101,17 +101,10 @@ let printer k ?node ?(rate = 0.0) () =
         [
           ( op_print,
             fun arg ->
-              let source, channel =
-                match arg with
-                | Value.Uid u -> (u, T.Channel.output)
-                | v ->
-                    let u, c = Value.to_pair v in
-                    (Value.to_uid u, T.Channel.of_value c)
-              in
               Eden_sched.Semaphore.acquire spool;
               let finish () = Eden_sched.Semaphore.release spool in
               (try
-                 let pull = T.Pull.connect ctx ~channel source in
+                 let pull = T.Pull.connect ctx (Value.to_uid arg) in
                  T.Pull.iter
                    (fun v ->
                      if rate > 0.0 then Sched.sleep rate;

@@ -69,8 +69,8 @@ type printer = {
 }
 
 val printer : Kernel.t -> ?node:Eden_net.Net.node_id -> ?rate:float -> unit -> printer
-(** Responds to [Print(source_uid)] (or [Print(pair source channel)]):
-    reads the named stream to exhaustion onto paper, then replies — "a
+(** Responds to [Print(source_uid)]: reads the source's
+    {!T.Channel.output} to exhaustion onto paper, then replies — "a
     file could be printed simply by requesting the printer server to
     read from the file" (§4).  Concurrent [Print]s are serialised, like
     a spool. *)

@@ -398,15 +398,13 @@ let send_loop ctx ctrl rep =
           (Proto.deposit_request ~seq Channel.output ~eos:false
              (List.map Eproto.encode_entry entries))
       with
-      | Some (Ok reply) -> (
-          match Proto.parse_deposit_ack reply with
-          | Some a ->
-              Semaphore.acquire ctrl.lock;
-              Window.trim rep.pend a;
-              let more = rep.sent < next rep in
-              Semaphore.release ctrl.lock;
-              if more then go ()
-          | None -> ())
+      | Some (Ok reply) ->
+          let a = Proto.parse_deposit_ack reply in
+          Semaphore.acquire ctrl.lock;
+          Window.trim rep.pend a;
+          let more = rep.sent < next rep in
+          Semaphore.release ctrl.lock;
+          if more then go ()
       | Some (Error e) -> violate ctrl "%s: deposit refused: %s" rep.r_label e
       | None ->
           (* Dark replica: leave the window pending; crash detection will

@@ -20,8 +20,9 @@ let with_progress ?(every = 2) ~label tr next emit report =
   tr counted_next emit;
   report (Value.Str (Printf.sprintf "%s: done, %d items" label !seen))
 
-(* Reports must never stall the main stream when nobody watches them:
-   give the report channel a deep anticipation buffer. *)
+(* A report stream needs a reader: one fiber writes both streams, so
+   once this many reports sit unread the main stream stops too.  The
+   buffer only lets it run ahead of a slower report reader. *)
 let report_capacity = 1024
 
 let filter_ro k ?node ?(name = "reporting-filter") ?(capacity = 0) ?(batch = 1) ~upstream

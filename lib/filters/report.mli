@@ -38,8 +38,8 @@ val filter_ro :
   reporting ->
   Uid.t
 (** Figure 4: passive output on both [Channel.output] and
-    [Channel.report].  The report channel is buffered generously so an
-    unwatched report stream does not stall the main one. *)
+    [Channel.report].  The report stream needs a reader: once 1 024
+    reports sit unread the stage stops, its main stream with it. *)
 
 val filter_wo :
   Kernel.t ->
@@ -77,4 +77,5 @@ val source_ro :
   T.Stage.gen ->
   Uid.t
 (** Figure 4's source: serves [Channel.output] with the data and
-    [Channel.report] with one line per item generated. *)
+    [Channel.report] with one line per item generated.  Its report
+    stream needs a reader, as {!filter_ro}'s does. *)

@@ -5,7 +5,6 @@ module T = Eden_transput
 
 let op_new_stream = "NewStream"
 let op_use_stream = "UseStream"
-let op_read_file = "ReadFile"
 let op_write_file = "WriteFile"
 let op_remove = "Remove"
 let op_make_dir = "MakeDir"
@@ -69,8 +68,6 @@ let create k ?node fs =
             let p, cap = Value.to_pair arg in
             let path = Value.to_str p and stream = Value.to_uid cap in
             Value.Uid (writer_eject k ~node fs path stream) );
-        ( op_read_file,
-          fun arg -> Value.Str (fs_error (fun () -> Unix_fs.read_file fs (Value.to_str arg))) );
         ( op_write_file,
           fun arg ->
             let p, content = Value.to_pair arg in

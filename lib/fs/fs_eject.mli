@@ -12,7 +12,7 @@
       Eject that repeatedly invokes [Transfer] on the capability and
       records the data it receives; at end of stream the Unix file is
       written and the writer becomes awaitable via [Await].
-    - [ReadFile], [WriteFile], [Remove], [MakeDir], [ListDir] —
+    - [WriteFile], [Remove], [MakeDir], [ListDir] —
       direct conveniences used by utilities and tests.
 
     Streams are line-oriented: each [Transfer] item is a [Value.Str]

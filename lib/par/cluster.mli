@@ -94,7 +94,9 @@ val proxy :
   target:int * Eden_kernel.Uid.t ->
   Eden_kernel.Uid.t
 (** A UID that Ejects on [shard] can invoke to reach [target] on
-    another shard.  Only the listed [ops] are forwarded.  When the
+    another shard.  Only the listed [ops] are forwarded, one at a time:
+    the proxy is a [Serial] Eject that waits for each reply, so a credit
+    window across it carries one exchange at a time.  When the
     target lives on [shard] itself, the target UID is returned
     unchanged (no proxy Eject, no cross-domain message).  Must be
     called before {!run}: in [Wire] mode the proxies decide which

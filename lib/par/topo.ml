@@ -181,15 +181,18 @@ let check ~wire ~domains t =
         bad "mixes pulled and deposited inputs";
       if List.length pulled > 1 && s.role <> Window then bad "pulls from more than one stream";
       let out_push = Option.map snd out.(i) in
-      (match s.role with Window | Sink -> () | _ -> if out_push = None then bad "has no consumer");
+      (match s.role with
+      | Window | Sink -> ()
+      | _ when out_push = None -> bad "has no consumer"
+      | (Reporting_source _ | Progress _) when report.(i) = None -> bad "has no report reader"
+      | _ -> ());
       match (s.role, out_push) with
       | Filter _, Some false when in_push -> bad "is passive at both ends: nothing drives it"
       | Filter _, Some true when not in_push ->
           if List.exists (fun (e, _) -> e.channel = Report) pulled then
             bad "a conventional filter pulls only an output channel"
       | Progress _, Some o ->
-          let report_ok = match report.(i) with None -> not o | Some (_, r) -> r = o in
-          if o <> in_push || not report_ok then
+          if o <> in_push || Option.map snd report.(i) <> Some o then
             bad "a reporting filter runs its input and both streams in one discipline"
       | _ -> ())
     t.stages;
@@ -355,15 +358,6 @@ let collect col = function
       col.boxed <- col.boxed + 1;
       Buffer.add_string col.buf (Bin.encode v)
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (* A window's lines grouped per writer label, each group in arrival
    order: a pulling window renders "label | line" itself; a deposit
    window cannot know who wrote (§5), so its lines are attributed by the
@@ -374,7 +368,7 @@ let split_window ~pulled labels lines =
   List.iter (fun l -> Hashtbl.replace groups l []) labels;
   List.iter
     (fun line ->
-      match find_sub line sep with
+      match Eden_util.Text.find_sub ~sub:sep line with
       | None -> ()
       | Some i -> (
           let label = String.sub line 0 i in

@@ -122,8 +122,10 @@ type error =
           design. *)
   | Unjoinable of { stage : string; why : string }
       (** a stage no constructor can build from its edges: no input, no
-          consumer, passive at both ends, mixed disciplines, a cycle, or
-          a sink off shard 0 under [Wire] *)
+          consumer, a [Reporting_source] or [Progress] stage whose Report
+          stream has no reader (in either discipline: unread, it stops
+          the stage once its buffer fills), passive at both ends, mixed
+          disciplines, a cycle, or a sink off shard 0 under [Wire] *)
 
 exception Invalid of error
 

@@ -37,9 +37,11 @@ let () =
          OCaml 5 runtime forbids Unix.fork once any domain has ever been
          spawned — par's Domain.spawn must come after every fork.  The
          chunk-equiv suite has cases in both camps, so it sits between
-         them with its wire cases listed before its parallel ones. *)
+         them with its wire cases listed before its parallel ones, and
+         chunk's parallel cases follow it. *)
       ("wire", Test_wire.suite);
       ("chunk-equiv", Test_chunk_equiv.suite);
+      ("chunk-parallel", Test_chunk.parallel_suite);
       ("par", Test_par.suite);
       ("capacity", Test_capacity.suite);
       ("check", Test_check.suite);

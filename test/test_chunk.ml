@@ -161,7 +161,7 @@ let test_recycling_safety () =
 
 (* The chunked F2 chain at 3 shards runs on recycled memory: four times
    the chunks allocate no more buffers. *)
-let test_steady_state_allocates_nothing () =
+let steady_state_allocates_nothing mode () =
   let base = gauges () in
   let cut = 65536 - 17 in
   let buffers_for chunks =
@@ -171,7 +171,7 @@ let test_steady_state_allocates_nothing () =
         ~items:(chunks * cut / 36) ()
     in
     let made = Chunk.fresh_buffers () in
-    let o = Topo.run Eden_par.Cluster.Deterministic ~domains:3 t in
+    let o = Topo.run mode ~domains:3 t in
     check Alcotest.bool "clean end of stream" true o.eos_clean;
     check Alcotest.bool "the sink took chunks" true (o.chunk_items >= chunks - 2);
     Chunk.fresh_buffers () - made
@@ -719,7 +719,7 @@ let suite =
     Alcotest.test_case "zero-length chunks are rootless" `Quick test_zero_length_rootless;
     Alcotest.test_case "recycled roots: a view keeps its bytes" `Quick test_recycling_safety;
     Alcotest.test_case "steady state allocates no buffers" `Quick
-      test_steady_state_allocates_nothing;
+      (steady_state_allocates_nothing Eden_par.Cluster.Deterministic);
     prop_lifecycle;
     Alcotest.test_case "bin roundtrip + size law" `Quick test_bin_roundtrip;
     Alcotest.test_case "bin hostile chunk lengths" `Quick test_bin_hostile_chunk;
@@ -732,4 +732,14 @@ let suite =
     Alcotest.test_case "resil replay refcount balance" `Quick test_resil_replay_balance;
     prop_twins;
     Alcotest.test_case "line kernels: layout, allocation, contracts" `Quick test_kernel_pins;
+  ]
+
+(* Cases that spawn domains, run after every case that forks a wire
+   leaf (see test/main.ml).  Under [Parallel] every chunk's last release
+   is on the sink's domain, which makes none, so the chain recycles only
+   because every domain shares one pool. *)
+let parallel_suite =
+  [
+    Alcotest.test_case "steady state under Parallel" `Quick
+      (steady_state_allocates_nothing Eden_par.Cluster.Parallel);
   ]

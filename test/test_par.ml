@@ -283,6 +283,63 @@ let test_det_repeatable () =
   Alcotest.(check bool) "identical outcomes" true
     (same (fanin Deterministic small_spec) (fanin Deterministic small_spec))
 
+(* --- Cut edges -------------------------------------------------------- *)
+
+(* A credit window pipelines a read inside one kernel, but not across a
+   shard boundary: the [par-proxy] Eject is [Serial], so its coordinator
+   waits for each forwarded reply before it takes the next Transfer and
+   a cut edge carries one exchange at a time.  A reader takes 64 items
+   from a capacity-16 [source_ro] with windows 1, 4 and 16, first with
+   the source on a second Net node of its own kernel, then through a
+   proxy at 2 [Deterministic] shards.  On one kernel the window divides
+   the makespan; across the cut it does not, and the requests a window
+   sends past end of stream cost cross messages.  The figures are
+   pinned so that a change to cut edges shows in its own diff. *)
+let cut_edge_read ~window ~cut =
+  let items = 64 in
+  let gen () =
+    let next = ref 0 in
+    fun () ->
+      if !next >= items then None
+      else begin
+        incr next;
+        Some (Value.Int !next)
+      end
+  in
+  let flowctl = Flowctl.fixed ~credit:(Credit.Window window) 1 in
+  let read ctx src =
+    let pull = Eden_transput.Pull.connect ctx ~flowctl src in
+    let n = ref 0 in
+    Eden_transput.Pull.iter (fun _ -> incr n) pull;
+    Alcotest.(check int) "every item read" items !n
+  in
+  if cut then begin
+    let c = Cluster.create Deterministic ~shards:2 () in
+    let src = Eden_transput.Stage.source_ro (Cluster.kernel c 1) ~capacity:16 (gen ()) in
+    let p = Cluster.proxy c ~shard:0 ~ops:[ Eden_transput.Proto.transfer_op ] ~target:(1, src) in
+    Cluster.driver c 0 (fun ctx -> read ctx p);
+    Cluster.run c;
+    ((Cluster.makespans c).(0), Cluster.cross_messages c)
+  end
+  else begin
+    let k = Kernel.create ~nodes:[ "reader"; "source" ] () in
+    let node = List.nth (Kernel.nodes k) 1 in
+    let src = Eden_transput.Stage.source_ro k ~node ~capacity:16 (gen ()) in
+    Kernel.run_driver k (fun ctx -> read ctx src);
+    (Eden_sched.Sched.now (Kernel.sched k), 0)
+  end
+
+let test_cut_edge_windows () =
+  List.iter
+    (fun (window, one, cut, cross) ->
+      let at what = Printf.sprintf "window %d: %s" window what in
+      let one', _ = cut_edge_read ~window ~cut:false in
+      let cut', cross' = cut_edge_read ~window ~cut:true in
+      Alcotest.(check (float 1e-9)) (at "one-kernel makespan") one one';
+      Alcotest.(check (float 1e-9)) (at "reader's shard makespan across the cut") cut cut';
+      Alcotest.(check int) (at "cross messages") cross cross')
+    [ (1, 128.0, 12.8, 128); (4, 34.0, 13.1, 134); (16, 10.0, 14.3, 158) ]
+
 (* --- Termination model ------------------------------------------------ *)
 
 (* [Cluster.shard_loop]'s termination rule as a state machine.  Each
@@ -450,6 +507,7 @@ let suite =
     ("parallel smoke", `Quick, test_parallel_smoke);
     ("parallel single domain", `Quick, test_parallel_single_domain);
     ("parallel-vs-deterministic equivalence", `Quick, test_equivalence);
+    ("cut edges: one exchange at a time", `Quick, test_cut_edge_windows);
     ("windowed fan-in equivalence", `Quick, test_equivalence_windowed);
     ("adaptive fan-in deterministic repeatable", `Quick, test_adaptive_det_repeatable);
     ("deterministic mode repeatable", `Quick, test_det_repeatable);

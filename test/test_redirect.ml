@@ -11,7 +11,7 @@ let lines_t = Alcotest.(list string)
 let test_redirector_transparent () =
   let k = Kernel.create () in
   let a = Dev.text_source k [ "a1"; "a2"; "a3" ] in
-  let r = Redirect.create k ~initial:(a, Channel.output) () in
+  let r = Redirect.create k ~initial:a () in
   let out = ref [] in
   Kernel.run_driver k (fun ctx ->
       let pull = Pull.connect ctx r in
@@ -22,7 +22,7 @@ let test_redirect_mid_stream () =
   let k = Kernel.create () in
   let a = Dev.text_source k (List.init 100 (fun i -> Printf.sprintf "a%d" i)) in
   let b = Dev.text_source k [ "b0"; "b1" ] in
-  let r = Redirect.create k ~initial:(a, Channel.output) () in
+  let r = Redirect.create k ~initial:a () in
   let out = ref [] in
   Kernel.run_driver k (fun ctx ->
       let pull = Pull.connect ctx r in
@@ -52,7 +52,7 @@ let test_redirect_cost_is_one_hop () =
     let k = Kernel.create () in
     let src = Dev.text_source k (List.init n_items string_of_int) in
     let upstream =
-      if redirected then Redirect.create k ~initial:(src, Channel.output) () else src
+      if redirected then Redirect.create k ~initial:src () else src
     in
     let before = Kernel.Meter.snapshot k in
     let sink = Stage.sink_ro k ~upstream ignore in
@@ -74,7 +74,7 @@ let test_redirector_in_pipeline () =
      documented constraint), so give it plenty. *)
   let a = Dev.text_source k (List.init 50 (fun i -> Printf.sprintf "one%d" i)) in
   let b = Dev.text_source k [ "two"; "three" ] in
-  let r = Redirect.create k ~initial:(a, Channel.output) () in
+  let r = Redirect.create k ~initial:a () in
   let f = Stage.filter_ro k ~upstream:r Eden_filters.Catalog.upcase in
   let out = ref [] in
   Kernel.run_driver k (fun ctx ->

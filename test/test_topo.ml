@@ -432,6 +432,31 @@ let test_unjoinable () =
          [ stage "f" (Topo.Filter Topo.Upcase); stage "g" (Topo.Filter Topo.Upcase) ]
          [ edge Topo.Read_only 0 1; edge Topo.Read_only 1 0 ]))
 
+(* A report stream with no reader is refused in either discipline.  Run,
+   a read-only one would stop its stage, and the main stream with it,
+   once its 1 024-report buffer filled: here after 1 024 of 1 100 items,
+   with no error.  The check runs before Cluster.create. *)
+let test_unread_report () =
+  let refused name stages edges =
+    match Topo.run det ~domains:1 (topo stages edges) with
+    | o ->
+        Alcotest.failf "%s: ran, %d of 1100 items, eos_clean %b" name (Topo.consumed o)
+          o.eos_clean
+    | exception Topo.Invalid (Topo.Unjoinable { stage; why }) ->
+        check Alcotest.(pair string string) name ("rep", "has no report reader") (stage, why)
+  in
+  let src = stage "src" (Topo.Source (Topo.Lines 1100)) and sink = stage "sink" Topo.Sink in
+  refused "a reporting source"
+    [ stage "rep" (Topo.Reporting_source (Topo.Lines 1100)); sink ]
+    [ edge Topo.Read_only 0 1 ];
+  List.iter
+    (fun d ->
+      refused
+        ("a " ^ Pipeline.discipline_name d ^ " progress filter")
+        [ src; stage "rep" (Topo.Progress 1); sink ]
+        [ edge d 0 1; edge d 1 2 ])
+    [ Topo.Read_only; Topo.Write_only ]
+
 (* A sink on a stage's output plus a window on the same stage's report
    channel is two channels, not fan-out: the report-window shape. *)
 let test_output_plus_report_is_legal () =
@@ -550,6 +575,7 @@ let suite =
     Alcotest.test_case "rejects active-to-active with no pipe" `Quick test_needs_pipe;
     Alcotest.test_case "rejects naive read-only fan-out (T3)" `Quick test_fan_out;
     Alcotest.test_case "rejects unbuildable stages" `Quick test_unjoinable;
+    Alcotest.test_case "rejects an unread report stream" `Quick test_unread_report;
     Alcotest.test_case "output sink + report window is legal" `Quick
       test_output_plus_report_is_legal;
     Alcotest.test_case "one-kernel chains refuse bad sizes before building" `Quick

@@ -110,7 +110,13 @@ let test_proto_roundtrip () =
   let c', e', items' = Proto.parse_deposit_request dep in
   Alcotest.(check bool) "dep chan" true (Channel.equal c' Channel.report);
   Alcotest.(check bool) "dep eos" false e';
-  check Alcotest.(list string) "dep items" [ "a"; "b" ] (unstrs items')
+  check Alcotest.(list string) "dep items" [ "a"; "b" ] (unstrs items');
+  check Alcotest.int "dep ack" 7 (Proto.parse_deposit_ack (Proto.deposit_ack ~next_seq:7));
+  Alcotest.(check bool) "a unit Deposit ack is malformed" true
+    (try
+       ignore (Proto.parse_deposit_ack Value.Unit);
+       false
+     with Value.Protocol_error _ -> true)
 
 let test_proto_rejects_malformed () =
   Alcotest.(check bool) "zero credit" true
